@@ -65,6 +65,9 @@ EXIT_FAIL = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 
+# Labels are held as int64 arrays once a document is materialized.
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
 
 @dataclass(frozen=True)
 class LabelingDocument:
@@ -92,10 +95,11 @@ def save(doc: LabelingDocument) -> bytes:
 
 
 def _int_list(raw: object, key: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in raw
-    ):
+    # JSON numbers decode to exact ints; True and False have type bool
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise ParseError(f"{key} must be a list of integers")
+    if raw and (min(raw) < INT64_MIN or max(raw) > INT64_MAX):
+        raise ParseError(f"{key} must lie in [{INT64_MIN}, {INT64_MAX}]")
     return tuple(raw)
 
 

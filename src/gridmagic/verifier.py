@@ -4,9 +4,18 @@ A labeling is magic when every unit cube carries the same label sum, and a
 total labeling is supermagic when additionally its vertex labels are
 exactly [1, |V|]. The check enumerates nothing fancier than axis-aligned
 unit cubes: only those subgraphs are cubes, so a full sweep over the
-prod(n_i - 1) corners is complete. Sums are computed as 2^d (vertices)
-resp. d * 2^(d-1) (edges) shifted-slice additions over the dense label
-arrays, which keeps million-element grids in fractions of a second.
+prod(n_i - 1) corners is complete.
+
+A unit-cube sum is a separable box filter (the summed-area idea of Crow,
+1984): pairing neighbours, ``a[:-1] + a[1:]``, along each axis in turn
+sums the 2^d vertices of every cube in d passes. Pairing each axis's
+edge array along the other d-1 axes sums the d * 2^(d-1) edges; adding
+the axis arrays as soon as their shapes agree lets later passes serve
+several axes, (d-1)(d+2)/2 passes in all. The distinct sums come from one
+sort, and bijectivity from one min/max plus a scatter into a seen-mask.
+The same min/max bound every cube sum: when max|label| times the labels
+per cube could pass 2^63 - 1, the kernels run unchanged on arrays of
+Python ints, so sums never wrap.
 
 `closed_form_sums` computes the magic sums the constructions are expected
 to attain, by pure arithmetic over the same layer recursion the builders
@@ -15,7 +24,6 @@ use; the verifier reports observed against predicted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,46 +87,71 @@ def closed_form_sums(spec: GridSpec) -> PredictedSums:
     return PredictedSums(c_vertex, c_edge, c_total)
 
 
+def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """One separable pass: ``a[..., :-1, ...] + a[..., 1:, ...]`` along `axis`."""
+    head = [slice(None)] * a.ndim
+    tail = list(head)
+    head[axis], tail[axis] = slice(None, -1), slice(1, None)
+    return a[tuple(head)] + a[tuple(tail)]
+
+
 def cube_vertex_sums(grid: np.ndarray) -> np.ndarray:
     """Sum of vertex labels per unit cube, indexed by 0-based corner."""
-    shape = grid.shape
-    out = np.zeros(tuple(n - 1 for n in shape), dtype=np.int64)
-    for offsets in itertools.product((0, 1), repeat=len(shape)):
-        window = tuple(slice(o, o + n - 1) for o, n in zip(offsets, shape))
-        out += grid[window]
+    out = grid
+    for axis in range(grid.ndim):
+        out = _pair_sum(out, axis)
     return out
 
 
 def cube_edge_sums(per_axis: tuple[np.ndarray, ...], spec: GridSpec) -> np.ndarray:
-    """Sum of edge labels per unit cube, indexed by 0-based corner."""
-    out = np.zeros(tuple(n - 1 for n in spec.dims), dtype=np.int64)
-    d = spec.dim
-    for a, arr in enumerate(per_axis):
-        others = [i for i in range(d) if i != a]
-        for offsets in itertools.product((0, 1), repeat=d - 1):
-            window = [slice(None)] * d
-            window[a] = slice(0, spec.dims[a] - 1)
-            for i, o in zip(others, offsets):
-                window[i] = slice(o, o + spec.dims[i] - 1)
-            out += arr[tuple(window)]
+    """Sum of edge labels per unit cube, indexed by 0-based corner.
+
+    The axis-a array already has one entry per cube position along axis a
+    and needs pairing along the other d-1 axes. After axis k is paired, the
+    running sum over axes 0..k-1 has the same shape as the axis-k array
+    paired along axes 0..k-1, so one pass per later axis serves them all.
+    """
+    out = per_axis[0]
+    for k in range(1, spec.dim):
+        arr = per_axis[k]
+        for axis in range(k):
+            arr = _pair_sum(arr, axis)
+        out = _pair_sum(out, k)
+        out += arr
     return out
 
 
-def _is_range(flat: np.ndarray, start: int, count: int) -> bool:
-    if flat.size != count:
-        return False
-    return bool(np.array_equal(np.sort(flat), np.arange(start, start + count, dtype=np.int64)))
+def _scan_labels(flat: np.ndarray, start: int, count: int) -> tuple[bool, int]:
+    """Whether `flat` is a permutation of [start, start + count), and its max |label|."""
+    lo, hi = int(flat.min()), int(flat.max())
+    bijective = flat.size == count and (lo, hi) == (start, start + count - 1)
+    if bijective:
+        # in range and of the right size: a bijection exactly when no label repeats
+        seen = np.zeros(start + count, dtype=bool)
+        seen[flat] = True
+        bijective = bool(seen[start:].all())
+    return bijective, max(-lo, hi)
+
+
+def _exact(arrays: tuple[np.ndarray, ...], sum_bound: int) -> tuple[np.ndarray, ...]:
+    """The label arrays, as arrays of Python ints if a cube sum could pass int64."""
+    if sum_bound <= INT64_MAX:
+        return arrays
+    return tuple(arr.astype(object) for arr in arrays)
 
 
 def _report(kind: str, bijective: bool, sums: np.ndarray, predicted: int) -> MagicReport:
-    values = np.unique(sums)
-    magic = values.size == 1
-    magic_sum = int(values[0]) if magic else None
+    ordered = np.sort(sums, axis=None)
+    magic = bool(ordered[0] == ordered[-1])
+    # positions in sorted order where each distinct value after the first begins
+    starts = [] if magic else np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    values = (ordered[0], *ordered[starts[: MAX_REPORTED_SUMS - 1]])
+    magic_sum = int(ordered[0]) if magic else None
     return MagicReport(
         kind=kind,
         bijective=bijective,
-        cube_sum_values=tuple(int(v) for v in values[:MAX_REPORTED_SUMS]),
-        distinct_count=int(values.size),
+        cube_sum_values=tuple(int(v) for v in values),
+        distinct_count=1 + len(starts),
         magic=magic,
         magic_sum=magic_sum,
         predicted_sum=predicted,
@@ -130,8 +163,9 @@ def verify_vertex_magic(spec: GridSpec, f: VertexLabeling) -> MagicReport:
     """Scan all cubes of a vertex labeling; report sums and bijectivity."""
     if f.spec != spec:
         raise SpecMismatch(f"labeling over {f.spec.dims}, expected {spec.dims}")
-    bijective = _is_range(f.flat, 1, spec.vertex_count)
-    sums = cube_vertex_sums(f.grid)
+    bijective, magnitude = _scan_labels(f.flat, 1, spec.vertex_count)
+    (grid,) = _exact((f.grid,), magnitude * 2**spec.dim)
+    sums = cube_vertex_sums(grid)
     return _report("vertex", bijective, sums, closed_form_sums(spec).c_vertex)
 
 
@@ -139,8 +173,9 @@ def verify_edge_magic(spec: GridSpec, g: EdgeLabeling) -> MagicReport:
     """Scan all cubes of an edge labeling; report sums and bijectivity."""
     if g.spec != spec:
         raise SpecMismatch(f"labeling over {g.spec.dims}, expected {spec.dims}")
-    bijective = _is_range(g.flat, 1, spec.edge_count)
-    sums = cube_edge_sums(g.per_axis, spec)
+    bijective, magnitude = _scan_labels(g.flat, 1, spec.edge_count)
+    per_axis = _exact(g.per_axis, magnitude * spec.cube_edge_count)
+    sums = cube_edge_sums(per_axis, spec)
     return _report("edge", bijective, sums, closed_form_sums(spec).c_edge)
 
 
@@ -154,8 +189,12 @@ def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
     if total.spec != spec:
         raise SpecMismatch(f"labeling over {total.spec.dims}, expected {spec.dims}")
     nv = spec.vertex_count
-    bijective = _is_range(total.vertex_flat, 1, nv) and _is_range(
-        total.edge_flat, nv + 1, spec.edge_count
+    v_bijective, v_magnitude = _scan_labels(total.vertex_flat, 1, nv)
+    e_bijective, e_magnitude = _scan_labels(total.edge_flat, nv + 1, spec.edge_count)
+    per_cube = 2**spec.dim + spec.cube_edge_count
+    grid, *per_axis = _exact(
+        (total.vertex_grid, *total.edge_per_axis), max(v_magnitude, e_magnitude) * per_cube
     )
-    sums = cube_vertex_sums(total.vertex_grid) + cube_edge_sums(total.edge_per_axis, spec)
-    return _report("total", bijective, sums, closed_form_sums(spec).c_total)
+    sums = cube_vertex_sums(grid)
+    sums += cube_edge_sums(tuple(per_axis), spec)
+    return _report("total", v_bijective and e_bijective, sums, closed_form_sums(spec).c_total)

@@ -201,6 +201,37 @@ def test_cli_verify_missing_file(capsys):
     assert err != ""
 
 
+def _vertex_document(dims, labels) -> bytes:
+    payload = json.loads(save(generate_document(dims, "vertex")))
+    payload["vertex_labels"] = labels
+    return json.dumps(payload).encode()
+
+
+def test_cli_verify_does_not_wrap_int64_cube_sums(capsys, monkeypatch):
+    # the two squares sum to 5 and to 2**64 + 5; in int64 both read 5
+    data = _vertex_document([3, 2], [2**63 - 1, 2**63 - 1, 3, 4, -1, -1])
+    code, out, _ = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
+    assert code == 1
+    assert f"values={[5, 2**64 + 5]}" in out
+    assert out.splitlines()[-1] == "NOT_MAGIC distinct=2"
+
+
+@pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
+def test_labels_outside_int64_are_parse_errors(capsys, monkeypatch, label):
+    data = _vertex_document([3, 2], [1, 2, 3, 4, 5, label])
+    with pytest.raises(ParseError, match="vertex_labels"):
+        load(data)
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("i/o error:")
+
+
+def test_int64_extremes_load():
+    labels = [-(2**63), 2**63 - 1, 3, 4, 5, 6]
+    assert load(_vertex_document([3, 2], labels)).vertex_labels == tuple(labels)
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli(capsys, ["bogus"])[0] == 64
     assert run_cli(capsys, ["generate", "--dims", "5"])[0] == 64

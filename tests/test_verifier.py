@@ -21,7 +21,9 @@ from gridmagic import (
     verify_edge_magic,
     verify_supermagic,
     verify_vertex_magic,
+    vertex_labeling_from_flat,
 )
+from gridmagic.verifier import MAX_REPORTED_SUMS, cube_edge_sums, cube_vertex_sums
 
 
 @st.composite
@@ -29,6 +31,20 @@ def small_specs(draw, max_d=5, max_n=5):
     d = draw(st.integers(2, max_d))
     dims = sorted((draw(st.integers(2, max_n)) for _ in range(d)), reverse=True)
     return GridSpec(tuple(dims))
+
+
+@st.composite
+def random_candidates(draw, low: int, high: int):
+    """A small spec (d = 2..5) with seeded random vertex and edge labels in [low, high]."""
+    d = draw(st.integers(2, 5))
+    max_n = {2: 6, 3: 4}.get(d, 3)
+    spec = GridSpec(tuple(sorted((draw(st.integers(2, max_n)) for _ in range(d)), reverse=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # narrow draws give duplicate labels and repeated cube sums
+    high = draw(st.sampled_from([low + 2, low + 40, high]))
+    v = rng.integers(low, high, spec.vertex_count, endpoint=True)
+    e = rng.integers(low, high, spec.edge_count, endpoint=True)
+    return spec, vertex_labeling_from_flat(spec, v), edge_labeling_from_flat(spec, e)
 
 
 @pytest.mark.parametrize(
@@ -177,3 +193,92 @@ def test_random_specs_verify_exactly(spec):
     assert verify_vertex_magic(spec, f).magic_sum == predicted.c_vertex
     assert verify_edge_magic(spec, g).magic_sum == predicted.c_edge
     assert verify_supermagic(spec, total).magic_sum == predicted.c_total
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_candidates(low=-(10**6), high=10**6))
+def test_cube_sums_match_plain_enumeration_per_cube(candidate):
+    spec, f, g = candidate
+    # both orders are corner row-major
+    assert cube_vertex_sums(f.grid).ravel().tolist() == brute_vertex_cube_sums(spec, f)
+    assert cube_edge_sums(g.per_axis, spec).ravel().tolist() == brute_edge_cube_sums(spec, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_candidates(low=-(2**63), high=2**63 - 1))
+def test_reports_are_exact_over_the_whole_int64_range(candidate):
+    spec, f, g = candidate
+    vertex_sums = brute_vertex_cube_sums(spec, f)
+    edge_sums = brute_edge_cube_sums(spec, g)
+    total = total_labeling_from_flats(spec, f.flat, g.flat)
+    for report, per_cube in [
+        (verify_vertex_magic(spec, f), vertex_sums),
+        (verify_edge_magic(spec, g), edge_sums),
+        (verify_supermagic(spec, total), [a + b for a, b in zip(vertex_sums, edge_sums)]),
+    ]:
+        values = sorted(set(per_cube))
+        assert report.cube_sum_values == tuple(values[:MAX_REPORTED_SUMS])
+        assert report.distinct_count == len(values)
+        assert report.magic == (len(values) == 1)
+
+
+def test_int64_cube_sums_do_not_wrap():
+    # the squares sum to 5 and 2**64 + 5, which agree modulo 2**64
+    spec = GridSpec((3, 2))
+    f = vertex_labeling_from_flat(spec, [2**63 - 1, 2**63 - 1, 3, 4, -1, -1])
+    report = verify_vertex_magic(spec, f)
+    assert not report.magic and report.magic_sum is None
+    assert report.cube_sum_values == (5, 2**64 + 5)
+    assert report.distinct_count == 2
+
+
+def test_distinct_sums_match_unique_reference():
+    spec = GridSpec((12, 10, 8))
+    rng = np.random.default_rng(11)
+    v = rng.permutation(spec.vertex_count) + 1
+    e = rng.permutation(spec.edge_count) + 1
+    f, g = vertex_labeling_from_flat(spec, v), edge_labeling_from_flat(spec, e)
+    vertex_sums = brute_vertex_cube_sums(spec, f)
+    edge_sums = brute_edge_cube_sums(spec, g)
+    total = total_labeling_from_flats(spec, v, e + spec.vertex_count)
+    shift = spec.cube_edge_count * spec.vertex_count
+    for report, per_cube in [
+        (verify_vertex_magic(spec, f), vertex_sums),
+        (verify_edge_magic(spec, g), edge_sums),
+        (verify_supermagic(spec, total), [a + b + shift for a, b in zip(vertex_sums, edge_sums)]),
+    ]:
+        reference = np.unique(np.array(per_cube, dtype=np.int64))
+        assert reference.size > MAX_REPORTED_SUMS
+        assert report.distinct_count == reference.size
+        assert report.cube_sum_values == tuple(reference[:MAX_REPORTED_SUMS].tolist())
+        assert not report.magic
+
+
+@pytest.mark.parametrize("dims", [(5, 3), (4, 4, 2), (3, 3, 2, 2), (2, 2, 2)])
+def test_complement_duality(dims):
+    # l -> N+1-l keeps a bijection onto [1, N] and turns each cube sum c
+    # into k(N+1) - c, with k the number of labels per cube
+    spec = GridSpec(dims)
+    predicted = closed_form_sums(spec)
+    f, g = build_labelings(spec)
+    nv, ne = spec.vertex_count, spec.edge_count
+    dual_f = vertex_labeling_from_flat(spec, nv + 1 - f.flat)
+    dual_g = edge_labeling_from_flat(spec, ne + 1 - g.flat)
+    rv, re_ = verify_vertex_magic(spec, dual_f), verify_edge_magic(spec, dual_g)
+    assert rv.bijective and rv.magic
+    assert rv.magic_sum == 2**spec.dim * (nv + 1) - predicted.c_vertex
+    assert re_.bijective and re_.magic
+    assert re_.magic_sum == spec.cube_edge_count * (ne + 1) - predicted.c_edge
+
+
+def test_duplicate_inside_the_range_is_not_bijective():
+    # labels 2 and 3 both read 2: size, minimum and maximum are all still right
+    spec = GridSpec((5, 3))
+    f, g = build_labelings(spec)
+    nv = spec.vertex_count
+    v = np.where(f.flat == 3, 2, f.flat)
+    e = np.where(g.flat == 3, 2, g.flat)
+    assert not verify_vertex_magic(spec, vertex_labeling_from_flat(spec, v)).bijective
+    assert not verify_edge_magic(spec, edge_labeling_from_flat(spec, e)).bijective
+    assert not verify_supermagic(spec, total_labeling_from_flats(spec, v, g.flat + nv)).bijective
+    assert not verify_supermagic(spec, total_labeling_from_flats(spec, f.flat, e + nv)).bijective
