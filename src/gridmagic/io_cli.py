@@ -2,9 +2,11 @@
 
 Labelings travel as a single JSON document holding the caller's axis
 order, the permutation into canonical order, and the label arrays in
-canonical rank order. Serialization is canonical (sorted keys, compact
-separators, newline-terminated), so identical documents are identical
-bytes and everything downstream can be diffed.
+canonical rank order. In memory a document keeps its labels as read-only
+int64 arrays from `generate_document` or `load` through `save`, the
+verifier, the renderers and the label lookups. Serialization is canonical
+(sorted keys, compact separators, newline-terminated), so identical
+documents are identical bytes and everything downstream can be diffed.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
 3d oblique), Graphviz dot, or a flat CSV with one row per element. The
@@ -17,12 +19,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    CoordOutOfRange,
     DimensionOrderViolation,
     DimensionTooSmall,
     GridMagicError,
@@ -36,10 +43,9 @@ from .grid_core import (
     EdgeId,
     GridSpec,
     canonicalize,
-    edge_endpoints,
-    enumerate_edges,
-    enumerate_vertices,
     check_h_covering,
+    edge_rank,
+    vertex_rank,
 )
 from .labeling_2d import (
     EdgeLabeling,
@@ -65,11 +71,20 @@ EXIT_FAIL = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 
-# Labels are held as int64 arrays once a document is materialized.
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-@dataclass(frozen=True)
+def _label_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
+    # the document takes ownership: an int64 array passed in is marked
+    # read-only itself, anything else is converted first
+    arr = np.ascontiguousarray(labels, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"labels must be one-dimensional, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class LabelingDocument:
     """On-disk form of a labeling: caller axis order plus canonical arrays."""
 
@@ -77,8 +92,22 @@ class LabelingDocument:
     dims: tuple[int, ...]  # caller order
     axis_permutation: tuple[int, ...]  # caller axis i sits at canonical slot perm[i-1]
     kind: str
-    vertex_labels: tuple[int, ...]  # canonical rank order; empty for kind="edge"
-    edge_labels: tuple[int, ...]  # enumeration order; empty for kind="vertex"
+    vertex_labels: np.ndarray  # read-only int64, canonical rank order; empty for kind="edge"
+    edge_labels: np.ndarray  # read-only int64, enumeration order; empty for kind="vertex"
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertex_labels", _label_array(self.vertex_labels))
+        object.__setattr__(self, "edge_labels", _label_array(self.edge_labels))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabelingDocument):
+            return NotImplemented
+        return (
+            (self.format_version, self.dims, self.axis_permutation, self.kind)
+            == (other.format_version, other.dims, other.axis_permutation, other.kind)
+            and np.array_equal(self.vertex_labels, other.vertex_labels)
+            and np.array_equal(self.edge_labels, other.edge_labels)
+        )
 
 
 def save(doc: LabelingDocument) -> bytes:
@@ -88,19 +117,22 @@ def save(doc: LabelingDocument) -> bytes:
         "dims": list(doc.dims),
         "axis_permutation": list(doc.axis_permutation),
         "kind": doc.kind,
-        "vertex_labels": list(doc.vertex_labels),
-        "edge_labels": list(doc.edge_labels),
+        "vertex_labels": doc.vertex_labels.tolist(),
+        "edge_labels": doc.edge_labels.tolist(),
     }
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def _int_list(raw: object, key: str) -> tuple[int, ...]:
-    # JSON numbers decode to exact ints; True and False have type bool
+def _int64_array(raw: object, key: str) -> np.ndarray:
+    # JSON numbers decode to exact ints; True and False have type bool. The
+    # type test comes first because np.array would turn true into 1 and 1.5
+    # into 1 without complaint.
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise ParseError(f"{key} must be a list of integers")
-    if raw and (min(raw) < INT64_MIN or max(raw) > INT64_MAX):
-        raise ParseError(f"{key} must lie in [{INT64_MIN}, {INT64_MAX}]")
-    return tuple(raw)
+    try:
+        return np.array(raw, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{key} must lie in [{INT64_MIN}, {INT64_MAX}]") from None
 
 
 def load(data: bytes | str) -> LabelingDocument:
@@ -120,18 +152,18 @@ def load(data: bytes | str) -> LabelingDocument:
     version = payload["format_version"]
     if not isinstance(version, str) or version != FORMAT_VERSION:
         raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
-    dims = _int_list(payload["dims"], "dims")
+    dims = tuple(_int64_array(payload["dims"], "dims").tolist())
     try:
         spec, perm = canonicalize(dims)
     except GridMagicError as e:
         raise ParseError(f"bad dims {list(dims)}: {e}") from e
-    if _int_list(payload["axis_permutation"], "axis_permutation") != perm:
+    if tuple(_int64_array(payload["axis_permutation"], "axis_permutation").tolist()) != perm:
         raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
     kind = payload["kind"]
     if kind not in KINDS:
         raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
-    vertex_labels = _int_list(payload["vertex_labels"], "vertex_labels")
-    edge_labels = _int_list(payload["edge_labels"], "edge_labels")
+    vertex_labels = _int64_array(payload["vertex_labels"], "vertex_labels")
+    edge_labels = _int64_array(payload["edge_labels"], "edge_labels")
     want_v = spec.vertex_count if kind in ("vertex", "total") else 0
     want_e = spec.edge_count if kind in ("edge", "total") else 0
     if len(vertex_labels) != want_v:
@@ -148,13 +180,12 @@ def generate_document(dims: Sequence[int], kind: str) -> LabelingDocument:
     spec, perm = canonicalize(dims)
     f, g = build_labelings(spec)
     if kind == "vertex":
-        vertex_labels, edge_labels = tuple(int(v) for v in f.flat), ()
+        vertex_labels, edge_labels = f.flat, ()
     elif kind == "edge":
-        vertex_labels, edge_labels = (), tuple(int(v) for v in g.flat)
+        vertex_labels, edge_labels = (), g.flat
     else:
         total = combine_supermagic(f, g)
-        vertex_labels = tuple(int(v) for v in total.vertex_flat)
-        edge_labels = tuple(int(v) for v in total.edge_flat)
+        vertex_labels, edge_labels = total.vertex_flat, total.edge_flat
     return LabelingDocument(
         FORMAT_VERSION, tuple(int(n) for n in dims), perm, kind, vertex_labels, edge_labels
     )
@@ -165,7 +196,7 @@ def document_spec(doc: LabelingDocument) -> GridSpec:
 
 
 def document_labeling(doc: LabelingDocument) -> VertexLabeling | EdgeLabeling | TotalLabeling:
-    """Materialize the document's labeling over the canonical spec."""
+    """The document's labeling over the canonical spec, as views of its arrays."""
     spec = document_spec(doc)
     if doc.kind == "vertex":
         return vertex_labeling_from_flat(spec, doc.vertex_labels)
@@ -185,12 +216,19 @@ def verify_document(doc: LabelingDocument) -> MagicReport:
     return verify_supermagic(spec, labeling)
 
 
+def _integer(x: object, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise CoordOutOfRange(f"{what} {x!r} is not an integer") from None
+
+
 def _to_canonical_coord(doc: LabelingDocument, coord: Sequence[int]) -> tuple[int, ...]:
     if len(coord) != len(doc.dims):
         raise UsageError(f"coordinate {tuple(coord)} has wrong arity for dims {doc.dims}")
     out = [0] * len(coord)
     for caller_axis, c in enumerate(coord):
-        out[doc.axis_permutation[caller_axis] - 1] = int(c)
+        out[doc.axis_permutation[caller_axis] - 1] = _integer(c, "coordinate")
     return tuple(out)
 
 
@@ -198,43 +236,59 @@ def document_vertex_label(doc: LabelingDocument, coord: Sequence[int]) -> int:
     """Label of a vertex given in the caller's axis order."""
     if doc.kind == "edge":
         raise UsageError("edge-only document carries no vertex labels")
-    labeling = document_labeling(doc)
-    canonical = _to_canonical_coord(doc, coord)
-    if doc.kind == "total":
-        return labeling.vertex_label(canonical)
-    return labeling.label(canonical)
+    rank = vertex_rank(document_spec(doc), _to_canonical_coord(doc, coord))
+    return int(doc.vertex_labels[rank])
 
 
 def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -> int:
     """Label of an edge given by base vertex and 1-based axis, caller order."""
     if doc.kind == "vertex":
         raise UsageError("vertex-only document carries no edge labels")
-    labeling = document_labeling(doc)
-    edge = EdgeId(_to_canonical_coord(doc, base), doc.axis_permutation[axis - 1])
-    if doc.kind == "total":
-        return labeling.edge_label(edge)
-    return labeling.label(edge)
+    canonical = _to_canonical_coord(doc, base)
+    axis = _integer(axis, "axis")
+    if not 1 <= axis <= len(doc.dims):
+        raise CoordOutOfRange(f"axis {axis} not in [1, {len(doc.dims)}]")
+    rank = edge_rank(document_spec(doc), EdgeId(canonical, doc.axis_permutation[axis - 1]))
+    return int(doc.edge_labels[rank])
 
 
 # --- renderers ---------------------------------------------------------
+#
+# Every renderer walks vertices in rank order and edges in enumeration
+# order, so labels pair up with the document arrays position by position.
 
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
-def _vertex_texts(doc: LabelingDocument, spec: GridSpec) -> dict[tuple[int, ...], str]:
-    if doc.kind == "edge":
-        return {v: "" for v in enumerate_vertices(spec)}
-    labels = doc.vertex_labels
-    return {v: str(labels[i]) for i, v in enumerate(enumerate_vertices(spec))}
+def _vertex_names(spec: GridSpec, head: str, sep: str) -> list[str]:
+    """`head` plus the 1-based coordinates joined by `sep`, for every vertex by rank."""
+    names = [head + str(c) for c in range(1, spec.dims[0] + 1)]
+    for n in spec.dims[1:]:
+        suffixes = [sep + str(c) for c in range(1, n + 1)]
+        names = [name + suffix for name in names for suffix in suffixes]
+    return names
 
 
-def _edge_texts(doc: LabelingDocument, spec: GridSpec) -> dict[EdgeId, str]:
-    if doc.kind == "vertex":
-        return {e: "" for e in enumerate_edges(spec)}
-    labels = doc.edge_labels
-    return {e: str(labels[i]) for i, e in enumerate(enumerate_edges(spec))}
+def _edge_blocks(
+    spec: GridSpec, doc: LabelingDocument
+) -> Iterator[tuple[int, list[int], list[int], list[int] | None]]:
+    """Per axis: its edges' lower and upper endpoint ranks and their labels.
+
+    Axes come in ascending order (1-based), each with its edges in
+    enumeration order. An axis-a edge joins rank r to r + stride_a; the
+    labels are None for a vertex document.
+    """
+    ranks = np.arange(spec.vertex_count).reshape(spec.dims)
+    start = 0
+    for a, n in enumerate(spec.dims):
+        lower = ranks.take(range(n - 1), axis=a).reshape(-1)
+        upper = lower + math.prod(spec.dims[a + 1 :])
+        stop = start + lower.size
+        labels = None if doc.kind == "vertex" else doc.edge_labels[start:stop].tolist()
+        yield a + 1, lower.tolist(), upper.tolist(), labels
+        start = stop
 
 
 def _render_tikz(doc: LabelingDocument, style: str) -> str:
@@ -244,52 +298,55 @@ def _render_tikz(doc: LabelingDocument, style: str) -> str:
     if style == "tikz3d" and spec.dim != 3:
         raise UnsupportedDimension(f"tikz3d needs a 3-dimensional grid, got {spec.dim}")
 
-    def place(v: tuple[int, ...]) -> tuple[float, float]:
-        if spec.dim == 2:
-            i, j = v
-            return 3.0 * (i - 1), 3.0 * (spec.dims[1] - j)
-        i, j, k = v  # oblique projection: axis 2 drawn at a slant
-        return 3.0 * (i - 1) + 1.9 * (j - 1), 3.0 * (spec.dims[2] - k) + 1.15 * (j - 1)
-
-    def name(v: tuple[int, ...]) -> str:
-        return "v" + "_".join(str(c) for c in v)
-
-    vertex_texts = _vertex_texts(doc, spec)
-    edge_texts = _edge_texts(doc, spec)
+    coords = np.indices(spec.dims).reshape(spec.dim, -1) + 1
+    if spec.dim == 2:
+        i, j = coords
+        x, y = 3.0 * (i - 1), 3.0 * (spec.dims[1] - j)
+    else:
+        i, j, k = coords  # oblique projection: axis 2 drawn at a slant
+        x = 3.0 * (i - 1) + 1.9 * (j - 1)
+        y = 3.0 * (spec.dims[2] - k) + 1.15 * (j - 1)
+    names = _vertex_names(spec, "v", "_")
+    texts = doc.vertex_labels.tolist() if doc.kind != "edge" else [""] * len(names)
     lines = [
         "\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]"
     ]
-    for v, text in vertex_texts.items():
-        x, y = place(v)
-        lines.append(f"  \\node ({name(v)}) at ({_fmt(x)},{_fmt(y)}) {{{text}}};")
-    for e, text in edge_texts.items():
-        a, b = edge_endpoints(e)
-        if text:
-            placement = "midway,right" if e.axis == spec.dim else "midway,above,sloped"
-            lines.append(
-                f"  \\draw ({name(a)}) -- ({name(b)}) node[draw=none,{placement}] {{{text}}};"
-            )
-        else:
-            lines.append(f"  \\draw ({name(a)}) -- ({name(b)});")
+    lines += [
+        f"  \\node ({name}) at ({_fmt(px)},{_fmt(py)}) {{{text}}};"
+        for name, px, py, text in zip(names, x.tolist(), y.tolist(), texts)
+    ]
+    for axis, lower, upper, labels in _edge_blocks(spec, doc):
+        if labels is None:
+            lines += [f"  \\draw ({names[a]}) -- ({names[b]});" for a, b in zip(lower, upper)]
+            continue
+        placement = "midway,right" if axis == spec.dim else "midway,above,sloped"
+        lines += [
+            f"  \\draw ({names[a]}) -- ({names[b]}) node[draw=none,{placement}] {{{label}}};"
+            for a, b, label in zip(lower, upper, labels)
+        ]
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 
 
 def _render_dot(doc: LabelingDocument) -> str:
     spec = document_spec(doc)
-    vertex_texts = _vertex_texts(doc, spec)
-    edge_texts = _edge_texts(doc, spec)
+    names = _vertex_names(spec, "", ",")
     lines = ["graph gridmagic {", "  node [shape=circle];"]
-    for v, text in vertex_texts.items():
-        node = ",".join(str(c) for c in v)
-        attr = f' [label="{text}"]' if text else ""
-        lines.append(f'  "{node}"{attr};')
-    for e, text in edge_texts.items():
-        a, b = edge_endpoints(e)
-        left = ",".join(str(c) for c in a)
-        right = ",".join(str(c) for c in b)
-        attr = f' [label="{text}"]' if text else ""
-        lines.append(f'  "{left}" -- "{right}"{attr};')
+    if doc.kind == "edge":
+        lines += [f'  "{name}";' for name in names]
+    else:
+        lines += [
+            f'  "{name}" [label="{label}"];'
+            for name, label in zip(names, doc.vertex_labels.tolist())
+        ]
+    for _, lower, upper, labels in _edge_blocks(spec, doc):
+        if labels is None:
+            lines += [f'  "{names[a]}" -- "{names[b]}";' for a, b in zip(lower, upper)]
+        else:
+            lines += [
+                f'  "{names[a]}" -- "{names[b]}" [label="{label}"];'
+                for a, b, label in zip(lower, upper, labels)
+            ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -298,14 +355,14 @@ def _render_csv(doc: LabelingDocument) -> str:
     spec = document_spec(doc)
     header = ["kind"] + [f"x{i}" for i in range(1, spec.dim + 1)] + ["axis", "label"]
     rows = [",".join(header)]
+    names = _vertex_names(spec, "", ",")
     if doc.kind in ("vertex", "total"):
-        for i, v in enumerate(enumerate_vertices(spec)):
-            rows.append(",".join(["vertex", *map(str, v), "", str(doc.vertex_labels[i])]))
+        rows += [
+            f"vertex,{name},,{label}" for name, label in zip(names, doc.vertex_labels.tolist())
+        ]
     if doc.kind in ("edge", "total"):
-        for i, e in enumerate(enumerate_edges(spec)):
-            rows.append(
-                ",".join(["edge", *map(str, e.base), str(e.axis), str(doc.edge_labels[i])])
-            )
+        for axis, lower, _, labels in _edge_blocks(spec, doc):
+            rows += [f"edge,{names[r]},{axis},{label}" for r, label in zip(lower, labels)]
     return "\n".join(rows) + "\n"
 
 

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import itertools
 import json
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridmagic import (
+    CoordOutOfRange,
     EdgeId,
     GridSpec,
+    LabelingDocument,
     ParseError,
     UnsupportedDimension,
+    UsageError,
     VersionMismatch,
     build_labelings,
     cli,
@@ -27,6 +33,7 @@ from gridmagic import (
     verify_document,
     verify_supermagic,
 )
+from gridmagic.io_cli import document_labeling
 
 
 def test_save_load_roundtrip_is_byte_identical():
@@ -229,7 +236,129 @@ def test_labels_outside_int64_are_parse_errors(capsys, monkeypatch, label):
 
 def test_int64_extremes_load():
     labels = [-(2**63), 2**63 - 1, 3, 4, 5, 6]
-    assert load(_vertex_document([3, 2], labels)).vertex_labels == tuple(labels)
+    assert load(_vertex_document([3, 2], labels)).vertex_labels.tolist() == labels
+
+
+def test_loaded_label_arrays_are_read_only_int64():
+    doc = load(save(generate_document([4, 3], "total")))
+    for labels in (doc.vertex_labels, doc.edge_labels):
+        assert labels.dtype == np.int64 and labels.ndim == 1
+        assert not labels.flags.writeable
+    assert generate_document([4, 3], "vertex").edge_labels.dtype == np.int64
+
+
+def test_document_coerces_int_sequences():
+    doc = generate_document([3, 2], "vertex")
+    rebuilt = LabelingDocument(
+        doc.format_version, doc.dims, doc.axis_permutation, doc.kind,
+        tuple(doc.vertex_labels.tolist()), (),
+    )
+    assert rebuilt == doc
+    assert not rebuilt.vertex_labels.flags.writeable
+    assert save(rebuilt) == save(doc)
+
+
+# Every JSON value that is not an integer, as an element of each integer list.
+NON_INTEGERS = ["true", "1.0", "1.5", '"3"', "null", "[1]"]
+INTEGER_LISTS = ["vertex_labels", "edge_labels", "dims", "axis_permutation"]
+
+
+@pytest.mark.parametrize("key", INTEGER_LISTS)
+@pytest.mark.parametrize("value", NON_INTEGERS)
+def test_load_rejects_non_integer_list_elements(capsys, monkeypatch, key, value):
+    payload = json.loads(save(generate_document([3, 2], "total")))
+    payload[key][0] = json.loads(value)
+    data = json.dumps(payload).encode()
+    with pytest.raises(ParseError, match=key):
+        load(data)
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("i/o error:")
+
+
+# --- label lookups -------------------------------------------------------
+
+
+def _caller_to_canonical(doc, coord):
+    out = [0] * len(coord)
+    for caller_axis, c in enumerate(coord):
+        out[doc.axis_permutation[caller_axis] - 1] = c
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 4, 3), (3, 2, 3), (2, 3, 2, 2)])
+@pytest.mark.parametrize("kind", ["vertex", "edge", "total"])
+def test_lookups_match_materialized_labeling(dims, kind):
+    doc = generate_document(list(dims), kind)
+    labeling = document_labeling(doc)
+    vertex_of = labeling.vertex_label if kind == "total" else labeling.label
+    edge_of = labeling.edge_label if kind == "total" else labeling.label
+    vertices = list(itertools.product(*(range(1, n + 1) for n in dims)))
+    for v in vertices:
+        if kind != "edge":
+            assert document_vertex_label(doc, v) == vertex_of(_caller_to_canonical(doc, v))
+        if kind == "vertex":
+            continue
+        for axis in range(1, len(dims) + 1):
+            if v[axis - 1] == dims[axis - 1]:
+                continue
+            edge = EdgeId(_caller_to_canonical(doc, v), doc.axis_permutation[axis - 1])
+            label = document_edge_label(doc, v, axis)
+            assert type(label) is int and label == edge_of(edge)
+
+
+def test_lookup_errors_keep_their_classes():
+    total = generate_document([3, 5, 4], "total")
+    with pytest.raises(UsageError):
+        document_vertex_label(total, (1, 1))
+    with pytest.raises(UsageError):
+        document_edge_label(total, (1, 1, 1, 1), 1)
+    with pytest.raises(CoordOutOfRange):
+        document_vertex_label(total, (4, 1, 1))
+    with pytest.raises(CoordOutOfRange):
+        document_vertex_label(total, (0, 1, 1))
+    with pytest.raises(CoordOutOfRange):
+        document_edge_label(total, (3, 1, 1), 1)  # no room along caller axis 1
+    with pytest.raises(UsageError):
+        document_vertex_label(generate_document([3, 5, 4], "edge"), (1, 1, 1))
+    with pytest.raises(UsageError):
+        document_edge_label(generate_document([3, 5, 4], "vertex"), (1, 1, 1), 1)
+
+
+@pytest.mark.parametrize("axis", [0, -1, 4, 1.0])
+def test_edge_lookup_rejects_bad_axes(axis):
+    # axis 0 and -1 used to index from the end and return another axis's label
+    doc = generate_document([3, 5, 4], "total")
+    assert document_edge_label(doc, (1, 1, 1), 3) == 123
+    with pytest.raises(CoordOutOfRange):
+        document_edge_label(doc, (1, 1, 1), axis)
+
+
+def test_lookups_reject_non_integral_coordinates():
+    doc = generate_document([3, 5, 4], "total")
+    with pytest.raises(CoordOutOfRange):
+        document_vertex_label(doc, (1.5, 1, 1))
+    with pytest.raises(CoordOutOfRange):
+        document_edge_label(doc, (1, 1.5, 1), 1)
+    assert document_vertex_label(doc, (np.int64(1), 1, 1)) == document_vertex_label(doc, (1, 1, 1))
+
+
+# --- fixtures --------------------------------------------------------------
+
+
+def test_fixture_regeneration_is_reproducible(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "FIXTURES", tmp_path)
+    assert module.main() == 0
+    committed = script.parent.parent / "tests" / "fixtures"
+    names = sorted(path.name for path in committed.glob("*.json"))
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
 
 
 def test_cli_usage_errors(capsys):
