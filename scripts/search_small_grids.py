@@ -28,6 +28,7 @@ CASES = [
     ((3, 2), "edge"),
     ((2, 2, 2), "vertex"),
     ((3, 3), "vertex"),
+    ((3, 2), "supermagic"),
 ]
 
 
@@ -36,10 +37,10 @@ def predicted_for(spec: GridSpec, mode: str) -> int:
     return {"vertex": sums.c_vertex, "edge": sums.c_edge, "supermagic": sums.c_total}[mode]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--budget", type=int, default=10**8)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for dims, mode in CASES:
         spec = GridSpec(dims)

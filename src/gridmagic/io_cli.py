@@ -477,6 +477,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_search(args) -> int:
     spec, _ = canonicalize(_parse_dims(args.dims))
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
     budget = SearchBudget(mode=args.mode, max_assignments=args.budget)
     result = exhaustive_search(spec, budget)
     print(

@@ -1,12 +1,15 @@
 """Desk-scale ground truth by brute force.
 
 The oracle enumerates every labeling of a tiny grid (all |V|! or |E|!
-bijections, or all |V|!*|E|! pairs in supermagic mode), checks the
-constant-cube-sum condition candidate by candidate, and tallies a
-histogram of magic sums. It shares no arithmetic with the closed-form
-predictions or the constructive labelings; membership of the constructed
-labeling in the found set is therefore independent evidence that the
-construction lands inside the feasible set.
+bijections, or all |V|!*|E|! pairs in supermagic mode) block by block:
+each block of up to 720 permutations is multiplied by a 0/1
+cube-incidence matrix built from the grid model, and the rows whose cube
+sums all agree are tallied into a histogram of magic sums. The verifier
+only re-checks what the scan found; it never decides. The oracle shares
+no arithmetic with the closed-form predictions or the constructive
+labelings; membership of the constructed labeling in the found set is
+therefore independent evidence that the construction lands inside the
+feasible set.
 
 Search spaces explode fast, so `SearchBudget.max_assignments` refuses
 anything beyond desk scale up front. Supplying a target sum switches to
@@ -17,11 +20,14 @@ the thing it checks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
@@ -39,6 +45,11 @@ FOUND_CAP = 1000
 # Precompute per-permutation edge sums in supermagic mode only below this
 # count, to bound memory.
 _PRECOMPUTE_CAP = 10**6
+
+# The exhaustive scan enumerates permutations in blocks of at most
+# _SUFFIX_LEN! rows (720), which keeps a block's arrays to tens of KB.
+_SUFFIX_LEN = 6
+_BLOCK_ROWS = math.factorial(_SUFFIX_LEN)
 
 
 @dataclass(frozen=True)
@@ -116,96 +127,124 @@ def _reverify(spec: GridSpec, mode: str, labels: tuple[int, ...], magic_sum: int
 class _Tally:
     """Histogram plus capped found list, with verifier re-checks."""
 
-    def __init__(self, spec: GridSpec, mode: str):
+    def __init__(self, spec: GridSpec, mode: str, member_target: tuple[int, ...] | None):
         self.spec = spec
         self.mode = mode
+        self.target = None if member_target is None else np.array(member_target, dtype=np.int64)
         self.histogram: dict[int, int] = {}
         self.found: list[tuple[str, int]] = []
         self.target_seen = False
 
-    def record(self, labels: tuple[int, ...], magic_sum: int) -> None:
-        self.histogram[magic_sum] = self.histogram.get(magic_sum, 0) + 1
-        if len(self.found) < FOUND_CAP:
+    def record(self, head: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> None:
+        """Count the magic labelings `head + row`, one per row of `rows`.
+
+        `rows` is (m, n) in scan order and `sums` holds their m magic sums.
+        """
+        values, counts = np.unique(sums, return_counts=True)
+        for magic_sum, count in zip(values.tolist(), counts.tolist()):
+            self.histogram[magic_sum] = self.histogram.get(magic_sum, 0) + count
+        if self.target is not None and not self.target_seen:
+            target_head, target_row = np.split(self.target, [len(head)])
+            self.target_seen = bool(
+                (head == target_head).all() and (rows == target_row).all(axis=1).any()
+            )
+        room = FOUND_CAP - len(self.found)
+        head_labels = head.tolist()
+        for row, magic_sum in zip(rows[:room].tolist(), sums[:room].tolist()):
+            labels = tuple(head_labels + row)
             _reverify(self.spec, self.mode, labels, magic_sum)
             self.found.append((labeling_digest(labels), magic_sum))
 
 
-def _constant_sum(perm: tuple[int, ...], cubes: list[tuple[int, ...]]) -> int | None:
-    first = sum(perm[r] for r in cubes[0])
-    for members in cubes[1:]:
-        if sum(perm[r] for r in members) != first:
-            return None
-    return first
-
-
-def _scan_single(
-    spec: GridSpec,
-    mode: str,
-    pool: range,
-    cubes: list[tuple[int, ...]],
-    tally: _Tally,
-    member_target: tuple[int, ...] | None,
-) -> int:
-    examined = 0
-    for perm in itertools.permutations(pool):
-        examined += 1
-        magic_sum = _constant_sum(perm, cubes)
-        if magic_sum is not None:
-            tally.record(perm, magic_sum)
-            if member_target is not None and perm == member_target:
-                tally.target_seen = True
-    return examined
-
-
-def _scan_supermagic(
-    spec: GridSpec,
-    tally: _Tally,
-    member_target: tuple[int, ...] | None,
-) -> int:
-    nv, ne = spec.vertex_count, spec.edge_count
-    vertex_cubes = _cube_vertex_ranks(spec)
-    edge_cubes = _cube_edge_ranks(spec)
-    vtarget = member_target[:nv] if member_target is not None else None
-    etarget = member_target[nv:] if member_target is not None else None
-
-    # edge labels are enumerated directly in their shifted range, so cube
-    # totals and digests need no correction afterwards
-    edge_pool = range(nv + 1, nv + ne + 1)
-    precompute = math.factorial(ne) <= _PRECOMPUTE_CAP
-    if precompute:
-        edge_sums = [
-            (eperm, tuple(sum(eperm[r] for r in members) for members in edge_cubes))
-            for eperm in itertools.permutations(edge_pool)
-        ]
-
-    examined = 0
-    for vperm in itertools.permutations(range(1, nv + 1)):
-        vsums = tuple(sum(vperm[r] for r in members) for members in vertex_cubes)
-        eperms = (
-            edge_sums
-            if precompute
-            else (
-                (eperm, tuple(sum(eperm[r] for r in members) for members in edge_cubes))
-                for eperm in itertools.permutations(edge_pool)
-            )
+@functools.lru_cache(maxsize=None)
+def _index_permutations(k: int) -> np.ndarray:
+    """All k! permutations of range(k) in lexicographic order, one per column."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for m in range(1, k + 1):
+        # each leading index i, followed by every (m-1)-permutation of the rest
+        table = np.concatenate(
+            [
+                np.column_stack((np.full(len(table), i), np.delete(np.arange(m), i)[table]))
+                for i in range(m)
+            ]
         )
-        for eperm, esums in eperms:
-            examined += 1
-            total = vsums[0] + esums[0]
-            if all(v + e == total for v, e in zip(vsums[1:], esums[1:])):
-                tally.record(vperm + eperm, total)
-                if vtarget is not None and vperm == vtarget and eperm == etarget:
-                    tally.target_seen = True
+    columns = np.ascontiguousarray(table.T)
+    columns.flags.writeable = False
+    return columns
+
+
+def _permutation_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Every permutation of the sorted `values` as (B, n) int64 blocks.
+
+    Rows come in `itertools.permutations` order. Each block fixes one
+    prefix of the first n - k positions and runs the last k through the
+    lexicographic index table over the values the prefix leaves. Blocks
+    are stored column by column, so `block.T` is contiguous.
+    """
+    n = len(values)
+    k = min(n, _SUFFIX_LEN)
+    table = _index_permutations(k)
+    for prefix in itertools.permutations(range(n), n - k):
+        columns = np.empty((n, table.shape[1]), dtype=np.int64)
+        columns[: n - k] = values[list(prefix), None]
+        columns[n - k :] = np.delete(values, prefix)[table]
+        yield columns.T
+
+
+def _incidence(n: int, cubes: list[tuple[int, ...]]) -> np.ndarray:
+    """0/1 matrix whose row c marks the ranks inside cube c."""
+    matrix = np.zeros((len(cubes), n), dtype=np.int64)
+    for c, members in enumerate(cubes):
+        matrix[c, list(members)] = 1
+    return matrix
+
+
+def _summed_blocks(
+    values: np.ndarray, incidence: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Permutation blocks with their (cubes, B) cube sums."""
+    for block in _permutation_blocks(values):
+        yield block, incidence @ block.T
+
+
+def _block_scan(spec: GridSpec, mode: str, tally: _Tally) -> int:
+    """Examine every assignment of the mode, one block of rows at a time.
+
+    A labeling is an outer part (the vertex labels in supermagic mode,
+    empty otherwise) followed by an inner part; its cube sums are the sum
+    of both parts' sums. Outer rows are walked one by one against every
+    inner block, so rows reach the tally in lexicographic order.
+    """
+    nv, ne = spec.vertex_count, spec.edge_count
+    no_labels = (np.arange(0), np.zeros((spec.cube_count, 0), dtype=np.int64))
+    vertex = (np.arange(1, nv + 1), _incidence(nv, _cube_vertex_ranks(spec)))
+    edge_incidence = _incidence(ne, _cube_edge_ranks(spec))
+    if mode == "vertex":
+        outer, inner = no_labels, vertex
+    elif mode == "edge":
+        outer, inner = no_labels, (np.arange(1, ne + 1), edge_incidence)
+    else:
+        # edge labels are enumerated directly in their shifted range, so cube
+        # totals and digests need no correction afterwards
+        outer, inner = vertex, (np.arange(nv + 1, nv + ne + 1), edge_incidence)
+
+    # Keep the inner blocks only when several outer rows reuse them.
+    precompute = len(outer[0]) > 1 and math.factorial(len(inner[0])) <= _PRECOMPUTE_CAP
+    inner_blocks = list(_summed_blocks(*inner)) if precompute else None
+
+    examined = 0
+    for outer_block, outer_sums in _summed_blocks(*outer):
+        for outer_row, row_sums in zip(outer_block, outer_sums.T):
+            for block, block_sums in inner_blocks if precompute else _summed_blocks(*inner):
+                examined += len(block)
+                totals = block_sums + row_sums[:, None]
+                magic = (totals[1:] == totals[0]).all(axis=0)
+                if magic.any():
+                    tally.record(outer_row, block[magic], totals[0, magic])
     return examined
 
 
-def _pruned_scan(
-    spec: GridSpec,
-    mode: str,
-    target_sum: int,
-    tally: _Tally,
-    member_target: tuple[int, ...] | None,
-) -> int:
+def _pruned_scan(spec: GridSpec, mode: str, target_sum: int, tally: _Tally) -> int:
     nv, ne = spec.vertex_count, spec.edge_count
     if mode == "vertex":
         slot_count, pools = nv, [(0, list(range(1, nv + 1)))] * nv
@@ -234,16 +273,22 @@ def _pruned_scan(
     partial = [0] * spec.cube_count
     filled = [0] * spec.cube_count
     assignment = [0] * slot_count
+    hits: list[list[int]] = []  # completed assignments, handed to the tally in blocks
     examined = 0
+
+    def flush() -> None:
+        rows = np.array(hits, dtype=np.int64).reshape(len(hits), slot_count)
+        head = np.zeros(0, dtype=np.int64)
+        tally.record(head, rows, np.full(len(hits), target_sum, dtype=np.int64))
+        hits.clear()
 
     def descend(slot: int) -> None:
         nonlocal examined
         if slot == slot_count:
             examined += 1
-            labels = tuple(assignment)
-            tally.record(labels, target_sum)
-            if member_target is not None and labels == member_target:
-                tally.target_seen = True
+            hits.append(assignment.copy())
+            if len(hits) == _BLOCK_ROWS:
+                flush()
             return
         group, pool = pools[slot]
         taken = used[group]
@@ -275,6 +320,8 @@ def _pruned_scan(
             taken.discard(value)
 
     descend(0)
+    if hits:
+        flush()
     return examined
 
 
@@ -287,29 +334,11 @@ def _run(
     required = required_assignments(spec, budget.mode)
     if required > budget.max_assignments:
         raise BudgetExceeded(required, budget.max_assignments)
-    tally = _Tally(spec, budget.mode)
+    tally = _Tally(spec, budget.mode, member_target)
     if target_sum is not None:
-        examined = _pruned_scan(spec, budget.mode, target_sum, tally, member_target)
-    elif budget.mode == "supermagic":
-        examined = _scan_supermagic(spec, tally, member_target)
-    elif budget.mode == "vertex":
-        examined = _scan_single(
-            spec,
-            "vertex",
-            range(1, spec.vertex_count + 1),
-            _cube_vertex_ranks(spec),
-            tally,
-            member_target,
-        )
+        examined = _pruned_scan(spec, budget.mode, target_sum, tally)
     else:
-        examined = _scan_single(
-            spec,
-            "edge",
-            range(1, spec.edge_count + 1),
-            _cube_edge_ranks(spec),
-            tally,
-            member_target,
-        )
+        examined = _block_scan(spec, budget.mode, tally)
     result = SearchResult(
         examined=examined,
         found=tuple(tally.found),

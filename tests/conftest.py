@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+from pathlib import Path
 
 from gridmagic import GridSpec, cube_edges, cube_vertices, enumerate_cubes
 
@@ -20,28 +21,21 @@ PINNED_SPECS = [
 ] + [(2,) * d for d in range(2, 7)]
 
 
+def load_script(name: str):
+    """Import `scripts/<name>.py` by path (the scripts are not a package)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def random_canonical_specs(
     count: int = 220, seed: int = SUITE_SEED, max_total: int = SUITE_MAX_TOTAL
 ) -> list[GridSpec]:
     """Fixed randomized suite of canonical specs with |V|+|E| <= max_total."""
-    rng = np.random.default_rng(seed)
-    specs = [GridSpec(dims) for dims in PINNED_SPECS]
-    while len(specs) < count:
-        d = int(rng.integers(2, 7))
-        cap = max(2.0, (max_total / (2 * d)) ** (1.0 / d))
-        dims = tuple(
-            sorted(
-                (
-                    max(2, int(np.exp(rng.uniform(np.log(2.0), np.log(cap + 1.0)))))
-                    for _ in range(d)
-                ),
-                reverse=True,
-            )
-        )
-        spec = GridSpec(dims)
-        if spec.vertex_count + spec.edge_count <= max_total:
-            specs.append(spec)
-    return specs
+    drawn = load_script("run_suite").draw_specs(count - len(PINNED_SPECS), seed, max_total)
+    return [GridSpec(dims) for dims in PINNED_SPECS] + drawn
 
 
 def triangular(n: int) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import itertools
 import json
@@ -12,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_script
 from gridmagic import (
     CoordOutOfRange,
     EdgeId,
@@ -348,13 +348,10 @@ def test_lookups_reject_non_integral_coordinates():
 
 
 def test_fixture_regeneration_is_reproducible(tmp_path, monkeypatch, capsys):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("make_fixtures")
     monkeypatch.setattr(module, "FIXTURES", tmp_path)
     assert module.main() == 0
-    committed = script.parent.parent / "tests" / "fixtures"
+    committed = Path(__file__).resolve().parent / "fixtures"
     names = sorted(path.name for path in committed.glob("*.json"))
     assert sorted(path.name for path in tmp_path.iterdir()) == names
     for name in names:
@@ -375,6 +372,27 @@ def test_cli_search_histogram(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "mode=supermagic dims=2,2 examined=576 found=576"
     assert lines[1] == "sum=36 count=576"
+
+
+def test_cli_search_stdout_bytes(capsys):
+    code, out, err = run_cli(capsys, ["search", "--dims", "3,2", "--mode", "edge"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "mode=edge dims=3,2 examined=5040 found=216\n"
+        "sum=15 count=72\n"
+        "sum=16 count=72\n"
+        "sum=17 count=72\n"
+    )
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_search_rejects_non_positive_budget(capsys, budget):
+    code, out, err = run_cli(
+        capsys, ["search", "--dims", "2,2", "--mode", "vertex", "--budget", budget]
+    )
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error: ") and "--budget" in err
 
 
 def test_cli_search_budget_refusal(capsys):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import pytest
 
+from conftest import load_script
 from gridmagic import (
     BudgetExceeded,
     GridSpec,
@@ -19,6 +21,13 @@ from gridmagic import (
     vertex_labeling_from_flat,
 )
 from gridmagic.oracle import construction_sequence
+
+SEARCH_SMALL_GRIDS = load_script("search_small_grids")
+
+
+@functools.cache
+def full_scan(dims, mode):
+    return exhaustive_search(GridSpec(dims), SearchBudget(mode))
 
 
 def test_required_assignments():
@@ -96,6 +105,15 @@ def test_pruned_scan_agrees_with_full_scan():
     assert empty.found_count == 0 and empty.sum_histogram == {}
 
 
+def test_pruned_scan_keeps_found_order_past_one_block():
+    # 40320 completed assignments reach the tally in several blocks
+    spec = GridSpec((2, 2, 2))
+    pruned = exhaustive_search(spec, SearchBudget("vertex"), target_sum=36)
+    full = full_scan((2, 2, 2), "vertex")
+    assert pruned.sum_histogram == full.sum_histogram == {36: 40320}
+    assert pruned.found == full.found
+
+
 def test_pruned_edge_scan_agrees_with_full_scan():
     spec = GridSpec((3, 2))
     full = exhaustive_search(spec, SearchBudget("edge"))
@@ -144,3 +162,54 @@ def test_budget_validation():
         SearchBudget("nonsense")
     with pytest.raises(Exception):
         SearchBudget("vertex", max_assignments=0)
+
+
+def dual_centre(spec: GridSpec, mode: str) -> int:
+    """c + c' for a magic sum c and the sum c' of its complement labeling."""
+    nv, ne = spec.vertex_count, spec.edge_count
+    kv, ke = 2**spec.dim, spec.cube_edge_count
+    return {
+        "vertex": kv * (nv + 1),
+        "edge": ke * (ne + 1),
+        # vertices map l -> nv+1-l, edges (labelled nv+1..nv+ne) l -> 2nv+ne+1-l
+        "supermagic": kv * (nv + 1) + ke * (2 * nv + ne + 1),
+    }[mode]
+
+
+@pytest.mark.parametrize("dims, mode", SEARCH_SMALL_GRIDS.CASES)
+def test_histogram_is_symmetric_under_complement_duality(dims, mode):
+    # l -> N+1-l maps a magic labeling with sum c onto one with sum centre - c
+    histogram = full_scan(dims, mode).sum_histogram
+    centre = dual_centre(GridSpec(dims), mode)
+    assert {centre - c: n for c, n in histogram.items()} == histogram
+
+
+def test_supermagic_scan_grid32():
+    spec = GridSpec((3, 2))
+    result = full_scan((3, 2), "supermagic")
+    assert result.examined == math.factorial(6) * math.factorial(7) == 3_628_800
+    assert result.sum_histogram == {
+        51: 8640, 52: 24768, 53: 42624, 54: 51264, 55: 42624, 56: 24768, 57: 8640
+    }
+    assert result.found_count == 203_328
+    assert dual_centre(spec, "supermagic") == 2 * 54
+    assert confirm_construction(spec, SearchBudget("supermagic"))
+
+
+def test_supermagic_target_needs_both_parts(monkeypatch):
+    # the constructed edge labels after a vertex part that is not magic:
+    # cube vertex sums 10 and 18, edge sums equal, so the totals differ
+    spec = GridSpec((3, 2))
+    constructed = construction_sequence(spec, "supermagic")
+    target = (1, 2, 3, 4, 5, 6) + constructed[spec.vertex_count :]
+    monkeypatch.setattr("gridmagic.oracle.construction_sequence", lambda spec, mode: target)
+    assert not confirm_construction(spec, SearchBudget("supermagic"))
+
+
+def test_search_small_grids_script_confirms_every_case(capsys):
+    assert SEARCH_SMALL_GRIDS.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * len(SEARCH_SMALL_GRIDS.CASES)
+    for (dims, mode), head, verdict in zip(SEARCH_SMALL_GRIDS.CASES, lines[::2], lines[1::2]):
+        assert head.startswith(f"dims={dims} mode={mode} ")
+        assert "attained=True construction_found=True" in verdict
