@@ -12,10 +12,14 @@ therefore independent evidence that the construction lands inside the
 feasible set.
 
 Search spaces explode fast, so `SearchBudget.max_assignments` refuses
-anything beyond desk scale up front. Supplying a target sum switches to
-branch-and-prune enumeration, complete for that sum; the default full
-scan is deliberately unpruned so the ground truth inherits nothing from
-the thing it checks.
+anything beyond desk scale up front. Supplying a target sum switches to a
+breadth-first frontier search, complete for that sum: every partial
+assignment that reaches a slot is one row of a numpy array, each row is
+extended by every unused label at once, and rows whose partial cube sums
+rule the target out are dropped. A frontier longer than _BLOCK_ROWS rows
+is descended one chunk at a time, which bounds memory and keeps the rows
+in lexicographic order. The default full scan is deliberately unpruned so
+the ground truth inherits nothing from the thing it checks.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
 from .labeling_2d import edge_labeling_from_flat, vertex_labeling_from_flat
 from .labeling_nd import build_labelings, combine_supermagic, total_labeling_from_flats
-from .verifier import verify_edge_magic, verify_supermagic, verify_vertex_magic
+from .verifier import INT64_MAX, verify_edge_magic, verify_supermagic, verify_vertex_magic
 
 MODES = ("vertex", "edge", "supermagic")
 DEFAULT_MAX_ASSIGNMENTS = 10**8
@@ -47,7 +51,8 @@ FOUND_CAP = 1000
 _PRECOMPUTE_CAP = 10**6
 
 # The exhaustive scan enumerates permutations in blocks of at most
-# _SUFFIX_LEN! rows (720), which keeps a block's arrays to tens of KB.
+# _SUFFIX_LEN! rows (720), which keeps a block's arrays to tens of KB. The
+# target-sum search descends its frontier in chunks of the same size.
 _SUFFIX_LEN = 6
 _BLOCK_ROWS = math.factorial(_SUFFIX_LEN)
 
@@ -245,83 +250,76 @@ def _block_scan(spec: GridSpec, mode: str, tally: _Tally) -> int:
 
 
 def _pruned_scan(spec: GridSpec, mode: str, target_sum: int, tally: _Tally) -> int:
+    """Examine every assignment whose cube sums all equal `target_sum`.
+
+    Slots are filled in rank order (in supermagic mode the vertex slots,
+    then the edge slots), and all partial assignments that survive up to a
+    slot form one frontier of rows. Each frontier row is extended by every
+    unused label of the slot's pool, ascending, and a candidate survives
+    when each cube it closes sums to the target and each cube it leaves
+    open can still reach it (`partial + remaining <= target`, as labels are
+    >= 1). The extended frontier is built and descended one chunk of at
+    most _BLOCK_ROWS rows at a time, in order, so finished rows reach the
+    tally in lexicographic order and a slot holds only its candidate mask
+    (at most _BLOCK_ROWS times the pool size) and one chunk.
+    """
+    if not 0 < target_sum <= INT64_MAX:
+        return 0  # cube sums of positive labels are positive; int64 sums stay exact
     nv, ne = spec.vertex_count, spec.edge_count
     if mode == "vertex":
-        slot_count, pools = nv, [(0, list(range(1, nv + 1)))] * nv
-        member_lists = [_cube_vertex_ranks(spec)]
+        incidence = _incidence(nv, _cube_vertex_ranks(spec))
     elif mode == "edge":
-        slot_count, pools = ne, [(0, list(range(1, ne + 1)))] * ne
-        member_lists = [_cube_edge_ranks(spec)]
+        incidence = _incidence(ne, _cube_edge_ranks(spec))
     else:
-        slot_count = nv + ne
-        pools = [(0, list(range(1, nv + 1)))] * nv + [
-            (1, list(range(nv + 1, nv + ne + 1)))
-        ] * ne
-        member_lists = [_cube_vertex_ranks(spec), _cube_edge_ranks(spec)]
-
-    # slot -> cubes containing it (cube indices shared across both classes)
-    slot_cubes: list[list[int]] = [[] for _ in range(slot_count)]
-    cube_size = [0] * spec.cube_count
-    for group, cubes in enumerate(member_lists):
-        base = 0 if group == 0 else nv
-        for c, members in enumerate(cubes):
-            cube_size[c] += len(members)
-            for r in members:
-                slot_cubes[base + r].append(c)
-
-    used: list[set[int]] = [set(), set()]
-    partial = [0] * spec.cube_count
-    filled = [0] * spec.cube_count
-    assignment = [0] * slot_count
-    hits: list[list[int]] = []  # completed assignments, handed to the tally in blocks
+        vertex = _incidence(nv, _cube_vertex_ranks(spec))
+        incidence = np.hstack((vertex, _incidence(ne, _cube_edge_ranks(spec))))
+    slot_count = incidence.shape[1]
+    # labels are 1..slot_count (label l is column l - 1 of `used`); in
+    # supermagic mode 1..nv go to the vertex slots and the rest to the edges
+    split = nv if mode == "supermagic" else slot_count
+    pools = [(0, split)] * split + [(split, slot_count)] * (slot_count - split)
+    labels = np.arange(1, slot_count + 1)
+    # per slot: its cubes, the open ones with their caps on the partial sum
+    # (target minus the slots still to fill), and the ones it closes
+    remaining = incidence.sum(axis=1, keepdims=True) - incidence.cumsum(axis=1)
+    plans = []
+    for slot in range(slot_count):
+        cubes = np.flatnonzero(incidence[:, slot])
+        left = remaining[cubes, slot]
+        plans.append((cubes, cubes[left > 0], target_sum - left[left > 0], cubes[left == 0]))
+    head = np.zeros(0, dtype=np.int64)
     examined = 0
 
-    def flush() -> None:
-        rows = np.array(hits, dtype=np.int64).reshape(len(hits), slot_count)
-        head = np.zeros(0, dtype=np.int64)
-        tally.record(head, rows, np.full(len(hits), target_sum, dtype=np.int64))
-        hits.clear()
-
-    def descend(slot: int) -> None:
+    def descend(slot: int, prefix: np.ndarray, sums: np.ndarray, used: np.ndarray) -> None:
         nonlocal examined
-        if slot == slot_count:
-            examined += 1
-            hits.append(assignment.copy())
-            if len(hits) == _BLOCK_ROWS:
-                flush()
-            return
-        group, pool = pools[slot]
-        taken = used[group]
-        for value in pool:
-            if value in taken:
+        (lo, hi), (cubes, open_cubes, caps, closed_cubes) = pools[slot], plans[slot]
+        values = labels[lo:hi]
+        ok = ~used[:, lo:hi]  # (rows, pool): every row times every label
+        if len(open_cubes):
+            ok &= values <= (caps - sums[:, open_cubes]).min(axis=1, keepdims=True)
+        for c in closed_cubes:
+            ok &= values == target_sum - sums[:, c, None]
+        rows, picks = np.nonzero(ok)  # row-major, so rows stay in lexicographic order
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            part = slice(start, start + _BLOCK_ROWS)
+            parents, picked = rows[part], values[picks[part]]
+            chunk = np.column_stack((prefix[parents], picked))
+            if slot + 1 == slot_count:
+                examined += len(chunk)
+                tally.record(head, chunk, np.full(len(chunk), target_sum))
                 continue
-            ok = True
-            for c in slot_cubes[slot]:
-                total = partial[c] + value
-                remaining = cube_size[c] - filled[c] - 1
-                if remaining == 0:
-                    if total != target_sum:
-                        ok = False
-                        break
-                elif total + remaining > target_sum:  # labels are >= 1 each
-                    ok = False
-                    break
-            if not ok:
-                continue
-            taken.add(value)
-            assignment[slot] = value
-            for c in slot_cubes[slot]:
-                partial[c] += value
-                filled[c] += 1
-            descend(slot + 1)
-            for c in slot_cubes[slot]:
-                partial[c] -= value
-                filled[c] -= 1
-            taken.discard(value)
+            chunk_sums = sums[parents]
+            chunk_sums[:, cubes] += picked[:, None]
+            chunk_used = used[parents]
+            chunk_used[np.arange(len(parents)), picked - 1] = True
+            descend(slot + 1, chunk, chunk_sums, chunk_used)
 
-    descend(0)
-    if hits:
-        flush()
+    descend(
+        0,
+        np.zeros((1, 0), dtype=np.int64),
+        np.zeros((1, spec.cube_count), dtype=np.int64),
+        np.zeros((1, slot_count), dtype=bool),
+    )
     return examined
 
 
@@ -352,13 +350,23 @@ def exhaustive_search(
 ) -> SearchResult:
     """Scan every candidate labeling of the given mode.
 
-    With `target_sum` the scan prunes branches whose partial cube sums
-    already rule the target out (complete for that sum, and typically far
-    fewer assignments reached); without it, every assignment is examined.
+    Without `target_sum` every assignment is examined. With it, the scan
+    is a breadth-first frontier search that drops a partial assignment as
+    soon as its cube sums rule the target out; it is complete for that
+    sum, and `examined` counts only the finished (hence magic)
+    assignments. The frontier is extended in chunks of at most 720 rows,
+    so memory stays small however large the space. A target that no cube
+    sum can equal (below 1 or beyond int64) gives the empty result
+    without a search.
 
-    Raises BudgetExceeded up front when the search space is larger than
-    `budget.max_assignments`.
+    Raises GridMagicError when `target_sum` is not an int (bools and
+    floats included), and BudgetExceeded up front when the search space
+    is larger than `budget.max_assignments`.
     """
+    if target_sum is not None and (
+        isinstance(target_sum, bool) or not isinstance(target_sum, int)
+    ):
+        raise GridMagicError(f"target_sum must be an int, got {target_sum!r}")
     result, _ = _run(spec, budget, target_sum, None)
     return result
 

@@ -68,10 +68,10 @@ def closed_form_sums(spec: GridSpec) -> PredictedSums:
     bump = 1 if n1 % 2 == 0 and n2 % 2 == 1 else 0
     c_vertex = 2 * (n1 * n2 + 1 + bump)
     c_edge = (2 * n1 - 1) * (2 * n2 - 1) + 1
+    # vertex and edge counts of the layer Grid(dims[:k-1]) below dimension k
+    n_layer, m_layer = n1 * n2, n1 * (n2 - 1) + n2 * (n1 - 1)
     for k in range(3, spec.dim + 1):
         nd = spec.dims[k - 1]
-        layer = GridSpec(spec.dims[: k - 1])
-        n_layer, m_layer = layer.vertex_count, layer.edge_count
         c_vertex, c_edge = (
             2 * c_vertex + 2 ** (k - 1) * (nd - 1) * n_layer,
             c_vertex
@@ -81,6 +81,7 @@ def closed_form_sums(spec: GridSpec) -> PredictedSums:
         )
         if c_vertex > INT64_MAX or c_edge > INT64_MAX:
             raise Overflow(f"magic sums of {spec.dims} exceed 64-bit range")
+        n_layer, m_layer = nd * n_layer, nd * m_layer + (nd - 1) * n_layer
     c_total = c_vertex + c_edge + spec.cube_edge_count * spec.vertex_count
     if c_total > INT64_MAX:
         raise Overflow(f"total magic sum of {spec.dims} exceeds 64-bit range")

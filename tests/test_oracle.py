@@ -11,6 +11,7 @@ import pytest
 from conftest import load_script
 from gridmagic import (
     BudgetExceeded,
+    GridMagicError,
     GridSpec,
     SearchBudget,
     confirm_construction,
@@ -94,14 +95,15 @@ def test_confirm_construction_grid22(mode):
 
 
 def test_pruned_scan_agrees_with_full_scan():
-    spec = GridSpec((3, 2))
-    full = exhaustive_search(spec, SearchBudget("vertex"))
-    for target, count in full.sum_histogram.items():
-        pruned = exhaustive_search(spec, SearchBudget("vertex"), target_sum=target)
-        assert pruned.sum_histogram == {target: count}
-        assert pruned.examined == count  # only completed (hence magic) assignments
+    # per-target scans over every attained sum rebuild the full histogram
+    for dims in [(3, 2), (3, 3)]:
+        spec = GridSpec(dims)
+        for target, count in full_scan(dims, "vertex").sum_histogram.items():
+            pruned = exhaustive_search(spec, SearchBudget("vertex"), target_sum=target)
+            assert pruned.sum_histogram == {target: count}
+            assert pruned.examined == count  # only completed (hence magic) assignments
     # a sum no labeling attains
-    empty = exhaustive_search(spec, SearchBudget("vertex"), target_sum=1)
+    empty = exhaustive_search(GridSpec((3, 2)), SearchBudget("vertex"), target_sum=1)
     assert empty.found_count == 0 and empty.sum_histogram == {}
 
 
@@ -115,17 +117,49 @@ def test_pruned_scan_keeps_found_order_past_one_block():
 
 
 def test_pruned_edge_scan_agrees_with_full_scan():
-    spec = GridSpec((3, 2))
-    full = exhaustive_search(spec, SearchBudget("edge"))
-    target = 16  # the constructed labeling's sum
-    pruned = exhaustive_search(spec, SearchBudget("edge"), target_sum=target)
-    assert pruned.sum_histogram == {target: full.sum_histogram[target]}
+    # the constructed labelings' sums; the (4,2) full scan takes ~0.5 s
+    for dims, target, count in [((3, 2), 16, 72), ((4, 2), 22, 2304)]:
+        full = full_scan(dims, "edge")
+        pruned = exhaustive_search(GridSpec(dims), SearchBudget("edge"), target_sum=target)
+        assert pruned.sum_histogram == {target: full.sum_histogram[target]}
+        assert pruned.examined == full.sum_histogram[target] == count
 
 
 def test_pruned_supermagic_scan_grid22():
     spec = GridSpec((2, 2))
     pruned = exhaustive_search(spec, SearchBudget("supermagic"), target_sum=36)
     assert pruned.sum_histogram == {36: 576}
+
+
+@pytest.mark.parametrize("target_sum", [14.0, 14.5, True, False, "14"])
+def test_malformed_target_sum_is_refused(target_sum):
+    with pytest.raises(GridMagicError, match="target_sum must be an int"):
+        exhaustive_search(GridSpec((3, 2)), SearchBudget("vertex"), target_sum=target_sum)
+
+
+@pytest.mark.parametrize("target_sum", [2**63, 10**30, -(2**63) - 1])
+def test_target_beyond_int64_is_empty_without_search(monkeypatch, target_sum):
+    def no_search(*args):
+        raise AssertionError("searched for a target outside int64")
+
+    monkeypatch.setattr("gridmagic.oracle._cube_vertex_ranks", no_search)
+    result = exhaustive_search(GridSpec((3, 2)), SearchBudget("vertex"), target_sum=target_sum)
+    assert (result.examined, result.found, result.sum_histogram) == (0, (), {})
+
+
+@pytest.mark.parametrize("target_sum", [2**63 - 1, 0, -5])
+def test_unreachable_int64_target_is_empty(target_sum):
+    result = exhaustive_search(GridSpec((3, 2)), SearchBudget("vertex"), target_sum=target_sum)
+    assert (result.examined, result.found, result.sum_histogram) == (0, (), {})
+
+
+def test_pruned_counts_agree_at_dual_sums():
+    # (4,3) vertex: centre 4 * 13 = 52, so 24 and 28 are duals
+    spec = GridSpec((4, 3))
+    budget = SearchBudget("vertex", max_assignments=math.factorial(12))
+    assert dual_centre(spec, "vertex") == 24 + 28
+    counts = [exhaustive_search(spec, budget, target_sum=c).examined for c in (24, 28)]
+    assert counts == [240, 240]
 
 
 def test_histogram_reproducible_and_deterministic():

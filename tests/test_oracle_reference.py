@@ -1,14 +1,16 @@
-"""The block scan against the per-candidate loops it replaced.
+"""The oracle's array scans against the Python loops they replaced.
 
-The reference functions below walk `itertools.permutations` one candidate
-at a time and sum each cube with Python's `sum`. Their examined count,
+The full-scan references walk `itertools.permutations` one candidate at
+a time and sum each cube with Python's `sum`; the target-sum reference is
+a depth-first walk that tries one label at a time. Their examined count,
 histogram, capped found list (in order) and construction membership
-define what the oracle reports, so the block scan must reproduce them
-exactly.
+define what the oracle reports, so the block scan and the frontier
+search must reproduce them exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -118,6 +120,115 @@ def test_block_scan_matches_reference(dims, mode):
     assert result.sum_histogram == expected.sum_histogram
     assert seen
     assert confirm_construction(spec, budget) == seen
+
+
+def reference_pruned_search(spec, mode, target_sum) -> SearchResult:
+    """Depth-first search over slots in rank order, one label at a time."""
+    nv, ne = spec.vertex_count, spec.edge_count
+    if mode == "vertex":
+        slot_count, pools = nv, [(0, list(range(1, nv + 1)))] * nv
+        member_lists = [_cube_vertex_ranks(spec)]
+    elif mode == "edge":
+        slot_count, pools = ne, [(0, list(range(1, ne + 1)))] * ne
+        member_lists = [_cube_edge_ranks(spec)]
+    else:
+        slot_count = nv + ne
+        pools = [(0, list(range(1, nv + 1)))] * nv + [
+            (1, list(range(nv + 1, nv + ne + 1)))
+        ] * ne
+        member_lists = [_cube_vertex_ranks(spec), _cube_edge_ranks(spec)]
+
+    # slot -> cubes containing it (cube indices shared across both classes)
+    slot_cubes: list[list[int]] = [[] for _ in range(slot_count)]
+    cube_size = [0] * spec.cube_count
+    for group, cubes in enumerate(member_lists):
+        base = 0 if group == 0 else nv
+        for c, members in enumerate(cubes):
+            cube_size[c] += len(members)
+            for r in members:
+                slot_cubes[base + r].append(c)
+
+    used: list[set[int]] = [set(), set()]
+    partial = [0] * spec.cube_count
+    filled = [0] * spec.cube_count
+    assignment = [0] * slot_count
+    tally = _ReferenceTally()
+    examined = 0
+
+    def descend(slot: int) -> None:
+        nonlocal examined
+        if slot == slot_count:
+            examined += 1
+            tally.record(tuple(assignment), target_sum)
+            return
+        group, pool = pools[slot]
+        taken = used[group]
+        for value in pool:
+            if value in taken:
+                continue
+            ok = True
+            for c in slot_cubes[slot]:
+                total = partial[c] + value
+                remaining = cube_size[c] - filled[c] - 1
+                if remaining == 0:
+                    if total != target_sum:
+                        ok = False
+                        break
+                elif total + remaining > target_sum:  # labels are >= 1 each
+                    ok = False
+                    break
+            if not ok:
+                continue
+            taken.add(value)
+            assignment[slot] = value
+            for c in slot_cubes[slot]:
+                partial[c] += value
+                filled[c] += 1
+            descend(slot + 1)
+            for c in slot_cubes[slot]:
+                partial[c] -= value
+                filled[c] -= 1
+            taken.discard(value)
+
+    descend(0)
+    return SearchResult(examined, tuple(tally.found), tally.histogram)
+
+
+# Every attained sum of (2,2) in all three modes, of (3,2) vertex and edge
+# and of (3,3) vertex; (2,2,2) vertex, whose 40320 finished rows cross
+# FOUND_CAP and many blocks; and the unattained (3,2) vertex 11 and 17 and
+# (2,2) supermagic 37.
+PRUNED_CASES = (
+    [((2, 2), "vertex", 10), ((2, 2), "edge", 10), ((2, 2), "supermagic", 36)]
+    + [((3, 2), "vertex", c) for c in range(11, 18)]
+    + [((3, 2), "edge", c) for c in (15, 16, 17)]
+    + [((3, 3), "vertex", c) for c in range(16, 25)]
+    + [((2, 2, 2), "vertex", 36), ((2, 2), "supermagic", 37)]
+)
+
+
+@functools.cache
+def pruned_reference(dims, mode, target_sum):
+    return reference_pruned_search(GridSpec(dims), mode, target_sum)
+
+
+@pytest.mark.parametrize("dims, mode, target_sum", PRUNED_CASES)
+def test_frontier_search_matches_reference(dims, mode, target_sum):
+    result = exhaustive_search(GridSpec(dims), SearchBudget(mode), target_sum=target_sum)
+    assert result == pruned_reference(dims, mode, target_sum)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize(
+    "dims, mode, target_sum", [case for case in PRUNED_CASES if case[1] != "edge"]
+)
+def test_frontier_search_matches_reference_across_chunks(
+    monkeypatch, chunk, dims, mode, target_sum
+):
+    # chunk boundaries then fall inside the frontier at every slot
+    monkeypatch.setattr("gridmagic.oracle._BLOCK_ROWS", chunk)
+    result = exhaustive_search(GridSpec(dims), SearchBudget(mode), target_sum=target_sum)
+    assert result == pruned_reference(dims, mode, target_sum)
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_edge_cube_sums, brute_vertex_cube_sums, triangular
+from conftest import (
+    brute_edge_cube_sums,
+    brute_vertex_cube_sums,
+    random_canonical_specs,
+    triangular,
+)
 from gridmagic import (
     GridSpec,
     Overflow,
+    PredictedSums,
     SpecMismatch,
     VertexLabeling,
     build_labelings,
@@ -23,7 +29,7 @@ from gridmagic import (
     verify_vertex_magic,
     vertex_labeling_from_flat,
 )
-from gridmagic.verifier import MAX_REPORTED_SUMS, cube_edge_sums, cube_vertex_sums
+from gridmagic.verifier import INT64_MAX, MAX_REPORTED_SUMS, cube_edge_sums, cube_vertex_sums
 
 
 @st.composite
@@ -80,6 +86,63 @@ def test_closed_form_overflow_is_loud():
     spec = GridSpec((2**30, 2**30))
     with pytest.raises(Overflow):
         closed_form_sums(spec)
+
+
+def reference_closed_form_sums(spec: GridSpec) -> PredictedSums:
+    """The layer recursion with the layer counts taken from a GridSpec per layer."""
+    n1, n2 = spec.dims[:2]
+    bump = 1 if n1 % 2 == 0 and n2 % 2 == 1 else 0
+    c_vertex = 2 * (n1 * n2 + 1 + bump)
+    c_edge = (2 * n1 - 1) * (2 * n2 - 1) + 1
+    for k in range(3, spec.dim + 1):
+        nd = spec.dims[k - 1]
+        layer = GridSpec(spec.dims[: k - 1])
+        n_layer, m_layer = layer.vertex_count, layer.edge_count
+        c_vertex, c_edge = (
+            2 * c_vertex + 2 ** (k - 1) * (nd - 1) * n_layer,
+            c_vertex
+            + 2 * c_edge
+            + 2 ** (k - 2) * (nd - 2) * n_layer
+            + 2 ** (k - 2) * (2 * nd + (k - 1) * (nd - 1)) * m_layer,
+        )
+        if c_vertex > INT64_MAX or c_edge > INT64_MAX:
+            raise Overflow(f"magic sums of {spec.dims} exceed 64-bit range")
+    c_total = c_vertex + c_edge + spec.cube_edge_count * spec.vertex_count
+    if c_total > INT64_MAX:
+        raise Overflow(f"total magic sum of {spec.dims} exceeds 64-bit range")
+    return PredictedSums(c_vertex, c_edge, c_total)
+
+
+# Each side of the int64 limit: d = 2 and 3 past the total only, d = 3
+# past the per-layer check, and d = 4.
+OVERFLOW_BOUNDARY_DIMS = [
+    (2**30, 2**30),
+    (960383883, 960383883),
+    (960383884, 960383884),
+    (647346, 647346, 647346),
+    (647347, 647347, 647347),
+    (2**20, 2**20, 2**20),
+    (17257, 17257, 17257, 17257),
+    (17258, 17258, 17258, 17258),
+]
+
+
+def _outcome(closed_form, spec):
+    try:
+        return closed_form(spec)
+    except Overflow as error:
+        return str(error)
+
+
+def test_closed_form_sums_match_layer_spec_reference():
+    specs = random_canonical_specs() + [
+        GridSpec(dims) for dims in [(4,) * 9] + OVERFLOW_BOUNDARY_DIMS
+    ]
+    outcomes = [_outcome(closed_form_sums, spec) for spec in specs]
+    assert outcomes == [_outcome(reference_closed_form_sums, spec) for spec in specs]
+    # both checks are reached: a layer past int64, and a total past it
+    assert sum(isinstance(o, str) and o.startswith("magic sums") for o in outcomes) == 1
+    assert sum(isinstance(o, str) and o.startswith("total") for o in outcomes) == 4
 
 
 def test_vertex_monotone_in_last_side():
