@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class GridMagicError(Exception):
     """Base class for every error raised by this package."""
@@ -28,14 +30,22 @@ class SpecMismatch(GridMagicError):
 
 
 class BudgetExceeded(GridMagicError):
-    """Exhaustive search would need more candidate assignments than allowed."""
+    """Exhaustive search would need more candidate assignments than allowed.
 
-    def __init__(self, required: int, allowed: int):
-        super().__init__(
-            f"search needs {required} candidate assignments, budget allows {allowed}"
-        )
-        self.required = required
+    The search space is the product of n! over `factorials` (|V|, |E| or
+    both). The message names it that way, and `required` multiplies it
+    out only when asked, as it can run to millions of digits.
+    """
+
+    def __init__(self, factorials: tuple[int, ...], allowed: int):
+        space = " * ".join(f"{n}!" for n in factorials)
+        super().__init__(f"search needs {space} candidate assignments, budget allows {allowed}")
+        self.factorials = factorials
         self.allowed = allowed
+
+    @property
+    def required(self) -> int:
+        return math.prod(math.factorial(n) for n in self.factorials)
 
 
 class ParseError(GridMagicError):

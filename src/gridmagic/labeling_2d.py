@@ -115,14 +115,22 @@ def edge_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) ->
     arr = np.asarray(flat, dtype=np.int64)
     if arr.size != spec.edge_count:
         raise SpecMismatch(f"{arr.size} edge labels for a grid with {spec.edge_count}")
-    per_axis = []
-    start = 0
+    return EdgeLabeling(spec, split_edge_labels(spec, arr.reshape(-1)))
+
+
+def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Labels in edge enumeration order, along the last axis, as per-axis arrays.
+
+    The axis-a array has the grid shape with axis a shortened by one,
+    behind any leading (batch) axes of `labels`.
+    """
+    per_axis, start = [], 0
     for a in range(spec.dim):
         shape = tuple(n - 1 if i == a else n for i, n in enumerate(spec.dims))
         size = math.prod(shape)
-        per_axis.append(arr[start : start + size].reshape(shape))
+        per_axis.append(labels[..., start : start + size].reshape(*labels.shape[:-1], *shape))
         start += size
-    return EdgeLabeling(spec, tuple(per_axis))
+    return tuple(per_axis)
 
 
 def base_vertex_labeling(n1: int, n2: int) -> VertexLabeling:

@@ -5,11 +5,13 @@ bijections, or all |V|!*|E|! pairs in supermagic mode) block by block:
 each block of up to 720 permutations is multiplied by a 0/1
 cube-incidence matrix built from the grid model, and the rows whose cube
 sums all agree are tallied into a histogram of magic sums. The verifier
-only re-checks what the scan found; it never decides. The oracle shares
-no arithmetic with the closed-form predictions or the constructive
-labelings; membership of the constructed labeling in the found set is
-therefore independent evidence that the construction lands inside the
-feasible set.
+only re-checks what the scan found, with one verifier call per block:
+each labeling kept in `found` must be a bijection whose cube sums all
+equal the scan's sum, or the search raises; it never decides what the
+scan counts. The oracle shares no arithmetic with the closed-form
+predictions or the constructive labelings; membership of the constructed
+labeling in the found set is therefore independent evidence that the
+construction lands inside the feasible set.
 
 Search spaces explode fast, so `SearchBudget.max_assignments` refuses
 anything beyond desk scale up front. Supplying a target sum switches to a
@@ -37,9 +39,17 @@ from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
 from .labeling_2d import edge_labeling_from_flat, vertex_labeling_from_flat
 from .labeling_nd import build_labelings, combine_supermagic, total_labeling_from_flats
-from .verifier import INT64_MAX, verify_edge_magic, verify_supermagic, verify_vertex_magic
+from .verifier import (
+    INT64_MAX,
+    verify_batch,
+    verify_edge_magic,
+    verify_supermagic,
+    verify_vertex_magic,
+)
 
 MODES = ("vertex", "edge", "supermagic")
+# the verifier's name for each mode's labelings
+_KIND = {"vertex": "vertex", "edge": "edge", "supermagic": "total"}
 DEFAULT_MAX_ASSIGNMENTS = 10**8
 
 # `found` keeps at most this many (digest, sum) pairs; the histogram always
@@ -87,17 +97,34 @@ class SearchResult:
 
 def labeling_digest(labels: Sequence[int]) -> str:
     """Stable digest of a label sequence in rank order."""
-    data = ",".join(str(int(v)) for v in labels).encode()
+    data = ",".join(map(str, map(int, labels))).encode()
     return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _factorials(spec: GridSpec, mode: str) -> tuple[int, ...]:
+    """The n whose n! multiply to the size of the search space."""
+    nv, ne = spec.vertex_count, spec.edge_count
+    return {"vertex": (nv,), "edge": (ne,), "supermagic": (nv, ne)}[mode]
 
 
 def required_assignments(spec: GridSpec, mode: str) -> int:
     """Size of the search space for a spec and mode."""
-    if mode == "vertex":
-        return math.factorial(spec.vertex_count)
-    if mode == "edge":
-        return math.factorial(spec.edge_count)
-    return math.factorial(spec.vertex_count) * math.factorial(spec.edge_count)
+    return math.prod(math.factorial(n) for n in _factorials(spec, mode))
+
+
+def _exceeds(factorials: tuple[int, ...], allowed: int) -> bool:
+    """Whether the product of n! over `factorials` passes `allowed`.
+
+    It multiplies only until the product passes, so a refusal costs a few
+    steps however large the space.
+    """
+    product = 1
+    for n in factorials:
+        for k in range(2, n + 1):
+            product *= k
+            if product > allowed:
+                return True
+    return False
 
 
 def _cube_vertex_ranks(spec: GridSpec) -> list[tuple[int, ...]]:
@@ -110,9 +137,8 @@ def _cube_edge_ranks(spec: GridSpec) -> list[tuple[int, ...]]:
     return [tuple(edge_rank(spec, e) for e in cube_edges(c)) for c in enumerate_cubes(spec)]
 
 
-def _reverify(spec: GridSpec, mode: str, labels: tuple[int, ...], magic_sum: int) -> None:
-    # Independent re-check of a labeling the scan found magic; a mismatch
-    # would mean the oracle and the verifier disagree.
+def _disagreement(spec: GridSpec, mode: str, labels: list[int], magic_sum: int) -> GridMagicError:
+    """The error for a labeling the scan found magic but the batch check did not."""
     nv = spec.vertex_count
     if mode == "vertex":
         report = verify_vertex_magic(spec, vertex_labeling_from_flat(spec, labels))
@@ -122,15 +148,19 @@ def _reverify(spec: GridSpec, mode: str, labels: tuple[int, ...], magic_sum: int
         report = verify_supermagic(
             spec, total_labeling_from_flats(spec, labels[:nv], labels[nv:])
         )
-    if not report.magic or report.magic_sum != magic_sum:
-        raise GridMagicError(
-            f"oracle/verifier disagreement on a {mode} labeling: "
-            f"scan sum {magic_sum}, verifier {report}"
-        )
+    return GridMagicError(
+        f"oracle/verifier disagreement on a {mode} labeling: "
+        f"scan sum {magic_sum}, verifier {report}"
+    )
 
 
 class _Tally:
-    """Histogram plus capped found list, with verifier re-checks."""
+    """Histogram plus capped found list, with one verifier call per block.
+
+    Every found labeling is re-checked independently: a block's rows under
+    `FOUND_CAP` go to `verify_batch` together, and each must be a bijection
+    whose cube sums all equal the sum the scan recorded.
+    """
 
     def __init__(self, spec: GridSpec, mode: str, member_target: tuple[int, ...] | None):
         self.spec = spec
@@ -154,11 +184,16 @@ class _Tally:
                 (head == target_head).all() and (rows == target_row).all(axis=1).any()
             )
         room = FOUND_CAP - len(self.found)
-        head_labels = head.tolist()
-        for row, magic_sum in zip(rows[:room].tolist(), sums[:room].tolist()):
-            labels = tuple(head_labels + row)
-            _reverify(self.spec, self.mode, labels, magic_sum)
-            self.found.append((labeling_digest(labels), magic_sum))
+        if room <= 0:
+            return
+        rows, sums = rows[:room], sums[:room]
+        labels = np.hstack((np.broadcast_to(head, (len(rows), len(head))), rows))
+        lo, hi, bijective = verify_batch(self.spec, _KIND[self.mode], labels)
+        bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
+        if len(bad):
+            raise _disagreement(self.spec, self.mode, labels[bad[0]].tolist(), int(sums[bad[0]]))
+        for row, magic_sum in zip(labels.tolist(), sums.tolist()):
+            self.found.append((labeling_digest(row), magic_sum))
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,9 +364,9 @@ def _run(
     target_sum: int | None,
     member_target: tuple[int, ...] | None,
 ) -> tuple[SearchResult, bool]:
-    required = required_assignments(spec, budget.mode)
-    if required > budget.max_assignments:
-        raise BudgetExceeded(required, budget.max_assignments)
+    factorials = _factorials(spec, budget.mode)
+    if _exceeds(factorials, budget.max_assignments):
+        raise BudgetExceeded(factorials, budget.max_assignments)
     tally = _Tally(spec, budget.mode, member_target)
     if target_sum is not None:
         examined = _pruned_scan(spec, budget.mode, target_sum, tally)

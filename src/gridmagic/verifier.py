@@ -17,6 +17,12 @@ The same min/max bound every cube sum: when max|label| times the labels
 per cube could pass 2^63 - 1, the kernels run unchanged on arrays of
 Python ints, so sums never wrap.
 
+The kernels pair over the trailing `spec.dim` axes only, so any leading
+axes are a batch: a single labeling is an array with no leading axis,
+and `verify_batch` checks a stack of m labelings, one per row, with one
+call per kernel. It returns per-row extremes and bijectivity rather than
+reports, which is what a caller re-checking many candidates needs.
+
 `closed_form_sums` computes the magic sums the constructions are expected
 to attain, by pure arithmetic over the same layer recursion the builders
 use; the verifier reports observed against predicted.
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import Overflow, SpecMismatch
 from .grid_core import GridSpec
-from .labeling_2d import EdgeLabeling, VertexLabeling
+from .labeling_2d import EdgeLabeling, VertexLabeling, split_edge_labels
 from .labeling_nd import TotalLabeling
 
 INT64_MAX = 2**63 - 1
@@ -96,10 +102,14 @@ def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return a[tuple(head)] + a[tuple(tail)]
 
 
-def cube_vertex_sums(grid: np.ndarray) -> np.ndarray:
-    """Sum of vertex labels per unit cube, indexed by 0-based corner."""
+def cube_vertex_sums(grid: np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
+    """Sum of vertex labels per unit cube, indexed by 0-based corner.
+
+    The cube axes are the trailing `spec.dim` axes of `grid` (all of its
+    axes when no spec is given); leading axes are a batch.
+    """
     out = grid
-    for axis in range(grid.ndim):
+    for axis in range(-(grid.ndim if spec is None else spec.dim), 0):
         out = _pair_sum(out, axis)
     return out
 
@@ -111,13 +121,15 @@ def cube_edge_sums(per_axis: tuple[np.ndarray, ...], spec: GridSpec) -> np.ndarr
     and needs pairing along the other d-1 axes. After axis k is paired, the
     running sum over axes 0..k-1 has the same shape as the axis-k array
     paired along axes 0..k-1, so one pass per later axis serves them all.
+    The cube axes are the trailing `spec.dim` axes; leading axes are a batch.
     """
+    d = spec.dim
     out = per_axis[0]
-    for k in range(1, spec.dim):
+    for k in range(1, d):
         arr = per_axis[k]
         for axis in range(k):
-            arr = _pair_sum(arr, axis)
-        out = _pair_sum(out, k)
+            arr = _pair_sum(arr, axis - d)
+        out = _pair_sum(out, k - d)
         out += arr
     return out
 
@@ -166,7 +178,7 @@ def verify_vertex_magic(spec: GridSpec, f: VertexLabeling) -> MagicReport:
         raise SpecMismatch(f"labeling over {f.spec.dims}, expected {spec.dims}")
     bijective, magnitude = _scan_labels(f.flat, 1, spec.vertex_count)
     (grid,) = _exact((f.grid,), magnitude * 2**spec.dim)
-    sums = cube_vertex_sums(grid)
+    sums = cube_vertex_sums(grid, spec)
     return _report("vertex", bijective, sums, closed_form_sums(spec).c_vertex)
 
 
@@ -196,6 +208,41 @@ def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
     grid, *per_axis = _exact(
         (total.vertex_grid, *total.edge_per_axis), max(v_magnitude, e_magnitude) * per_cube
     )
-    sums = cube_vertex_sums(grid)
+    sums = cube_vertex_sums(grid, spec)
     sums += cube_edge_sums(tuple(per_axis), spec)
     return _report("total", v_bijective and e_bijective, sums, closed_form_sums(spec).c_total)
+
+
+def verify_batch(
+    spec: GridSpec, kind: str, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check m labelings of `kind` at once, one per row of the (m, n) `rows`.
+
+    A row lists the labels in rank order: vertices for "vertex", edges for
+    "edge", and vertices then edges for "total". Returns, per row, the
+    minimum and the maximum cube sum (equal exactly when the row is magic)
+    and whether the row is a bijection onto its kind's range; for "total"
+    that is vertices onto [1, |V|] and edges onto [|V|+1, |V|+|E|], as in
+    `verify_supermagic`. Rows are reshaped, not wrapped in labelings, and
+    each kernel the kind needs runs once for the whole batch.
+    """
+    nv, ne = spec.vertex_count, spec.edge_count
+    widths = {"vertex": (nv, 0), "edge": (0, ne), "total": (nv, ne)}[kind]
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != sum(widths):
+        raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
+    m, split = len(rows), widths[0]
+    # a bijection exactly when the vertex part and the edge part, each
+    # sorted on its own, read 1, 2, ..., n across the row
+    ordered = np.hstack((np.sort(rows[:, :split]), np.sort(rows[:, split:])))
+    bijective = (ordered == np.arange(1, rows.shape[1] + 1)).all(axis=1)
+    magnitude = max(-int(rows.min()), int(rows.max())) if rows.size else 0
+    per_cube = (2**spec.dim if split else 0) + (spec.cube_edge_count if widths[1] else 0)
+    (labels,) = _exact((rows,), magnitude * per_cube)
+    parts = []
+    if split:
+        parts.append(cube_vertex_sums(labels[:, :split].reshape(m, *spec.dims), spec))
+    if widths[1]:
+        parts.append(cube_edge_sums(split_edge_labels(spec, labels[:, split:]), spec))
+    sums = sum(parts).reshape(m, spec.cube_count)
+    return sums.min(axis=1), sums.max(axis=1), bijective

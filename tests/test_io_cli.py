@@ -5,12 +5,15 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridmagic
 from conftest import load_script
 from gridmagic import (
     CoordOutOfRange,
@@ -400,6 +403,34 @@ def test_cli_search_budget_refusal(capsys):
     assert code == 1
     assert out == ""
     assert "refused" in err
+
+
+@pytest.mark.parametrize(
+    "dims, mode, space",
+    [
+        ("40,40", "vertex", "1600!"),  # counts past 4300 digits once printed a traceback
+        ("29,29", "edge", "1624!"),
+        ("39,39", "vertex", "1521!"),  # printed the whole count, thousands of digits
+        ("1000,1000", "vertex", "1000000!"),  # took seconds or minutes to refuse
+        ("2000,2000", "edge", "7996000!"),
+    ],
+)
+def test_cli_search_refuses_large_grids_promptly(dims, mode, space):
+    # a fresh interpreter, so a hang fails the test instead of stalling the suite
+    src = str(Path(gridmagic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    program = "import sys, gridmagic; sys.exit(gridmagic.cli(sys.argv[1:]))"
+    run = subprocess.run(
+        [sys.executable, "-c", program, "search", "--dims", dims, "--mode", mode],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (
+        f"refused: search needs {space} candidate assignments, budget allows 100000000\n"
+    )
 
 
 def test_cli_render_and_cover(tmp_path, capsys):

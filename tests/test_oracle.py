@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from conftest import load_script
@@ -21,6 +22,7 @@ from gridmagic import (
     verify_vertex_magic,
     vertex_labeling_from_flat,
 )
+from gridmagic import oracle
 from gridmagic.oracle import construction_sequence
 
 SEARCH_SMALL_GRIDS = load_script("search_small_grids")
@@ -42,8 +44,20 @@ def test_budget_refusal_reports_required():
     with pytest.raises(BudgetExceeded) as info:
         exhaustive_search(GridSpec((3, 3)), SearchBudget("supermagic"))
     assert info.value.required == math.factorial(9) * math.factorial(12)
+    assert str(info.value) == (
+        "search needs 9! * 12! candidate assignments, budget allows 100000000"
+    )
     with pytest.raises(BudgetExceeded):
         exhaustive_search(GridSpec((2, 2)), SearchBudget("vertex", max_assignments=5))
+
+
+@pytest.mark.parametrize("mode, space", [("vertex", 24), ("edge", 24), ("supermagic", 576)])
+def test_budget_of_exactly_the_space_is_enough(mode, space):
+    spec = GridSpec((2, 2))
+    assert exhaustive_search(spec, SearchBudget(mode, max_assignments=space)).examined == space
+    with pytest.raises(BudgetExceeded) as info:
+        exhaustive_search(spec, SearchBudget(mode, max_assignments=space - 1))
+    assert info.value.required == space
 
 
 def test_single_cube_vertex_mode_every_bijection_is_magic():
@@ -247,3 +261,84 @@ def test_search_small_grids_script_confirms_every_case(capsys):
     for (dims, mode), head, verdict in zip(SEARCH_SMALL_GRIDS.CASES, lines[::2], lines[1::2]):
         assert head.startswith(f"dims={dims} mode={mode} ")
         assert "attained=True construction_found=True" in verdict
+
+
+def _forget_last_cube(incidence):
+    # the scan checks the first cube twice and never the last
+    return lambda n, cubes: incidence(n, cubes[:-1] + cubes[:1])
+
+
+def _forget_one_label(incidence):
+    # the scan leaves one label out of the last cube's sum
+    def forgetful(n, cubes):
+        matrix = incidence(n, cubes)
+        matrix[-1, np.flatnonzero(matrix[-1])[0]] = 0
+        return matrix
+
+    return forgetful
+
+
+@pytest.mark.parametrize(
+    "mutation, dims, mode, target_sum",
+    [
+        (_forget_last_cube, (3, 2), "vertex", None),
+        (_forget_last_cube, (3, 2), "edge", None),
+        (_forget_last_cube, (3, 2), "vertex", 14),
+        (_forget_one_label, (3, 2), "vertex", None),
+        (_forget_one_label, (3, 2), "edge", None),
+        (_forget_one_label, (2, 2), "supermagic", None),
+        (_forget_one_label, (3, 2), "edge", 16),
+    ],
+)
+def test_verifier_catches_a_scan_that_forgets_part_of_a_cube(
+    monkeypatch, mutation, dims, mode, target_sum
+):
+    monkeypatch.setattr(oracle, "_incidence", mutation(oracle._incidence))
+    with pytest.raises(
+        GridMagicError,
+        match=rf"^oracle/verifier disagreement on a {mode} labeling: "
+        rf"scan sum \d+, verifier MagicReport\(",
+    ):
+        exhaustive_search(GridSpec(dims), SearchBudget(mode), target_sum=target_sum)
+
+
+@pytest.mark.parametrize(
+    "mode, head, row, magic_sum",
+    [
+        # one cube, so min and max of the cube sums agree with the recorded sum
+        ("vertex", (), (1, 1, 2, 3), 7),
+        ("edge", (), (4, 2, 2, 1), 9),
+        ("supermagic", (1, 2, 3, 4), (5, 5, 6, 7), 33),
+        # a joint bijection of 1..8 whose vertex part is not 1..4
+        ("supermagic", (1, 2, 3, 5), (4, 6, 7, 8), 36),
+    ],
+)
+def test_tally_refuses_a_row_that_is_not_a_bijection(mode, head, row, magic_sum):
+    tally = oracle._Tally(GridSpec((2, 2)), mode, None)
+    with pytest.raises(GridMagicError, match=f"^oracle/verifier disagreement on a {mode} "):
+        tally.record(np.array(head, dtype=np.int64), np.array([row]), np.array([magic_sum]))
+
+
+def test_tally_reports_the_first_failing_row():
+    # row 0 is a magic bijection of Grid(2,2); row 1 repeats a label, and
+    # row 2 repeats one too and sums to 11
+    spec = GridSpec((2, 2))
+    tally = oracle._Tally(spec, "vertex", None)
+    rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
+    with pytest.raises(GridMagicError) as info:
+        tally.record(np.zeros(0, dtype=np.int64), rows, np.array([10, 10, 10]))
+    report = verify_vertex_magic(spec, vertex_labeling_from_flat(spec, rows[1]))
+    assert str(info.value) == (
+        f"oracle/verifier disagreement on a vertex labeling: scan sum 10, verifier {report}"
+    )
+    assert tally.found == []
+
+
+@pytest.mark.parametrize("magic_sum", [10, 18])
+def test_tally_refuses_a_bijection_whose_cube_sums_differ(magic_sum):
+    # labels 1..6 in rank order give Grid(3,2) the cube sums 10 and 18, so
+    # recording either one matches the minimum or the maximum, not both
+    tally = oracle._Tally(GridSpec((3, 2)), "vertex", None)
+    rows = np.array([(1, 2, 3, 4, 5, 6)])
+    with pytest.raises(GridMagicError, match=f"vertex labeling: scan sum {magic_sum}, verifier"):
+        tally.record(np.zeros(0, dtype=np.int64), rows, np.array([magic_sum]))

@@ -29,7 +29,13 @@ from gridmagic import (
     verify_vertex_magic,
     vertex_labeling_from_flat,
 )
-from gridmagic.verifier import INT64_MAX, MAX_REPORTED_SUMS, cube_edge_sums, cube_vertex_sums
+from gridmagic.verifier import (
+    INT64_MAX,
+    MAX_REPORTED_SUMS,
+    cube_edge_sums,
+    cube_vertex_sums,
+    verify_batch,
+)
 
 
 @st.composite
@@ -345,3 +351,122 @@ def test_duplicate_inside_the_range_is_not_bijective():
     assert not verify_edge_magic(spec, edge_labeling_from_flat(spec, e)).bijective
     assert not verify_supermagic(spec, total_labeling_from_flats(spec, v, g.flat + nv)).bijective
     assert not verify_supermagic(spec, total_labeling_from_flats(spec, f.flat, e + nv)).bijective
+
+
+@st.composite
+def random_batches(draw):
+    """A spec (d = 2..4) and an (m, |V|+|E|) stack of m = 1..5 candidate rows.
+
+    Each row is vertex labels then edge labels. A row is either a
+    bijection onto [1, |V|] and [1, |E|], the same with one label
+    repeated, or random labels from a wide or a narrow signed range (with
+    duplicates and negatives).
+    """
+    d = draw(st.integers(2, 4))
+    max_n = {2: 5, 3: 3, 4: 2}[d]
+    spec = GridSpec(tuple(sorted((draw(st.integers(2, max_n)) for _ in range(d)), reverse=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nv, ne = spec.vertex_count, spec.edge_count
+    rows = []
+    shapes = st.sampled_from(["bijection", "repeat", "wide", "narrow"])
+    for shape in draw(st.lists(shapes, min_size=1, max_size=5)):
+        if shape in ("wide", "narrow"):
+            high = 10**6 if shape == "wide" else 2
+            rows.append(rng.integers(-high, high, nv + ne, endpoint=True))
+            continue
+        row = np.concatenate((rng.permutation(nv) + 1, rng.permutation(ne) + 1))
+        if shape == "repeat":
+            i, j = rng.choice(nv + ne, 2, replace=False)
+            row[i] = row[j]
+        rows.append(row)
+    return spec, np.array(rows)
+
+
+def _batch_kinds(spec: GridSpec, rows: np.ndarray):
+    """Per kind: its (m, n) rows, each row's verifier report, and its brute-force cube sums."""
+    nv = spec.vertex_count
+    vertex, edge = rows[:, :nv], rows[:, nv:]
+    total = np.hstack((vertex, edge + nv))  # edges moved above the vertices' range
+    fs = [vertex_labeling_from_flat(spec, v) for v in vertex]
+    gs = [edge_labeling_from_flat(spec, e) for e in edge]
+    vertex_sums = [brute_vertex_cube_sums(spec, f) for f in fs]
+    edge_sums = [brute_edge_cube_sums(spec, g) for g in gs]
+    shift = spec.cube_edge_count * nv
+    total_sums = [[a + b + shift for a, b in zip(*pair)] for pair in zip(vertex_sums, edge_sums)]
+    total_reports = [
+        verify_supermagic(spec, total_labeling_from_flats(spec, t[:nv], t[nv:])) for t in total
+    ]
+    return [
+        ("vertex", vertex, [verify_vertex_magic(spec, f) for f in fs], vertex_sums),
+        ("edge", edge, [verify_edge_magic(spec, g) for g in gs], edge_sums),
+        ("total", total, total_reports, total_sums),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_batches())
+def test_batched_kernels_match_single_labelings(batch):
+    spec, rows = batch
+    nv = spec.vertex_count
+    fs = [vertex_labeling_from_flat(spec, v) for v in rows[:, :nv]]
+    gs = [edge_labeling_from_flat(spec, e) for e in rows[:, nv:]]
+    vertex_sums = cube_vertex_sums(np.stack([f.grid for f in fs]), spec)
+    edge_sums = cube_edge_sums(
+        tuple(np.stack([g.per_axis[a] for g in gs]) for a in range(spec.dim)), spec
+    )
+    assert vertex_sums.shape == edge_sums.shape == (len(rows), *(n - 1 for n in spec.dims))
+    for f, g, vs, es in zip(fs, gs, vertex_sums, edge_sums):
+        assert vs.tolist() == cube_vertex_sums(f.grid).tolist()
+        assert es.tolist() == cube_edge_sums(g.per_axis, spec).tolist()
+        assert vs.ravel().tolist() == brute_vertex_cube_sums(spec, f)
+        assert es.ravel().tolist() == brute_edge_cube_sums(spec, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_batches())
+def test_verify_batch_matches_the_single_verifiers(batch):
+    spec, rows = batch
+    for kind, kind_rows, reports, per_cube in _batch_kinds(spec, rows):
+        lo, hi, bijective = verify_batch(spec, kind, kind_rows)
+        assert lo.tolist() == [min(sums) for sums in per_cube]
+        assert hi.tolist() == [max(sums) for sums in per_cube]
+        assert bijective.tolist() == [report.bijective for report in reports]
+        assert (lo == hi).tolist() == [report.magic for report in reports]
+
+
+def test_verify_batch_sums_past_int64_are_exact():
+    # labels near +-2^62: 2^d of them per cube pass int64, so the kernels
+    # run on Python ints
+    spec = GridSpec((3, 2, 2))
+    rng = np.random.default_rng(5)
+    offsets = rng.integers(-1000, 1000, (4, spec.vertex_count + spec.edge_count))
+    rows = np.vstack((2**62 + offsets[:2], -(2**62) + offsets[2:]))
+    for kind, kind_rows, reports, per_cube in _batch_kinds(spec, rows):
+        lo, hi, bijective = verify_batch(spec, kind, kind_rows)
+        assert lo.tolist() == [min(sums) for sums in per_cube]
+        assert hi.tolist() == [max(sums) for sums in per_cube]
+        assert max(map(abs, lo.tolist() + hi.tolist())) > INT64_MAX
+        assert not bijective.any()
+
+
+def test_verify_batch_accepts_constructed_labelings():
+    spec = GridSpec((4, 3, 2))
+    predicted = closed_form_sums(spec)
+    f, g = build_labelings(spec)
+    total = combine_supermagic(f, g)
+    for kind, row, want in [
+        ("vertex", f.flat, predicted.c_vertex),
+        ("edge", g.flat, predicted.c_edge),
+        ("total", np.concatenate((total.vertex_flat, total.edge_flat)), predicted.c_total),
+    ]:
+        lo, hi, bijective = verify_batch(spec, kind, np.stack((row, row)))
+        assert lo.tolist() == hi.tolist() == [want, want]
+        assert bijective.tolist() == [True, True]
+
+
+def test_verify_batch_rejects_rows_of_the_wrong_width():
+    spec = GridSpec((3, 2))
+    with pytest.raises(SpecMismatch):
+        verify_batch(spec, "vertex", np.ones((2, spec.vertex_count + 1), dtype=np.int64))
+    with pytest.raises(SpecMismatch):
+        verify_batch(spec, "total", np.ones(spec.vertex_count + spec.edge_count, dtype=np.int64))
