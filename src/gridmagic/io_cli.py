@@ -18,6 +18,7 @@ search refusal, 2 I/O or parse failure, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -395,6 +396,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gridmagic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

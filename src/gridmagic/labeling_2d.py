@@ -136,22 +136,16 @@ def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, .
 def base_vertex_labeling(n1: int, n2: int) -> VertexLabeling:
     """Magic vertex labeling of the n1 x n2 grid (n1 >= n2 >= 2)."""
     spec = GridSpec((n1, n2))
-    i = np.arange(1, n1 + 1, dtype=np.int64)[:, None]
-    j = np.arange(1, n2 + 1, dtype=np.int64)[None, :]
     bump = 1 if n1 % 2 == 0 and n2 % 2 == 1 else 0
-    up = (i - 1) * n2
-    down = (n1 - i) * n2
-    i_odd = i % 2 == 1
-    j_odd = j % 2 == 1
-    grid = np.where(
-        i_odd & j_odd,
-        up + j,
-        np.where(
-            ~i_odd & ~j_odd,
-            up + (n2 + 1 - j),
-            np.where(i_odd & ~j_odd, down + j + bump, down + (n2 + 1 - j) + bump),
-        ),
-    )
+    i = np.arange(1, n1 + 1, dtype=np.int64)[:, None]
+    j = np.arange(1, n2 + 1, dtype=np.int64)
+    up, down, rev = (i - 1) * n2, (n1 - i) * n2 + bump, n2 + 1 - j
+    # one strided block per (i, j) parity class; [0::2] picks odd i or j
+    grid = np.empty((n1, n2), dtype=np.int64)
+    np.add(up[0::2], j[0::2], out=grid[0::2, 0::2])
+    np.add(up[1::2], rev[1::2], out=grid[1::2, 1::2])
+    np.add(down[0::2], j[1::2], out=grid[0::2, 1::2])
+    np.add(down[1::2], rev[0::2], out=grid[1::2, 0::2])
     return VertexLabeling(spec, grid)
 
 

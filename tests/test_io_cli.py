@@ -366,6 +366,7 @@ def test_cli_usage_errors(capsys):
     assert run_cli(capsys, ["generate", "--dims", "5"])[0] == 64
     assert run_cli(capsys, ["generate", "--dims", "5,x"])[0] == 64
     assert run_cli(capsys, ["generate", "--dims", "5,1"])[0] == 64
+    assert run_cli(capsys, ["cover", "--dims", "1,5"])[0] == 64
     assert run_cli(capsys, ["search", "--dims", "2,2"])[0] == 64  # missing --mode
 
 
@@ -405,6 +406,19 @@ def test_cli_search_budget_refusal(capsys):
     assert "refused" in err
 
 
+def run_fresh(argv, interpreter=("-c", "import sys, gridmagic; sys.exit(gridmagic.cli(sys.argv[1:]))")):
+    """Run the CLI in a fresh interpreter, so a hang fails the test instead of stalling the suite."""
+    src = str(Path(gridmagic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *interpreter, *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.mark.parametrize(
     "dims, mode, space",
     [
@@ -416,17 +430,7 @@ def test_cli_search_budget_refusal(capsys):
     ],
 )
 def test_cli_search_refuses_large_grids_promptly(dims, mode, space):
-    # a fresh interpreter, so a hang fails the test instead of stalling the suite
-    src = str(Path(gridmagic.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    program = "import sys, gridmagic; sys.exit(gridmagic.cli(sys.argv[1:]))"
-    run = subprocess.run(
-        [sys.executable, "-c", program, "search", "--dims", dims, "--mode", mode],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    run = run_fresh(["search", "--dims", dims, "--mode", mode])
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr == (
         f"refused: search needs {space} candidate assignments, budget allows 100000000\n"
@@ -442,6 +446,30 @@ def test_cli_render_and_cover(tmp_path, capsys):
     assert code == 64
     code, out, _ = run_cli(capsys, ["cover", "--dims", "9,4,2,2"])
     assert code == 0 and out.strip() == "COVERED"
+
+
+def test_cli_cover_answers_huge_grids_promptly():
+    # 1999**3 cubes: enumerating them would not finish
+    run = run_fresh(["cover", "--dims", "2000,2000,2000"])
+    assert (run.returncode, run.stdout, run.stderr) == (0, "COVERED\n", "")
+
+
+def test_cli_parser_keeps_no_state_between_calls(capsys):
+    calls = [
+        ["predict", "--dims", "5,3"],
+        ["generate", "--dims", "5,3", "--kind", "bogus"],
+        ["cover", "--dims", "9,4,2,2"],
+        ["generate", "--dims", "4,3", "--format", "csv"],
+    ]
+    in_process = [run_cli(capsys, argv) for argv in calls]
+    separate = [run_fresh(argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 64, 0, 0]
+    assert in_process == [(run.returncode, run.stdout, run.stderr) for run in separate]
+
+
+def test_python_m_gridmagic_runs_without_warnings():
+    run = run_fresh(["predict", "--dims", "3,2"], interpreter=("-W", "error", "-m", "gridmagic"))
+    assert (run.returncode, run.stdout, run.stderr) == (0, "c_vertex=14 c_edge=16 c_total=54\n", "")
 
 
 def test_cli_generate_csv_format(capsys):
