@@ -7,6 +7,10 @@ int64 arrays from `generate_document` or `load` through `save`, the
 verifier, the renderers and the label lookups. Serialization is canonical
 (sorted keys, compact separators, newline-terminated), so identical
 documents are identical bytes and everything downstream can be diffed.
+`save` writes the label arrays with numpy passes over all labels. `load`
+reads bytes in exactly `save`'s layout with an array parser and any other
+valid JSON with the general `json` parser; both give the same document,
+or the same error, for the same input.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
 3d oblique), Graphviz dot, or a flat CSV with one row per element. The
@@ -22,6 +26,7 @@ import functools
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -111,20 +116,176 @@ class LabelingDocument:
         )
 
 
-def save(doc: LabelingDocument) -> bytes:
-    """Canonical byte serialization: sorted keys, compact, newline-terminated."""
-    payload = {
-        "format_version": doc.format_version,
-        "dims": list(doc.dims),
-        "axis_permutation": list(doc.axis_permutation),
-        "kind": doc.kind,
-        "vertex_labels": doc.vertex_labels.tolist(),
-        "edge_labels": doc.edge_labels.tolist(),
+# --- label arrays as JSON text -------------------------------------------
+#
+# Label arrays hold up to ~1M values, so they are written and read with
+# numpy passes over all values at once, never one Python int per label.
+
+_INT64_DIGITS = 19  # digits of 2**63, the largest int64 magnitude
+
+
+def _json_int_list(values: np.ndarray) -> bytes:
+    """`json.dumps(values.tolist(), separators=(",", ":")).encode()` for int64.
+
+    Every value fills one row of a uint8 table: a sign cell (only when some
+    value is negative), one cell per digit of the widest value, then a
+    comma. Cells left at 0 (a non-negative value's sign, the places left of
+    a value's first digit) are dropped by one compress.
+    """
+    if values.size == 0:
+        return b"[]"
+    negative = values < 0
+    signed = int(negative.any())
+    rest = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to itself, which reads 2**63
+    top = int(rest.max())
+    width = len(str(top))
+    if top < 2**32:
+        rest = rest.astype(np.uint32)  # halves the cost of the digit passes
+    cells = np.empty(1 + values.size * (signed + width + 1), np.uint8)
+    cells[0] = ord("[")
+    table = cells[1:].reshape(values.size, -1)
+    if signed:
+        np.multiply(negative, ord("-"), out=table[:, 0], casting="unsafe")
+    table[:, -1] = ord(",")
+    table[-1, -1] = ord("]")
+    places = table[:, signed : signed + width]
+    quotient, digit = np.empty_like(rest), np.empty_like(rest)
+    for col in range(width - 1, -1, -1):
+        np.floor_divide(rest, 10, out=quotient)  # a floor division by 10 is far cheaper than %
+        np.multiply(quotient, 10, out=digit)
+        np.subtract(rest, digit, out=digit)
+        digit += ord("0")
+        if col < width - 1:  # the units place shows even for 0
+            digit *= rest != 0
+        places[:, col] = digit
+        rest, quotient = quotient, rest
+    return cells[cells != 0].tobytes()
+
+
+def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
+    """The values of `data[start:stop]` if it is a canonical int list body, else None.
+
+    Canonical means what `_json_int_list` writes between the brackets: values
+    joined by single commas, each `0` or `-?[1-9][0-9]*` and within int64.
+    Anything else (spaces, `-0`, `01`, `1.0`, an empty value, 2**63) is
+    refused, and `load` hands the whole document to json.loads.
+    """
+    if start == stop:
+        return np.empty(0, np.int64)
+    text = np.frombuffer(data, np.uint8, stop - start, start)
+    # digit values after 19 zeros, so a gather at ends - k never runs off the front
+    padded = np.zeros(_INT64_DIGITS + text.size, np.uint8)
+    digits = padded[_INT64_DIGITS:]
+    np.subtract(text, ord("0"), out=digits)  # wraps: every other byte reads >= 10
+    comma = text == ord(",")
+    minus = text == ord("-")
+    n_minus = np.count_nonzero(minus)
+    # only digits, commas and minus signs, and the last value ends in a digit
+    if np.count_nonzero(digits < 10) + np.count_nonzero(comma) + n_minus != text.size or digits[-1] >= 10:
+        return None
+    commas = np.flatnonzero(comma)
+    starts = np.concatenate(([0], commas + 1))
+    ends = np.append(commas, text.size)
+    neg = minus[starts]
+    first = starts + neg
+    n_digits = ends - first
+    # every minus opens a value, and every value has a digit
+    if np.count_nonzero(neg) != n_minus or n_digits.min() < 1:
+        return None
+    width = int(n_digits.max())
+    if width > _INT64_DIGITS or ((digits[first] == 0) & ((n_digits > 1) | neg)).any():
+        return None
+    # right-aligned digit columns: column k of value i is digits[ends[i] - k]
+    n_digits = n_digits.astype(np.uint8)
+    magnitude = np.zeros(ends.size, np.uint64)
+    digit = np.empty(ends.size, np.uint8)
+    for k in range(width, 0, -1):
+        padded[_INT64_DIGITS - k :].take(ends, out=digit)
+        digit *= n_digits >= k
+        magnitude *= np.uint64(10)
+        magnitude += digit
+    if width == _INT64_DIGITS and (magnitude > np.uint64(INT64_MAX) + neg).any():
+        return None
+    values = magnitude.view(np.int64)
+    np.negative(values, out=values, where=neg)  # 2**63 wraps to INT64_MIN, as it should
+    return values
+
+
+_CANONICAL_HEAD = re.compile(
+    rb'\{"axis_permutation":\[([-,0-9]*)\],"dims":\[([-,0-9]*)\],"edge_labels":\['
+)
+_CANONICAL_MIDDLE = re.compile(
+    rb'\],"format_version":"' + FORMAT_VERSION.encode()
+    + rb'","kind":"(vertex|edge|total)","vertex_labels":\['
+)
+
+
+def _canonical_payload(data: bytes) -> dict | None:
+    """The payload of bytes laid out exactly as `save` writes them, else None.
+
+    The two label lists are found with `bytes.find` and read by
+    `_int64_list_body`; the payload holds int64 arrays where json.loads
+    would give lists of ints.
+    """
+    head = _CANONICAL_HEAD.match(data)
+    if head is None:
+        return None
+    edge_stop = data.find(b"]", head.end())
+    middle = _CANONICAL_MIDDLE.match(data, edge_stop) if edge_stop >= 0 else None
+    if middle is None:
+        return None
+    vertex_stop = data.find(b"]", middle.end())
+    if vertex_stop < 0 or data[vertex_stop:] not in (b"]}", b"]}\n"):
+        return None
+    payload = {"format_version": FORMAT_VERSION, "kind": middle[1].decode()}
+    bodies = {
+        "axis_permutation": head.span(1),
+        "dims": head.span(2),
+        "edge_labels": (head.end(), edge_stop),
+        "vertex_labels": (middle.end(), vertex_stop),
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    for key, (start, stop) in bodies.items():
+        payload[key] = _int64_list_body(data, start, stop)
+        if payload[key] is None:
+            return None
+    return payload
+
+
+def _json_payload(data: bytes | str) -> object:
+    try:
+        return json.loads(data.decode() if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"document is not UTF-8: {e.reason} at byte {e.start}") from None
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
+
+
+def save(doc: LabelingDocument) -> bytes:
+    """Canonical byte serialization: sorted keys, compact, newline-terminated.
+
+    The bytes are `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
+    plus a newline; the label arrays are written by `_json_int_list`.
+    """
+
+    def dumps(value: object) -> bytes:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+    return b"".join((
+        b'{"axis_permutation":', dumps(list(doc.axis_permutation)),
+        b',"dims":', dumps(list(doc.dims)),
+        b',"edge_labels":', _json_int_list(doc.edge_labels),
+        b',"format_version":', dumps(doc.format_version),
+        b',"kind":', dumps(doc.kind),
+        b',"vertex_labels":', _json_int_list(doc.vertex_labels),
+        b"}\n",
+    ))
 
 
 def _int64_array(raw: object, key: str) -> np.ndarray:
+    if isinstance(raw, np.ndarray):  # from `_canonical_payload`, already int64
+        return raw
     # JSON numbers decode to exact ints; True and False have type bool. The
     # type test comes first because np.array would turn true into 1 and 1.5
     # into 1 without complaint.
@@ -137,12 +298,15 @@ def _int64_array(raw: object, key: str) -> np.ndarray:
 
 
 def load(data: bytes | str) -> LabelingDocument:
-    """Parse and validate a document produced by `save`."""
-    text = data.decode() if isinstance(data, bytes) else data
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    """Parse and validate a document produced by `save`.
+
+    Bytes in exactly `save`'s layout are read with array passes; any other
+    input goes through json.loads. Both give the same payload to the same
+    checks, so the result, or the error, does not depend on the path.
+    """
+    payload = _canonical_payload(data) if isinstance(data, bytes) else None
+    if payload is None:
+        payload = _json_payload(data)
     if not isinstance(payload, dict):
         raise ParseError("document root must be an object")
     expected = {"format_version", "dims", "axis_permutation", "kind", "vertex_labels", "edge_labels"}

@@ -36,7 +36,7 @@ from gridmagic import (
     verify_document,
     verify_supermagic,
 )
-from gridmagic.io_cli import document_labeling
+from gridmagic.io_cli import _canonical_payload, document_labeling
 
 
 def test_save_load_roundtrip_is_byte_identical():
@@ -68,11 +68,22 @@ def test_load_rejects_wrong_version():
         load(json.dumps(payload))
 
 
+def _canonical_json(payload) -> bytes:
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+# Hand-written JSON, which only json.loads reads, and save's canonical
+# layout, which load reads with its array parser when every value is
+# canonical too. The load tests below run each case in both.
+ENCODINGS = (lambda payload: json.dumps(payload).encode(), _canonical_json)
+
+
 def test_load_rejects_length_mismatch():
     payload = json.loads(save(generate_document([5, 3], "total")))
     payload["vertex_labels"] = payload["vertex_labels"][:14]
-    with pytest.raises(ParseError, match="length mismatch"):
-        load(json.dumps(payload))
+    for encode in ENCODINGS:
+        with pytest.raises(ParseError, match="length mismatch"):
+            load(encode(payload))
 
 
 def test_load_rejects_unknown_or_missing_keys():
@@ -211,10 +222,10 @@ def test_cli_verify_missing_file(capsys):
     assert err != ""
 
 
-def _vertex_document(dims, labels) -> bytes:
+def _vertex_document(dims, labels, encode=ENCODINGS[0]) -> bytes:
     payload = json.loads(save(generate_document(dims, "vertex")))
     payload["vertex_labels"] = labels
-    return json.dumps(payload).encode()
+    return encode(payload)
 
 
 def test_cli_verify_does_not_wrap_int64_cube_sums(capsys, monkeypatch):
@@ -228,18 +239,45 @@ def test_cli_verify_does_not_wrap_int64_cube_sums(capsys, monkeypatch):
 
 @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
 def test_labels_outside_int64_are_parse_errors(capsys, monkeypatch, label):
-    data = _vertex_document([3, 2], [1, 2, 3, 4, 5, label])
-    with pytest.raises(ParseError, match="vertex_labels"):
-        load(data)
-    code, out, err = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("i/o error:")
+    for encode in ENCODINGS:
+        data = _vertex_document([3, 2], [1, 2, 3, 4, 5, label], encode)
+        with pytest.raises(ParseError, match="vertex_labels"):
+            load(data)
+        code, out, err = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error:")
 
 
 def test_int64_extremes_load():
     labels = [-(2**63), 2**63 - 1, 3, 4, 5, 6]
-    assert load(_vertex_document([3, 2], labels)).vertex_labels.tolist() == labels
+    for encode in ENCODINGS:
+        assert load(_vertex_document([3, 2], labels, encode)).vertex_labels.tolist() == labels
+
+
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("-0", 0),  # valid JSON for 0, though save never writes it
+        ("01", ParseError("invalid JSON at line 1")),
+        ("-01", ParseError("invalid JSON at line 1")),
+        ("1.0", ParseError("vertex_labels must be a list of integers")),
+        ("12345678901234567890", ParseError("vertex_labels must lie in")),
+        ("-9223372036854775808", -(2**63)),
+    ],
+)
+def test_non_canonical_numbers_in_canonical_layout(text, result):
+    data = save(generate_document([3, 2], "vertex"))
+    head, sep, tail = data.rpartition(b'"vertex_labels":[1')
+    data = head + sep[:-1] + text.encode() + tail
+    canonical = text == "-9223372036854775808"
+    assert (_canonical_payload(data) is not None) == canonical  # only it takes the array path
+    if isinstance(result, Exception):
+        with pytest.raises(type(result), match=str(result)):
+            load(data)
+    else:
+        labels = load(data).vertex_labels.tolist()
+        assert labels == [result] + json.loads(data)["vertex_labels"][1:]
 
 
 def test_loaded_label_arrays_are_read_only_int64():
@@ -271,13 +309,32 @@ INTEGER_LISTS = ["vertex_labels", "edge_labels", "dims", "axis_permutation"]
 def test_load_rejects_non_integer_list_elements(capsys, monkeypatch, key, value):
     payload = json.loads(save(generate_document([3, 2], "total")))
     payload[key][0] = json.loads(value)
-    data = json.dumps(payload).encode()
-    with pytest.raises(ParseError, match=key):
+    for encode in ENCODINGS:
+        data = encode(payload)
+        with pytest.raises(ParseError, match=key):
+            load(data)
+        code, out, err = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error:")
+
+
+MALFORMED = {
+    "not utf-8": b"\xff\xfe",
+    "nested lists": b"[" * 100_000 + b"]" * 100_000,
+    "nested in an object": b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_bytes_are_parse_errors(capsys, monkeypatch, data):
+    with pytest.raises(ParseError):
         load(data)
-    code, out, err = run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("i/o error:")
+    for argv in (["verify", "-"], ["render", "-", "--style", "csv"]):
+        code, out, err = run_cli(capsys, argv, stdin=data, monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error:")
 
 
 # --- label lookups -------------------------------------------------------

@@ -1,0 +1,165 @@
+"""The array JSON codec of `save` and `load` against the json-module codec it replaced.
+
+`reference_save` and `reference_load` are the old implementations: `save`
+handed `tolist()` to `json.dumps`, and `load` ran `json.loads` on every
+input. Their bytes, documents and errors define the format, so the array
+codec must reproduce them exactly, error types and messages included.
+`reference_load` carries the one fix made with the array codec: bytes
+that are not UTF-8 raise `ParseError` instead of `UnicodeDecodeError`.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridmagic import (
+    GridMagicError,
+    LabelingDocument,
+    ParseError,
+    VersionMismatch,
+    canonicalize,
+    load,
+    save,
+)
+from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS, _canonical_payload
+
+
+def reference_save(doc: LabelingDocument) -> bytes:
+    payload = {
+        "format_version": doc.format_version,
+        "dims": list(doc.dims),
+        "axis_permutation": list(doc.axis_permutation),
+        "kind": doc.kind,
+        "vertex_labels": doc.vertex_labels.tolist(),
+        "edge_labels": doc.edge_labels.tolist(),
+    }
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _reference_int64_array(raw: object, key: str) -> np.ndarray:
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
+        raise ParseError(f"{key} must be a list of integers")
+    try:
+        return np.array(raw, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{key} must lie in [{INT64_MIN}, {INT64_MAX}]") from None
+
+
+def reference_load(data: bytes | str) -> LabelingDocument:
+    try:
+        text = data.decode() if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        raise ParseError(f"document is not UTF-8: {e.reason} at byte {e.start}") from None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    if not isinstance(payload, dict):
+        raise ParseError("document root must be an object")
+    expected = {"format_version", "dims", "axis_permutation", "kind", "vertex_labels", "edge_labels"}
+    if set(payload) != expected:
+        missing = expected - set(payload)
+        extra = set(payload) - expected
+        raise ParseError(f"bad document keys: missing {sorted(missing)}, unknown {sorted(extra)}")
+    version = payload["format_version"]
+    if not isinstance(version, str) or version != FORMAT_VERSION:
+        raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
+    dims = tuple(_reference_int64_array(payload["dims"], "dims").tolist())
+    try:
+        spec, perm = canonicalize(dims)
+    except GridMagicError as e:
+        raise ParseError(f"bad dims {list(dims)}: {e}") from e
+    if tuple(_reference_int64_array(payload["axis_permutation"], "axis_permutation").tolist()) != perm:
+        raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
+    kind = payload["kind"]
+    if kind not in KINDS:
+        raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
+    vertex_labels = _reference_int64_array(payload["vertex_labels"], "vertex_labels")
+    edge_labels = _reference_int64_array(payload["edge_labels"], "edge_labels")
+    want_v = spec.vertex_count if kind in ("vertex", "total") else 0
+    want_e = spec.edge_count if kind in ("edge", "total") else 0
+    if len(vertex_labels) != want_v:
+        raise ParseError(f"vertex_labels length mismatch: got {len(vertex_labels)}, want {want_v}")
+    if len(edge_labels) != want_e:
+        raise ParseError(f"edge_labels length mismatch: got {len(edge_labels)}, want {want_e}")
+    return LabelingDocument(version, dims, perm, kind, vertex_labels, edge_labels)
+
+
+def outcome(parse, data):
+    """What `parse` makes of `data`: the document, or the error's type and text."""
+    try:
+        return parse(data)
+    except Exception as e:  # the comparison covers every error, expected or not
+        return type(e), str(e)
+
+
+# Every digit count from 1 to 19, both signs, and the int64 edges.
+EDGE_LABELS = [0, 1, -1, 9, 10, -10, INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1, 10**18, -(10**18)]
+labels = st.one_of(
+    st.sampled_from(EDGE_LABELS),
+    st.integers(INT64_MIN, INT64_MAX),
+    st.integers(1, 19).flatmap(lambda w: st.integers(10 ** (w - 1), min(10**w - 1, INT64_MAX))),
+    st.integers(1, 19).flatmap(lambda w: st.integers(-min(10**w - 1, 2**63), -(10 ** (w - 1)))),
+)
+
+
+@st.composite
+def documents(draw):
+    """Documents of every kind for d = 2..4; some label arrays have a wrong length."""
+    sides = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    spec, perm = canonicalize(sides)
+    kind = draw(st.sampled_from(KINDS))
+    want_v = spec.vertex_count if kind != "edge" else 0
+    want_e = spec.edge_count if kind != "vertex" else 0
+    n_v = draw(st.one_of(st.just(want_v), st.integers(0, 3)))
+    n_e = draw(st.one_of(st.just(want_e), st.integers(0, 3)))
+    vertex = draw(st.lists(labels, min_size=n_v, max_size=n_v))
+    edge = draw(st.lists(labels, min_size=n_e, max_size=n_e))
+    return LabelingDocument(FORMAT_VERSION, tuple(sides), perm, kind, vertex, edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_save_and_load_match_reference(doc):
+    data = save(doc)
+    assert data == reference_save(doc)
+    assert _canonical_payload(data) is not None  # save's bytes take the array path
+    assert outcome(load, data) == outcome(reference_load, data)
+    assert outcome(load, data.decode()) == outcome(reference_load, data.decode())
+
+
+# Values around each change of digit count and around 2**32, where the
+# encoder switches from uint32 to uint64 digit passes.
+BOUNDARIES = sorted({10**k + d for k in range(19) for d in (-1, 0)} | {2**31, 2**32 - 1, 2**32, 2**32 + 1, INT64_MAX})
+
+
+def test_digit_boundaries_match_reference():
+    _, perm = canonicalize((2, 2))
+    for top in BOUNDARIES:
+        for label in (top, -top):
+            doc = LabelingDocument(FORMAT_VERSION, (2, 2), perm, "vertex", [label, 0, 1, -1], ())
+            data = save(doc)
+            assert data == reference_save(doc)
+            assert load(data) == doc == reference_load(data)
+
+
+MUTATION_BYTES = list(b'0123456789,-[]{}".e+ \n') + [0xFF]
+
+
+@settings(max_examples=600, deadline=None)
+@given(documents(), st.data())
+def test_one_byte_mutations_match_reference(doc, data):
+    text = save(doc)
+    at = data.draw(st.integers(0, len(text)), label="at")
+    byte = bytes([data.draw(st.sampled_from(MUTATION_BYTES), label="byte")])
+    edit = data.draw(st.sampled_from(["delete", "insert", "replace"]), label="edit")
+    if edit == "insert":
+        mutated = text[:at] + byte + text[at:]
+    else:
+        mutated = text[:at] + (byte if edit == "replace" else b"") + text[at + 1 :]
+    assert outcome(load, mutated) == outcome(reference_load, mutated)
+
