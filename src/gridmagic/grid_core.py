@@ -16,6 +16,7 @@ each axis went so callers can translate coordinates back and forth.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -121,8 +122,18 @@ def canonicalize(dims: Sequence[int]) -> tuple[GridSpec, tuple[int, ...]]:
     return spec, tuple(perm)
 
 
+def _index(x: object, what: str) -> int:
+    """`x` as an int, for anything numpy or Python accepts as an index."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise CoordOutOfRange(f"{what} {x!r} is not an integer") from None
+
+
 def _check_coord(spec: GridSpec, v: VertexCoord) -> None:
-    if len(v) != spec.dim or any(not 1 <= c <= n for c, n in zip(v, spec.dims)):
+    if len(v) != spec.dim or any(
+        not 1 <= _index(c, "coordinate") <= n for c, n in zip(v, spec.dims)
+    ):
         raise CoordOutOfRange(f"{v} not a vertex of the {spec.dims} grid")
 
 
@@ -165,7 +176,7 @@ def enumerate_edges(spec: GridSpec) -> Iterator[EdgeId]:
 
 
 def _check_edge(spec: GridSpec, e: EdgeId) -> None:
-    if not 1 <= e.axis <= spec.dim:
+    if not 1 <= _index(e.axis, "axis") <= spec.dim:
         raise CoordOutOfRange(f"axis {e.axis} not in [1, {spec.dim}]")
     _check_coord(spec, e.base)
     if e.base[e.axis - 1] >= spec.dims[e.axis - 1]:

@@ -25,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .errors import (
 from .grid_core import (
     EdgeId,
     GridSpec,
+    _index,
     canonicalize,
     check_h_covering,
     edge_rank,
@@ -350,7 +350,7 @@ def generate_document(dims: Sequence[int], kind: str) -> LabelingDocument:
         vertex_labels, edge_labels = (), g.flat
     else:
         total = combine_supermagic(f, g)
-        vertex_labels, edge_labels = total.vertex_flat, total.edge_flat
+        vertex_labels, edge_labels = total.vertex.flat, total.edge.flat
     return LabelingDocument(
         FORMAT_VERSION, tuple(int(n) for n in dims), perm, kind, vertex_labels, edge_labels
     )
@@ -381,19 +381,12 @@ def verify_document(doc: LabelingDocument) -> MagicReport:
     return verify_supermagic(spec, labeling)
 
 
-def _integer(x: object, what: str) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise CoordOutOfRange(f"{what} {x!r} is not an integer") from None
-
-
 def _to_canonical_coord(doc: LabelingDocument, coord: Sequence[int]) -> tuple[int, ...]:
     if len(coord) != len(doc.dims):
         raise UsageError(f"coordinate {tuple(coord)} has wrong arity for dims {doc.dims}")
     out = [0] * len(coord)
     for caller_axis, c in enumerate(coord):
-        out[doc.axis_permutation[caller_axis] - 1] = _integer(c, "coordinate")
+        out[doc.axis_permutation[caller_axis] - 1] = c
     return tuple(out)
 
 
@@ -410,7 +403,7 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
     if doc.kind == "vertex":
         raise UsageError("vertex-only document carries no edge labels")
     canonical = _to_canonical_coord(doc, base)
-    axis = _integer(axis, "axis")
+    axis = _index(axis, "axis")
     if not 1 <= axis <= len(doc.dims):
         raise CoordOutOfRange(f"axis {axis} not in [1, {len(doc.dims)}]")
     rank = edge_rank(document_spec(doc), EdgeId(canonical, doc.axis_permutation[axis - 1]))

@@ -9,9 +9,11 @@ stripes of width 2*n2 - 1: axis-2 edges count up through the stripes of
 their own column while axis-1 edges count down through mirrored stripes,
 giving the constant square sum (2*n1 - 1)(2*n2 - 1) + 1.
 
-Labelings are materialized as dense int64 arrays: verification touches
-every label anyway, and the arrays are what the vectorized cube-sum sweep
-consumes.
+Each labeling is one dense, read-only int64 buffer: vertex labels in
+rank order, edge labels in edge enumeration order. Verification touches
+every label anyway; `flat` is that buffer, and the grid-shaped and
+per-axis arrays that the vectorized cube-sum sweep consumes are views of
+it, so no layer copies labels to change between the two.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpecMismatch
-from .grid_core import EdgeId, GridSpec, VertexCoord, _check_coord, _check_edge
+from .grid_core import EdgeId, GridSpec, VertexCoord, edge_rank, vertex_rank
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    # construction takes ownership: when no conversion copy is needed, the
-    # caller's array itself is marked read-only
-    out = np.ascontiguousarray(arr, dtype=np.int64)
+    # a read-only view: no copy when `arr` is already contiguous int64, and
+    # the caller's own array keeps its flags
+    out = np.ascontiguousarray(arr, dtype=np.int64).view()
     out.flags.writeable = False
     return out
 
@@ -60,46 +62,35 @@ class VertexLabeling:
         return self.grid.reshape(-1)
 
     def label(self, v: VertexCoord) -> int:
-        _check_coord(self.spec, v)
-        return int(self.grid[tuple(c - 1 for c in v)])
+        return int(self.flat[vertex_rank(self.spec, v)])
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeLabeling:
-    """Integer labels on every edge, one dense array per axis.
+    """Integer labels on every edge, stored densely in edge enumeration order.
 
-    ``per_axis[a]`` holds the labels of edges along axis a+1, indexed by the
+    ``per_axis[a]`` views the labels of edges along axis a+1, indexed by the
     0-based base coordinate; its shape is the grid shape with axis a
     shortened by one.
     """
 
     spec: GridSpec
-    per_axis: tuple[np.ndarray, ...]
+    flat: np.ndarray  # shape == (spec.edge_count,)
 
     def __post_init__(self):
-        if len(self.per_axis) != self.spec.dim:
+        arr = _frozen(self.flat)
+        if arr.shape != (self.spec.edge_count,):
             raise SpecMismatch(
-                f"{len(self.per_axis)} axis arrays for a {self.spec.dim}-dimensional grid"
+                f"label array of shape {arr.shape} for a grid with {self.spec.edge_count} edges"
             )
-        arrays = []
-        for a, arr in enumerate(self.per_axis):
-            arr = _frozen(arr)
-            want = tuple(
-                n - 1 if i == a else n for i, n in enumerate(self.spec.dims)
-            )
-            if arr.shape != want:
-                raise SpecMismatch(f"axis-{a + 1} array has shape {arr.shape}, want {want}")
-            arrays.append(arr)
-        object.__setattr__(self, "per_axis", tuple(arrays))
+        object.__setattr__(self, "flat", arr)
 
     @property
-    def flat(self) -> np.ndarray:
-        """Labels in edge enumeration order (axis ascending, bases row-major)."""
-        return np.concatenate([arr.reshape(-1) for arr in self.per_axis])
+    def per_axis(self) -> tuple[np.ndarray, ...]:
+        return split_edge_labels(self.spec, self.flat)
 
     def label(self, e: EdgeId) -> int:
-        _check_edge(self.spec, e)
-        return int(self.per_axis[e.axis - 1][tuple(c - 1 for c in e.base)])
+        return int(self.flat[edge_rank(self.spec, e)])
 
 
 def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> VertexLabeling:
@@ -112,10 +103,7 @@ def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) 
 
 def edge_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> EdgeLabeling:
     """Rebuild an edge labeling from labels in edge enumeration order."""
-    arr = np.asarray(flat, dtype=np.int64)
-    if arr.size != spec.edge_count:
-        raise SpecMismatch(f"{arr.size} edge labels for a grid with {spec.edge_count}")
-    return EdgeLabeling(spec, split_edge_labels(spec, arr.reshape(-1)))
+    return EdgeLabeling(spec, np.asarray(flat, dtype=np.int64).reshape(-1))
 
 
 def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -154,9 +142,11 @@ def base_edge_labeling(n1: int, n2: int) -> EdgeLabeling:
     spec = GridSpec((n1, n2))
     stripe = 2 * n2 - 1
     i = np.arange(1, n1 + 1, dtype=np.int64)[:, None]
-    j = np.arange(1, n2 + 1, dtype=np.int64)[None, :]
+    j = np.arange(1, n2 + 1, dtype=np.int64)
+    flat = np.empty(spec.edge_count, dtype=np.int64)
+    along_1, along_2 = split_edge_labels(spec, flat)
     # axis-1 edges: base (i, j) with i <= n1-1, label (n1-i)*stripe + 1 - j
-    along_1 = (n1 - i[:-1]) * stripe + 1 - j
+    np.subtract((n1 - i[:-1]) * stripe + 1, j, out=along_1)
     # axis-2 edges: base (i, j) with j <= n2-1, label (i-1)*stripe + j
-    along_2 = (i - 1) * stripe + j[:, :-1]
-    return EdgeLabeling(spec, (along_1, along_2))
+    np.add((i - 1) * stripe, j[:-1], out=along_2)
+    return EdgeLabeling(spec, flat)

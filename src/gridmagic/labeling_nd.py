@@ -25,13 +25,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DimensionOrderViolation, DimensionTooSmall, SpecMismatch
-from .grid_core import EdgeId, GridSpec, VertexCoord, _check_coord, _check_edge
+from .grid_core import GridSpec
 from .labeling_2d import (
     EdgeLabeling,
     VertexLabeling,
     base_edge_labeling,
     base_vertex_labeling,
     edge_labeling_from_flat,
+    split_edge_labels,
     vertex_labeling_from_flat,
 )
 
@@ -45,38 +46,27 @@ class LayerCounts(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TotalLabeling:
-    """Combined labeling of vertices and edges.
+    """A vertex labeling and an edge labeling of one grid, read as one labeling.
 
-    For constructed instances the vertex part occupies exactly [1, |V|] and
-    the edge part [|V|+1, |V|+|E|]; like the single-class labelings, the
-    type itself admits arbitrary candidates.
+    Each part keeps its own buffer, so ``total.vertex.flat`` and
+    ``total.edge.flat`` copy nothing. For constructed instances the vertex
+    part occupies exactly [1, |V|] and the edge part [|V|+1, |V|+|E|];
+    like its parts, the type itself admits arbitrary candidates.
     """
 
-    spec: GridSpec
-    vertex_grid: np.ndarray
-    edge_per_axis: tuple[np.ndarray, ...]
+    vertex: VertexLabeling
+    edge: EdgeLabeling
 
     def __post_init__(self):
-        vertices = VertexLabeling(self.spec, self.vertex_grid)
-        edges = EdgeLabeling(self.spec, self.edge_per_axis)
-        object.__setattr__(self, "vertex_grid", vertices.grid)
-        object.__setattr__(self, "edge_per_axis", edges.per_axis)
+        if self.vertex.spec != self.edge.spec:
+            raise SpecMismatch(
+                f"vertex labeling over {self.vertex.spec.dims} "
+                f"but edge labeling over {self.edge.spec.dims}"
+            )
 
     @property
-    def vertex_flat(self) -> np.ndarray:
-        return self.vertex_grid.reshape(-1)
-
-    @property
-    def edge_flat(self) -> np.ndarray:
-        return np.concatenate([arr.reshape(-1) for arr in self.edge_per_axis])
-
-    def vertex_label(self, v: VertexCoord) -> int:
-        _check_coord(self.spec, v)
-        return int(self.vertex_grid[tuple(c - 1 for c in v)])
-
-    def edge_label(self, e: EdgeId) -> int:
-        _check_edge(self.spec, e)
-        return int(self.edge_per_axis[e.axis - 1][tuple(c - 1 for c in e.base)])
+    def spec(self) -> GridSpec:
+        return self.vertex.spec
 
 
 def layer_counts(spec: GridSpec) -> LayerCounts:
@@ -136,33 +126,28 @@ def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) 
     forward = (x - 1) * per_layer.edges
     backward = (nd - x) * per_layer.edges
 
-    per_axis = []
+    flat = np.empty(spec.edge_count, dtype=np.int64)
+    per_axis = split_edge_labels(spec, flat)
     for axis, arr in enumerate(base_g.per_axis, start=1):
         if d % 2 == 0 and axis == d - 1:
             # even target dimension: the last in-layer axis switches on the
             # parity of the base vertex's first d-2 coordinates
             parity = _coord_parity(arr.shape, axes=range(d - 2))
             offsets = np.where(parity[..., None] == 1, forward, backward)
-        elif axis % 2 == 1:
-            offsets = np.broadcast_to(forward, arr.shape + (nd,))
         else:
-            offsets = np.broadcast_to(backward, arr.shape + (nd,))
-        per_axis.append(arr[..., None] + offsets)
+            offsets = forward if axis % 2 == 1 else backward
+        np.add(arr[..., None], offsets, out=per_axis[axis - 1])
 
     # connecting edges: base coordinate x_d runs over [1, nd-1]
     t = np.arange(1, nd, dtype=np.int64)
     parity = _coord_parity(base_f.spec.dims)
-    connecting = (
-        base_f.grid[..., None]
-        + nd * per_layer.edges
-        + np.where(
-            parity[..., None] == 1,
-            (t - 1) * per_layer.vertices,
-            (nd - 1 - t) * per_layer.vertices,
-        )
+    offsets = nd * per_layer.edges + np.where(
+        parity[..., None] == 1,
+        (t - 1) * per_layer.vertices,
+        (nd - 1 - t) * per_layer.vertices,
     )
-    per_axis.append(connecting)
-    return EdgeLabeling(spec, tuple(per_axis))
+    np.add(base_f.grid[..., None], offsets, out=per_axis[-1])
+    return EdgeLabeling(spec, flat)
 
 
 def build_labelings(spec: GridSpec) -> tuple[VertexLabeling, EdgeLabeling]:
@@ -182,16 +167,11 @@ def total_labeling_from_flats(
     edge_flat: np.ndarray | list[int],
 ) -> TotalLabeling:
     """Rebuild a total labeling from flat vertex and edge label arrays."""
-    v = vertex_labeling_from_flat(spec, vertex_flat)
-    e = edge_labeling_from_flat(spec, edge_flat)
-    return TotalLabeling(spec, v.grid, e.per_axis)
+    return TotalLabeling(
+        vertex_labeling_from_flat(spec, vertex_flat), edge_labeling_from_flat(spec, edge_flat)
+    )
 
 
 def combine_supermagic(f: VertexLabeling, g: EdgeLabeling) -> TotalLabeling:
     """Merge vertex and edge labelings, shifting edge labels above |V|."""
-    if f.spec != g.spec:
-        raise SpecMismatch(
-            f"vertex labeling over {f.spec.dims} but edge labeling over {g.spec.dims}"
-        )
-    shift = f.spec.vertex_count
-    return TotalLabeling(f.spec, f.grid, tuple(arr + shift for arr in g.per_axis))
+    return TotalLabeling(f, EdgeLabeling(g.spec, g.flat + f.spec.vertex_count))

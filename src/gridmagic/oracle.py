@@ -410,11 +410,11 @@ def construction_sequence(spec: GridSpec, mode: str) -> tuple[int, ...]:
     """The constructed labeling as the flat label sequence the oracle uses."""
     f, g = build_labelings(spec)
     if mode == "vertex":
-        return tuple(int(v) for v in f.flat)
+        return tuple(f.flat.tolist())
     if mode == "edge":
-        return tuple(int(v) for v in g.flat)
+        return tuple(g.flat.tolist())
     total = combine_supermagic(f, g)
-    return tuple(int(v) for v in total.vertex_flat) + tuple(int(v) for v in total.edge_flat)
+    return tuple(total.vertex.flat.tolist() + total.edge.flat.tolist())
 
 
 def confirm_construction(spec: GridSpec, budget: SearchBudget) -> bool:

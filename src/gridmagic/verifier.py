@@ -202,11 +202,11 @@ def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
     if total.spec != spec:
         raise SpecMismatch(f"labeling over {total.spec.dims}, expected {spec.dims}")
     nv = spec.vertex_count
-    v_bijective, v_magnitude = _scan_labels(total.vertex_flat, 1, nv)
-    e_bijective, e_magnitude = _scan_labels(total.edge_flat, nv + 1, spec.edge_count)
+    v_bijective, v_magnitude = _scan_labels(total.vertex.flat, 1, nv)
+    e_bijective, e_magnitude = _scan_labels(total.edge.flat, nv + 1, spec.edge_count)
     per_cube = 2**spec.dim + spec.cube_edge_count
     grid, *per_axis = _exact(
-        (total.vertex_grid, *total.edge_per_axis), max(v_magnitude, e_magnitude) * per_cube
+        (total.vertex.grid, *total.edge.per_axis), max(v_magnitude, e_magnitude) * per_cube
     )
     sums = cube_vertex_sums(grid, spec)
     sums += cube_edge_sums(tuple(per_axis), spec)

@@ -84,8 +84,8 @@ def test_criterion_1_grid53_figure_reproduction():
         f.label((1, 1)) == 1
         and f.label((2, 1)) == 12
         and f.label((2, 2)) == 5
-        and total.edge_label(EdgeId((1, 1), 2)) == 16
-        and total.edge_label(EdgeId((1, 1), 1)) == 35
+        and total.edge.label(EdgeId((1, 1), 2)) == 16
+        and total.edge.label(EdgeId((1, 1), 1)) == 35
     )
     rv = verify_vertex_magic(spec, f)
     re_ = verify_edge_magic(spec, g)

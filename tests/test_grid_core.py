@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,10 @@ from gridmagic import (
     EdgeId,
     GridSpec,
     Overflow,
+    build_labelings,
     canonicalize,
     check_h_covering,
+    combine_supermagic,
     cube_edges,
     cube_vertices,
     edge_endpoints,
@@ -97,6 +100,47 @@ def test_vertex_rank_out_of_range():
         vertex_rank(spec, (1, 0))
     with pytest.raises(CoordOutOfRange):
         vertex_unrank(spec, 15)
+
+
+def _lookups(spec: GridSpec) -> dict:
+    f, g = build_labelings(spec)
+    total = combine_supermagic(f, g)
+    return {
+        "vertex_rank": lambda v: vertex_rank(spec, v),
+        "vertex.label": f.label,
+        "total.vertex.label": total.vertex.label,
+        "edge_rank": lambda e: edge_rank(spec, e),
+        "edge.label": g.label,
+        "total.edge.label": total.edge.label,
+    }
+
+
+@pytest.mark.parametrize("lookup", ["vertex_rank", "vertex.label", "total.vertex.label"])
+@pytest.mark.parametrize("v", [(1.5, 1), (2, 1.0), ("1", 1), (None, 1), (np.float64(2), 1)])
+def test_vertex_lookups_reject_non_integral_coordinates(lookup, v):
+    # a float inside the range would otherwise yield a float rank, e.g. 1.0 for (1.5, 1)
+    run = _lookups(GridSpec((3, 2)))[lookup]
+    with pytest.raises(CoordOutOfRange):
+        run(v)
+    assert run((np.int64(3), True)) == run((3, 1))
+
+
+@pytest.mark.parametrize("lookup", ["edge_rank", "edge.label", "total.edge.label"])
+@pytest.mark.parametrize(
+    "e",
+    [
+        EdgeId((1.5, 1), 1),
+        EdgeId((1, 1.0), 1),
+        EdgeId((1, 1), 1.0),
+        EdgeId((1, 1), 1.5),
+        EdgeId((1, 1), "2"),
+    ],
+)
+def test_edge_lookups_reject_non_integral_coordinates_and_axes(lookup, e):
+    run = _lookups(GridSpec((3, 2)))[lookup]
+    with pytest.raises(CoordOutOfRange):
+        run(e)
+    assert run(EdgeId((np.int64(2), True), np.int64(1))) == run(EdgeId((2, 1), 1))
 
 
 @settings(max_examples=60, deadline=None)

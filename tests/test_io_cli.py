@@ -112,10 +112,10 @@ def test_noncanonical_dims_map_user_coordinates():
     total = combine_supermagic(*build_labelings(spec))
     for v in itertools.product(range(1, 4), range(1, 6), range(1, 4)):
         canonical = (v[1], v[0], v[2])
-        assert document_vertex_label(doc, v) == total.vertex_label(canonical)
-    assert document_edge_label(doc, (2, 4, 1), 2) == total.edge_label(EdgeId((4, 2, 1), 1))
-    assert document_edge_label(doc, (2, 4, 1), 1) == total.edge_label(EdgeId((4, 2, 1), 2))
-    assert document_edge_label(doc, (2, 4, 1), 3) == total.edge_label(EdgeId((4, 2, 1), 3))
+        assert document_vertex_label(doc, v) == total.vertex.label(canonical)
+    assert document_edge_label(doc, (2, 4, 1), 2) == total.edge.label(EdgeId((4, 2, 1), 1))
+    assert document_edge_label(doc, (2, 4, 1), 1) == total.edge.label(EdgeId((4, 2, 1), 2))
+    assert document_edge_label(doc, (2, 4, 1), 3) == total.edge.label(EdgeId((4, 2, 1), 3))
 
 
 def test_render_tikz2d_places_labels():
@@ -352,8 +352,8 @@ def _caller_to_canonical(doc, coord):
 def test_lookups_match_materialized_labeling(dims, kind):
     doc = generate_document(list(dims), kind)
     labeling = document_labeling(doc)
-    vertex_of = labeling.vertex_label if kind == "total" else labeling.label
-    edge_of = labeling.edge_label if kind == "total" else labeling.label
+    vertex_of = labeling.vertex.label if kind == "total" else labeling.label
+    edge_of = labeling.edge.label if kind == "total" else labeling.label
     vertices = list(itertools.product(*(range(1, n + 1) for n in dims)))
     for v in vertices:
         if kind != "edge":
@@ -527,6 +527,16 @@ def test_cli_parser_keeps_no_state_between_calls(capsys):
 def test_python_m_gridmagic_runs_without_warnings():
     run = run_fresh(["predict", "--dims", "3,2"], interpreter=("-W", "error", "-m", "gridmagic"))
     assert (run.returncode, run.stdout, run.stderr) == (0, "c_vertex=14 c_edge=16 c_total=54\n", "")
+
+
+def test_cli_help_names_the_program(capsys):
+    # without an explicit prog, argparse names the program after sys.argv[0]
+    run = run_fresh(["--help"], interpreter=("-m", "gridmagic"))
+    assert run.returncode == 0 and run.stdout.startswith("usage: gridmagic ")
+    with pytest.raises(SystemExit) as info:
+        cli(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gridmagic verify ")
 
 
 def test_cli_generate_csv_format(capsys):

@@ -10,7 +10,9 @@ from gridmagic import (
     DimensionOrderViolation,
     DimensionTooSmall,
     EdgeId,
+    EdgeLabeling,
     GridSpec,
+    SpecMismatch,
     base_edge_labeling,
     base_vertex_labeling,
     edge_labeling_from_flat,
@@ -134,3 +136,16 @@ def test_from_flat_roundtrip():
     rebuilt = edge_labeling_from_flat(spec, g.flat)
     for arr, orig in zip(rebuilt.per_axis, g.per_axis):
         assert np.array_equal(arr, orig)
+
+
+def test_edge_labeling_is_one_read_only_view_of_the_callers_buffer():
+    spec = GridSpec((4, 3))
+    a = np.arange(1, spec.edge_count + 1, dtype=np.int64)
+    g = edge_labeling_from_flat(spec, a)
+    exposed = (g.flat, *g.per_axis)
+    assert all(np.shares_memory(arr, a) for arr in exposed)
+    assert a.flags.writeable
+    assert not any(arr.flags.writeable for arr in exposed)
+    for count in (spec.edge_count - 1, spec.edge_count + 1):
+        with pytest.raises(SpecMismatch):
+            EdgeLabeling(spec, np.arange(1, count + 1))

@@ -14,6 +14,7 @@ from gridmagic import (
     EdgeId,
     GridSpec,
     SpecMismatch,
+    TotalLabeling,
     base_edge_labeling,
     base_vertex_labeling,
     build_labelings,
@@ -142,6 +143,13 @@ def test_combine_rejects_mismatched_specs():
     _, g = build_labelings(GridSpec((4, 2)))
     with pytest.raises(SpecMismatch):
         combine_supermagic(f, g)
+    with pytest.raises(SpecMismatch):
+        TotalLabeling(f, g)
+
+
+def test_combine_keeps_the_vertex_buffer():
+    f, g = build_labelings(GridSpec((4, 3, 2)))
+    assert np.shares_memory(combine_supermagic(f, g).vertex.flat, f.flat)
 
 
 def test_combine_shifts_each_cube_total_by_cube_edges_times_vertices():

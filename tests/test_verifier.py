@@ -213,8 +213,8 @@ def test_supermagic_requires_vertex_range_condition():
     # but breaks the vertex-range condition
     spec = GridSpec((3, 2))
     total = combine_supermagic(*build_labelings(spec))
-    vflat = total.vertex_flat.copy()
-    eflat = total.edge_flat.copy()
+    vflat = total.vertex.flat.copy()
+    eflat = total.edge.flat.copy()
     vi = int(np.nonzero(vflat == 1)[0][0])
     ei = int(np.nonzero(eflat == spec.vertex_count + 1)[0][0])
     vflat[vi], eflat[ei] = spec.vertex_count + 1, 1
@@ -457,7 +457,7 @@ def test_verify_batch_accepts_constructed_labelings():
     for kind, row, want in [
         ("vertex", f.flat, predicted.c_vertex),
         ("edge", g.flat, predicted.c_edge),
-        ("total", np.concatenate((total.vertex_flat, total.edge_flat)), predicted.c_total),
+        ("total", np.concatenate((total.vertex.flat, total.edge.flat)), predicted.c_total),
     ]:
         lo, hi, bijective = verify_batch(spec, kind, np.stack((row, row)))
         assert lo.tolist() == hi.tolist() == [want, want]
