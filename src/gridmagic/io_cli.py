@@ -13,8 +13,10 @@ valid JSON with the general `json` parser; both give the same document,
 or the same error, for the same input.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
-3d oblique), Graphviz dot, or a flat CSV with one row per element. The
-CLI ties it together: generate, verify, predict, search, render, cover.
+3d oblique), Graphviz dot, or a flat CSV with one row per element. CSV
+and dot are written by the same numpy table writer as `save`'s label
+lists; TikZ is written one row at a time. The CLI ties it together:
+generate, verify, predict, search, render, cover.
 Exit codes: 0 ok (and magic+bijective for verify), 1 verification or
 search refusal, 2 I/O or parse failure, 64 usage.
 """
@@ -81,9 +83,9 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _label_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
-    # the document takes ownership: an int64 array passed in is marked
-    # read-only itself, anything else is converted first
-    arr = np.ascontiguousarray(labels, dtype=np.int64)
+    # a read-only view: no copy when `labels` is already contiguous int64,
+    # and the caller's own array keeps its flags
+    arr = np.ascontiguousarray(labels, dtype=np.int64).view()
     if arr.ndim != 1:
         raise ValueError(f"labels must be one-dimensional, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -116,50 +118,92 @@ class LabelingDocument:
         )
 
 
-# --- label arrays as JSON text -------------------------------------------
+# --- label arrays as text ---------------------------------------------
 #
 # Label arrays hold up to ~1M values, so they are written and read with
 # numpy passes over all values at once, never one Python int per label.
+# Text is written as a uint8 table with one row per output line (or list
+# item): constant byte fields, digit cells and name cells side by side.
+# A cell left at 0 (a non-negative value's sign, the places left of a
+# value's first digit) is dropped by one compress, so values of any width
+# share the same columns.
 
 _INT64_DIGITS = 19  # digits of 2**63, the largest int64 magnitude
 
 
-def _json_int_list(values: np.ndarray) -> bytes:
-    """`json.dumps(values.tolist(), separators=(",", ":")).encode()` for int64.
+def _digit_width(values: np.ndarray) -> int:
+    """Cells per value: a sign cell if some value is negative, then the widest value's digits."""
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    return int(lo < 0) + len(str(max(-lo, hi)))
 
-    Every value fills one row of a uint8 table: a sign cell (only when some
-    value is negative), one cell per digit of the widest value, then a
-    comma. Cells left at 0 (a non-negative value's sign, the places left of
-    a value's first digit) are dropped by one compress.
+
+def _digit_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The uint8 cells of int64 values, right-aligned: shape values.shape + (width,).
+
+    The width is `_digit_width(values)`. When some value is negative the
+    first cell holds `-` or 0; the places left of a value's first digit
+    hold 0. `out`, if given, is filled and returned instead of a new block.
     """
-    if values.size == 0:
-        return b"[]"
-    negative = values < 0
-    signed = int(negative.any())
-    rest = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to itself, which reads 2**63
-    top = int(rest.max())
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    signed, top = int(lo < 0), max(-lo, hi)
     width = len(str(top))
+    if out is None:
+        out = np.empty((*values.shape, signed + width), np.uint8)
+    if signed:
+        np.multiply(values < 0, ord("-"), out=out[..., 0], casting="unsafe")
+    rest = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to itself, which reads 2**63
     if top < 2**32:
         rest = rest.astype(np.uint32)  # halves the cost of the digit passes
-    cells = np.empty(1 + values.size * (signed + width + 1), np.uint8)
-    cells[0] = ord("[")
-    table = cells[1:].reshape(values.size, -1)
-    if signed:
-        np.multiply(negative, ord("-"), out=table[:, 0], casting="unsafe")
-    table[:, -1] = ord(",")
-    table[-1, -1] = ord("]")
-    places = table[:, signed : signed + width]
     quotient, digit = np.empty_like(rest), np.empty_like(rest)
-    for col in range(width - 1, -1, -1):
+    for col in range(signed + width - 1, signed - 1, -1):
         np.floor_divide(rest, 10, out=quotient)  # a floor division by 10 is far cheaper than %
         np.multiply(quotient, 10, out=digit)
         np.subtract(rest, digit, out=digit)
         digit += ord("0")
-        if col < width - 1:  # the units place shows even for 0
+        if col < signed + width - 1:  # the units place shows even for 0
             digit *= rest != 0
-        places[:, col] = digit
+        out[..., col] = digit
         rest, quotient = quotient, rest
-    return cells[cells != 0].tobytes()
+    return out
+
+
+def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarray:
+    """A uint8 table with one row per index of `shape`: `fields` side by side.
+
+    A bytes field is the same in every row. A uint8 array holds cells and
+    broadcasts to `shape + (width,)`. An int64 array holds values and
+    broadcasts to `shape`; its digit cells are written straight into the
+    table.
+    """
+    cells = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
+    widths = [_digit_width(c) if c.dtype == np.int64 else c.shape[-1] for c in cells]
+    table = np.empty((*shape, sum(widths)), np.uint8)
+    col = 0
+    for c, width in zip(cells, widths):
+        if c.dtype == np.int64:
+            _digit_cells(c, out=table[..., col : col + width])
+        else:
+            table[..., col : col + width] = c
+        col += width
+    return table
+
+
+def _table_text(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarray:
+    """The text of `_cell_table(shape, *fields)`, row after row, without its 0 cells.
+
+    It comes back as a 1-d uint8 array, which `bytes.join` takes as it is.
+    """
+    table = _cell_table(shape, *fields)
+    return table[table != 0]
+
+
+def _json_int_list(values: np.ndarray) -> bytes:
+    """`json.dumps(values.tolist(), separators=(",", ":")).encode()` for int64."""
+    if values.size == 0:
+        return b"[]"
+    text = _table_text(values.shape, values, b",")
+    text[-1] = ord("]")
+    return b"".join((b"[", text))
 
 
 def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
@@ -414,6 +458,11 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
 #
 # Every renderer walks vertices in rank order and edges in enumeration
 # order, so labels pair up with the document arrays position by position.
+# CSV and dot rows are written by the digit-cell table writer above: one
+# table per row kind and edge axis, holding the vertex-name cells, the
+# label digits and the fixed punctuation. TikZ places nodes with float
+# `:g` coordinates and is written one Python f-string per row; it is meant
+# for small grids.
 
 
 def _fmt(x: float) -> str:
@@ -429,23 +478,34 @@ def _vertex_names(spec: GridSpec, head: str, sep: str) -> list[str]:
     return names
 
 
-def _edge_blocks(
-    spec: GridSpec, doc: LabelingDocument
-) -> Iterator[tuple[int, list[int], list[int], list[int] | None]]:
-    """Per axis: its edges' lower and upper endpoint ranks and their labels.
+def _vertex_name_cells(spec: GridSpec) -> np.ndarray:
+    """The cells of every vertex's name `c1,c2,...,cd` (1-based coordinates).
 
-    Axes come in ascending order (1-based), each with its edges in
-    enumeration order. An axis-a edge joins rank r to r + stride_a; the
-    labels are None for a vertex document.
+    The shape is `spec.dims + (width,)`; a short coordinate leaves 0 cells.
     """
-    ranks = np.arange(spec.vertex_count).reshape(spec.dims)
+    fields = []
+    for a, n in enumerate(spec.dims):
+        # coordinate a of every vertex: 1..n along axis a, the same along later axes
+        coords = np.arange(1, n + 1, dtype=np.int64).reshape((n,) + (1,) * (spec.dim - a - 1))
+        fields += [b",", coords]
+    return _cell_table(spec.dims, *fields[1:])
+
+
+def _axis_blocks(spec: GridSpec) -> Iterator[tuple[int, tuple[int, ...], tuple, tuple, slice]]:
+    """Per axis: its edges' shape, lower and upper endpoints, and enumeration span.
+
+    Axes come in ascending order (1-based). The endpoints are indexes of a
+    `spec.dims`-shaped array; either one gives the axis's edges in
+    enumeration order, with the edges' shape: the dims with n_a - 1 at the
+    axis.
+    """
     start = 0
     for a, n in enumerate(spec.dims):
-        lower = ranks.take(range(n - 1), axis=a).reshape(-1)
-        upper = lower + math.prod(spec.dims[a + 1 :])
-        stop = start + lower.size
-        labels = None if doc.kind == "vertex" else doc.edge_labels[start:stop].tolist()
-        yield a + 1, lower.tolist(), upper.tolist(), labels
+        shape = spec.dims[:a] + (n - 1,) + spec.dims[a + 1 :]
+        lower = (slice(None),) * a + (slice(0, n - 1),)
+        upper = (slice(None),) * a + (slice(1, n),)
+        stop = start + math.prod(shape)
+        yield a + 1, shape, lower, upper, slice(start, stop)
         start = stop
 
 
@@ -473,55 +533,53 @@ def _render_tikz(doc: LabelingDocument, style: str) -> str:
         f"  \\node ({name}) at ({_fmt(px)},{_fmt(py)}) {{{text}}};"
         for name, px, py, text in zip(names, x.tolist(), y.tolist(), texts)
     ]
-    for axis, lower, upper, labels in _edge_blocks(spec, doc):
-        if labels is None:
-            lines += [f"  \\draw ({names[a]}) -- ({names[b]});" for a, b in zip(lower, upper)]
+    ranks = np.arange(spec.vertex_count).reshape(spec.dims)
+    for axis, _, lower, upper, span in _axis_blocks(spec):
+        ends = zip(ranks[lower].reshape(-1).tolist(), ranks[upper].reshape(-1).tolist())
+        if doc.kind == "vertex":
+            lines += [f"  \\draw ({names[a]}) -- ({names[b]});" for a, b in ends]
             continue
         placement = "midway,right" if axis == spec.dim else "midway,above,sloped"
         lines += [
             f"  \\draw ({names[a]}) -- ({names[b]}) node[draw=none,{placement}] {{{label}}};"
-            for a, b, label in zip(lower, upper, labels)
+            for (a, b), label in zip(ends, doc.edge_labels[span].tolist())
         ]
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 
 
-def _render_dot(doc: LabelingDocument) -> str:
+def _render_dot(doc: LabelingDocument) -> bytes:
     spec = document_spec(doc)
-    names = _vertex_names(spec, "", ",")
-    lines = ["graph gridmagic {", "  node [shape=circle];"]
+    names = _vertex_name_cells(spec)
+    parts = [b"graph gridmagic {\n  node [shape=circle];\n"]
     if doc.kind == "edge":
-        lines += [f'  "{name}";' for name in names]
+        tail = (b'";\n',)
     else:
-        lines += [
-            f'  "{name}" [label="{label}"];'
-            for name, label in zip(names, doc.vertex_labels.tolist())
-        ]
-    for _, lower, upper, labels in _edge_blocks(spec, doc):
-        if labels is None:
-            lines += [f'  "{names[a]}" -- "{names[b]}";' for a, b in zip(lower, upper)]
+        tail = (b'" [label="', doc.vertex_labels.reshape(spec.dims), b'"];\n')
+    parts.append(_table_text(spec.dims, b'  "', names, *tail))
+    for _, shape, lower, upper, span in _axis_blocks(spec):
+        if doc.kind == "vertex":
+            tail = (b'";\n',)
         else:
-            lines += [
-                f'  "{names[a]}" -- "{names[b]}" [label="{label}"];'
-                for a, b, label in zip(lower, upper, labels)
-            ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            tail = (b'" [label="', doc.edge_labels[span].reshape(shape), b'"];\n')
+        parts.append(_table_text(shape, b'  "', names[lower], b'" -- "', names[upper], *tail))
+    parts.append(b"}\n")
+    return b"".join(parts)
 
 
-def _render_csv(doc: LabelingDocument) -> str:
+def _render_csv(doc: LabelingDocument) -> bytes:
     spec = document_spec(doc)
     header = ["kind"] + [f"x{i}" for i in range(1, spec.dim + 1)] + ["axis", "label"]
-    rows = [",".join(header)]
-    names = _vertex_names(spec, "", ",")
+    parts = [",".join(header).encode() + b"\n"]
+    names = _vertex_name_cells(spec)
     if doc.kind in ("vertex", "total"):
-        rows += [
-            f"vertex,{name},,{label}" for name, label in zip(names, doc.vertex_labels.tolist())
-        ]
+        labels = doc.vertex_labels.reshape(spec.dims)
+        parts.append(_table_text(spec.dims, b"vertex,", names, b",,", labels, b"\n"))
     if doc.kind in ("edge", "total"):
-        for axis, lower, _, labels in _edge_blocks(spec, doc):
-            rows += [f"edge,{names[r]},{axis},{label}" for r, label in zip(lower, labels)]
-    return "\n".join(rows) + "\n"
+        for axis, shape, lower, _, span in _axis_blocks(spec):
+            labels = doc.edge_labels[span].reshape(shape)
+            parts.append(_table_text(shape, b"edge,", names[lower], b",%d," % axis, labels, b"\n"))
+    return b"".join(parts)
 
 
 def render(doc: LabelingDocument, style: str) -> str:
@@ -530,9 +588,7 @@ def render(doc: LabelingDocument, style: str) -> str:
         raise UsageError(f"style must be one of {STYLES}, got {style!r}")
     if style in ("tikz2d", "tikz3d"):
         return _render_tikz(doc, style)
-    if style == "dot":
-        return _render_dot(doc)
-    return _render_csv(doc)
+    return (_render_dot(doc) if style == "dot" else _render_csv(doc)).decode()
 
 
 # --- command line ------------------------------------------------------
@@ -611,7 +667,7 @@ def _print_report(report: MagicReport, dims: tuple[int, ...]) -> None:
 
 def _cmd_generate(args) -> int:
     doc = generate_document(_parse_dims(args.dims), args.kind)
-    payload = save(doc) if args.format == "json" else render(doc, "csv").encode()
+    payload = save(doc) if args.format == "json" else _render_csv(doc)
     if args.out == "-":
         sys.stdout.write(payload.decode())
     else:

@@ -288,6 +288,14 @@ def test_loaded_label_arrays_are_read_only_int64():
     assert generate_document([4, 3], "vertex").edge_labels.dtype == np.int64
 
 
+def test_document_leaves_the_callers_array_writable():
+    vertex, edge = np.arange(1, 7, dtype=np.int64), np.arange(7, 14, dtype=np.int64)
+    doc = LabelingDocument("1", (3, 2), (1, 2), "total", vertex, edge)
+    assert vertex.flags.writeable and edge.flags.writeable
+    assert not doc.vertex_labels.flags.writeable and not doc.edge_labels.flags.writeable
+    assert np.shares_memory(doc.vertex_labels, vertex)  # a view, not a copy
+
+
 def test_document_coerces_int_sequences():
     doc = generate_document([3, 2], "vertex")
     rebuilt = LabelingDocument(

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridmagic import (
+    LabelingDocument,
     canonicalize,
     cli,
     edge_endpoints,
@@ -22,7 +25,7 @@ from gridmagic import (
     generate_document,
     render,
 )
-from gridmagic.io_cli import KINDS
+from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS
 
 
 def _fmt(x: float) -> str:
@@ -146,3 +149,48 @@ def test_tikz_matches_loop_reference_for_every_kind():
         for kind in KINDS:
             doc = generate_document(list(dims), kind)
             assert render(doc, style) == reference(doc, style)
+
+
+# Caller dims with sides up to 12, so coordinates reach two digits, kept to
+# at most 1500 vertices so that the loop references stay quick.
+wide_dims = st.lists(st.integers(2, 12), min_size=2, max_size=4).filter(
+    lambda dims: math.prod(dims) <= 1500
+)
+# Labels of every digit count and sign, the int64 ends and both sides of 2**32.
+int64_labels = st.one_of(
+    st.sampled_from([
+        0, 1, -1, 9, -10, INT64_MAX, -INT64_MAX, INT64_MIN,
+        2**32 - 1, 2**32, -(2**32) + 1, -(2**32), 10**18, -(10**18),
+    ]),
+    st.integers(-1000, 1000),
+    st.integers(INT64_MIN, INT64_MAX),
+)
+
+
+def _document(dims, kind, palette, seed):
+    """A document of `kind` whose labels are drawn from `palette` by `seed`."""
+    spec, perm = canonicalize(dims)
+    draw = np.random.default_rng(seed).choice
+    pool = np.array(palette, dtype=np.int64)
+    vertex_labels = draw(pool, spec.vertex_count) if kind != "edge" else ()
+    edge_labels = draw(pool, spec.edge_count) if kind != "vertex" else ()
+    return LabelingDocument(FORMAT_VERSION, tuple(dims), perm, kind, vertex_labels, edge_labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=wide_dims,
+    kind=st.sampled_from(KINDS),
+    palette=st.lists(int64_labels, min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=[12, 11], kind="total", palette=[INT64_MIN, 0, INT64_MAX], seed=0)
+@example(dims=[2, 12, 3, 10], kind="edge", palette=[-1, 2**32, -(2**32), 7], seed=1)
+@example(dims=[10, 3, 12], kind="vertex", palette=[-(10**18), 5, 2**32 - 1], seed=2)
+@example(dims=[3, 2], kind="total", palette=[0], seed=3)
+def test_csv_and_dot_match_loop_reference_for_wide_coordinates_and_int64_labels(
+    dims, kind, palette, seed
+):
+    doc = _document(dims, kind, palette, seed)
+    assert render(doc, "csv") == reference_csv(doc)
+    assert render(doc, "dot") == reference_dot(doc)
