@@ -59,6 +59,7 @@ from .labeling_2d import (
     EdgeLabeling,
     VertexLabeling,
     edge_labeling_from_flat,
+    frozen_labels,
     vertex_labeling_from_flat,
 )
 from .labeling_nd import (
@@ -68,10 +69,9 @@ from .labeling_nd import (
     total_labeling_from_flats,
 )
 from .oracle import DEFAULT_MAX_ASSIGNMENTS, MODES, SearchBudget, exhaustive_search
-from .verifier import MagicReport, closed_form_sums, verify_edge_magic, verify_supermagic, verify_vertex_magic
+from .verifier import KINDS, MagicReport, closed_form_sums, verify_edge_magic, verify_supermagic, verify_vertex_magic
 
 FORMAT_VERSION = "1"
-KINDS = ("vertex", "edge", "total")
 STYLES = ("tikz2d", "tikz3d", "dot", "csv")
 
 EXIT_OK = 0
@@ -80,16 +80,6 @@ EXIT_IO = 2
 EXIT_USAGE = 64
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _label_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
-    # a read-only view: no copy when `labels` is already contiguous int64,
-    # and the caller's own array keeps its flags
-    arr = np.ascontiguousarray(labels, dtype=np.int64).view()
-    if arr.ndim != 1:
-        raise ValueError(f"labels must be one-dimensional, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +94,11 @@ class LabelingDocument:
     edge_labels: np.ndarray  # read-only int64, enumeration order; empty for kind="vertex"
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_labels", _label_array(self.vertex_labels))
-        object.__setattr__(self, "edge_labels", _label_array(self.edge_labels))
+        for name in ("vertex_labels", "edge_labels"):
+            labels = frozen_labels(getattr(self, name))
+            if labels.ndim != 1:
+                raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
+            object.__setattr__(self, name, labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelingDocument):
@@ -733,14 +726,11 @@ def cli(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as e:
+    except (UsageError, DimensionTooSmall, DimensionOrderViolation, Overflow, UnsupportedDimension) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimensionTooSmall, DimensionOrderViolation, Overflow, UnsupportedDimension) as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as e:
-        print(f"refused: {e}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as e:
+        print(f"refused: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_FAIL
     except (ParseError, VersionMismatch, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)

@@ -28,9 +28,16 @@ from .errors import SpecMismatch
 from .grid_core import EdgeId, GridSpec, VertexCoord, edge_rank, vertex_rank
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    # a read-only view: no copy when `arr` is already contiguous int64, and
-    # the caller's own array keeps its flags
+def frozen_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
+    """`labels` as a read-only int64 view (no copy if already contiguous int64).
+
+    Anything but integers within int64 raises SpecMismatch instead of being
+    cast; an empty input passes whatever its dtype (``np.asarray(())`` is float64).
+    """
+    arr = np.asarray(labels)
+    kind = arr.dtype.kind if arr.size else "i"
+    if kind not in "iu" or kind == "u" and arr.max() > np.iinfo(np.int64).max:
+        raise SpecMismatch(f"labels must be integers in the int64 range, got dtype {arr.dtype}")
     out = np.ascontiguousarray(arr, dtype=np.int64).view()
     out.flags.writeable = False
     return out
@@ -49,7 +56,7 @@ class VertexLabeling:
     grid: np.ndarray  # shape == spec.dims
 
     def __post_init__(self):
-        arr = _frozen(self.grid)
+        arr = frozen_labels(self.grid)
         if arr.shape != self.spec.dims:
             raise SpecMismatch(
                 f"label array of shape {arr.shape} for a {self.spec.dims} grid"
@@ -78,7 +85,7 @@ class EdgeLabeling:
     flat: np.ndarray  # shape == (spec.edge_count,)
 
     def __post_init__(self):
-        arr = _frozen(self.flat)
+        arr = frozen_labels(self.flat)
         if arr.shape != (self.spec.edge_count,):
             raise SpecMismatch(
                 f"label array of shape {arr.shape} for a grid with {self.spec.edge_count} edges"
@@ -95,7 +102,7 @@ class EdgeLabeling:
 
 def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> VertexLabeling:
     """Rebuild a vertex labeling from labels in rank order."""
-    arr = np.asarray(flat, dtype=np.int64)
+    arr = frozen_labels(flat)
     if arr.size != spec.vertex_count:
         raise SpecMismatch(f"{arr.size} vertex labels for a grid with {spec.vertex_count}")
     return VertexLabeling(spec, arr.reshape(spec.dims))
@@ -103,7 +110,7 @@ def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) 
 
 def edge_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> EdgeLabeling:
     """Rebuild an edge labeling from labels in edge enumeration order."""
-    return EdgeLabeling(spec, np.asarray(flat, dtype=np.int64).reshape(-1))
+    return EdgeLabeling(spec, frozen_labels(flat).reshape(-1))
 
 
 def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -37,15 +37,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
-from .labeling_2d import edge_labeling_from_flat, vertex_labeling_from_flat
-from .labeling_nd import build_labelings, combine_supermagic, total_labeling_from_flats
-from .verifier import (
-    INT64_MAX,
-    verify_batch,
-    verify_edge_magic,
-    verify_supermagic,
-    verify_vertex_magic,
-)
+from .labeling_nd import build_labelings, combine_supermagic
+from .verifier import INT64_MAX, _parts, _report, verify_batch
 
 MODES = ("vertex", "edge", "supermagic")
 # the verifier's name for each mode's labelings
@@ -137,17 +130,9 @@ def _cube_edge_ranks(spec: GridSpec) -> list[tuple[int, ...]]:
     return [tuple(edge_rank(spec, e) for e in cube_edges(c)) for c in enumerate_cubes(spec)]
 
 
-def _disagreement(spec: GridSpec, mode: str, labels: list[int], magic_sum: int) -> GridMagicError:
+def _disagreement(spec: GridSpec, mode: str, labels: np.ndarray, magic_sum: int) -> GridMagicError:
     """The error for a labeling the scan found magic but the batch check did not."""
-    nv = spec.vertex_count
-    if mode == "vertex":
-        report = verify_vertex_magic(spec, vertex_labeling_from_flat(spec, labels))
-    elif mode == "edge":
-        report = verify_edge_magic(spec, edge_labeling_from_flat(spec, labels))
-    else:
-        report = verify_supermagic(
-            spec, total_labeling_from_flats(spec, labels[:nv], labels[nv:])
-        )
+    report = _report(spec, _KIND[mode], *_parts(spec, _KIND[mode], labels))
     return GridMagicError(
         f"oracle/verifier disagreement on a {mode} labeling: "
         f"scan sum {magic_sum}, verifier {report}"
@@ -191,7 +176,7 @@ class _Tally:
         lo, hi, bijective = verify_batch(self.spec, _KIND[self.mode], labels)
         bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
         if len(bad):
-            raise _disagreement(self.spec, self.mode, labels[bad[0]].tolist(), int(sums[bad[0]]))
+            raise _disagreement(self.spec, self.mode, labels[bad[0]], int(sums[bad[0]]))
         for row, magic_sum in zip(labels.tolist(), sums.tolist()):
             self.found.append((labeling_digest(row), magic_sum))
 

@@ -11,17 +11,20 @@ A unit-cube sum is a separable box filter (the summed-area idea of Crow,
 sums the 2^d vertices of every cube in d passes. Pairing each axis's
 edge array along the other d-1 axes sums the d * 2^(d-1) edges; adding
 the axis arrays as soon as their shapes agree lets later passes serve
-several axes, (d-1)(d+2)/2 passes in all. The distinct sums come from one
-sort, and bijectivity from one min/max plus a scatter into a seen-mask.
-The same min/max bound every cube sum: when max|label| times the labels
-per cube could pass 2^63 - 1, the kernels run unchanged on arrays of
-Python ints, so sums never wrap.
+several axes, (d-1)(d+2)/2 passes in all.
 
-The kernels pair over the trailing `spec.dim` axes only, so any leading
-axes are a batch: a single labeling is an array with no leading axis,
-and `verify_batch` checks a stack of m labelings, one per row, with one
-call per kernel. It returns per-row extremes and bijectivity rather than
-reports, which is what a caller re-checking many candidates needs.
+Every check runs through one core, `_scan`, over an optional vertex part
+(..., |V|) and an optional edge part (..., |E|). The kernels pair over
+the trailing `spec.dim` axes only, so the leading axes are a batch: a
+single labeling has none, and `verify_batch` checks m labelings, one per
+row, with one call per kernel. One min and one max per part bound every
+cube sum (when max|label| times the labels per cube could pass 2^63 - 1,
+the kernels run unchanged on arrays of Python ints, so sums never wrap)
+and show whether every label lies in its part's range: [1, |V|] and
+[1, |E|], or [|V|+1, |V|+|E|] behind a vertex part. Labels outside it go
+to a spare slot, and one scatter of every row into a seen-mask decides
+bijectivity: a row is a bijection when all its other slots are set.
+`verify_*` reduce the sums to a report, `verify_batch` to per-row extremes.
 
 `closed_form_sums` computes the magic sums the constructions are expected
 to attain, by pure arithmetic over the same layer recursion the builders
@@ -34,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Overflow, SpecMismatch
+from .errors import GridMagicError, Overflow, SpecMismatch
 from .grid_core import GridSpec
-from .labeling_2d import EdgeLabeling, VertexLabeling, split_edge_labels
+from .labeling_2d import EdgeLabeling, VertexLabeling, frozen_labels, split_edge_labels
 from .labeling_nd import TotalLabeling
 
 INT64_MAX = 2**63 - 1
+KINDS = ("vertex", "edge", "total")
 
 # Failure diagnostics keep at most this many distinct cube sums.
 MAX_REPORTED_SUMS = 32
@@ -134,26 +138,64 @@ def cube_edge_sums(per_axis: tuple[np.ndarray, ...], spec: GridSpec) -> np.ndarr
     return out
 
 
-def _scan_labels(flat: np.ndarray, start: int, count: int) -> tuple[bool, int]:
-    """Whether `flat` is a permutation of [start, start + count), and its max |label|."""
-    lo, hi = int(flat.min()), int(flat.max())
-    bijective = flat.size == count and (lo, hi) == (start, start + count - 1)
-    if bijective:
-        # in range and of the right size: a bijection exactly when no label repeats
-        seen = np.zeros(start + count, dtype=bool)
-        seen[flat] = True
-        bijective = bool(seen[start:].all())
-    return bijective, max(-lo, hi)
-
-
-def _exact(arrays: tuple[np.ndarray, ...], sum_bound: int) -> tuple[np.ndarray, ...]:
+def _exact(arrays: tuple[np.ndarray | None, ...], sum_bound: int) -> tuple[np.ndarray | None, ...]:
     """The label arrays, as arrays of Python ints if a cube sum could pass int64."""
     if sum_bound <= INT64_MAX:
         return arrays
-    return tuple(arr.astype(object) for arr in arrays)
+    return tuple(None if arr is None else arr.astype(object) for arr in arrays)
 
 
-def _report(kind: str, bijective: bool, sums: np.ndarray, predicted: int) -> MagicReport:
+def _scan(
+    spec: GridSpec, vertex: np.ndarray | None, edge: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cube sums (..., n_1 - 1, ..., n_d - 1) and bijectivity (...) of the given parts."""
+    batch = (edge if vertex is None else vertex).shape[:-1]
+    parts = [part.reshape(-1, part.shape[-1]) for part in (vertex, edge) if part is not None]
+    # seen[r, label] for the labels of row r, slot 0 for those out of range
+    seen = np.zeros((len(parts[0]), 1 + sum(labels.shape[1] for labels in parts)), dtype=bool)
+    magnitude, start = 0, 1
+    for labels in parts:
+        end = start + labels.shape[1] - 1
+        # the range ends as initial values also give an empty batch extremes
+        lo, hi = int(labels.min(initial=start)), int(labels.max(initial=end))
+        magnitude = max(magnitude, -lo, hi)
+        if lo < start or hi > end:
+            labels = np.where((labels >= start) & (labels <= end), labels, 0)
+        if len(labels) > 1:
+            labels = labels + np.arange(0, seen.size, seen.shape[1])[:, None]
+        seen.reshape(-1)[labels] = True
+        start = end + 1
+    bijective = seen[:, 1:].all(axis=1)
+    del seen, labels  # the mask and any label copy, freed before the kernels run
+
+    per_cube = (0 if vertex is None else 2**spec.dim) + (0 if edge is None else spec.cube_edge_count)
+    vertex, edge = _exact((vertex, edge), magnitude * per_cube)
+    sums = None
+    if vertex is not None:
+        sums = cube_vertex_sums(vertex.reshape(*batch, *spec.dims), spec)
+    if edge is not None:
+        edge_sums = cube_edge_sums(split_edge_labels(spec, edge), spec)
+        sums = edge_sums if sums is None else np.add(sums, edge_sums, out=sums)
+    return sums, bijective.reshape(batch)
+
+
+def _parts(spec: GridSpec, kind: str, rows: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    """The vertex and the edge part of (..., n) `rows` of `kind`, as views or None."""
+    if kind not in KINDS:
+        raise GridMagicError(f"kind must be one of {KINDS}, got {kind!r}")
+    nv = 0 if kind == "edge" else spec.vertex_count
+    ne = 0 if kind == "vertex" else spec.edge_count
+    if rows.shape[-1:] != (nv + ne,):
+        raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
+    return (rows[..., :nv] if nv else None), (rows[..., nv:] if ne else None)
+
+
+def _report(
+    spec: GridSpec, kind: str, vertex: np.ndarray | None, edge: np.ndarray | None
+) -> MagicReport:
+    """The report on one labeling of `kind`, given by its parts as for `_scan`."""
+    sums, bijective = _scan(spec, vertex, edge)
+    predicted = getattr(closed_form_sums(spec), f"c_{kind}")
     ordered = np.sort(sums, axis=None)
     magic = bool(ordered[0] == ordered[-1])
     # positions in sorted order where each distinct value after the first begins
@@ -162,7 +204,7 @@ def _report(kind: str, bijective: bool, sums: np.ndarray, predicted: int) -> Mag
     magic_sum = int(ordered[0]) if magic else None
     return MagicReport(
         kind=kind,
-        bijective=bijective,
+        bijective=bool(bijective),
         cube_sum_values=tuple(int(v) for v in values),
         distinct_count=1 + len(starts),
         magic=magic,
@@ -176,20 +218,14 @@ def verify_vertex_magic(spec: GridSpec, f: VertexLabeling) -> MagicReport:
     """Scan all cubes of a vertex labeling; report sums and bijectivity."""
     if f.spec != spec:
         raise SpecMismatch(f"labeling over {f.spec.dims}, expected {spec.dims}")
-    bijective, magnitude = _scan_labels(f.flat, 1, spec.vertex_count)
-    (grid,) = _exact((f.grid,), magnitude * 2**spec.dim)
-    sums = cube_vertex_sums(grid, spec)
-    return _report("vertex", bijective, sums, closed_form_sums(spec).c_vertex)
+    return _report(spec, "vertex", f.flat, None)
 
 
 def verify_edge_magic(spec: GridSpec, g: EdgeLabeling) -> MagicReport:
     """Scan all cubes of an edge labeling; report sums and bijectivity."""
     if g.spec != spec:
         raise SpecMismatch(f"labeling over {g.spec.dims}, expected {spec.dims}")
-    bijective, magnitude = _scan_labels(g.flat, 1, spec.edge_count)
-    per_axis = _exact(g.per_axis, magnitude * spec.cube_edge_count)
-    sums = cube_edge_sums(per_axis, spec)
-    return _report("edge", bijective, sums, closed_form_sums(spec).c_edge)
+    return _report(spec, "edge", None, g.flat)
 
 
 def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
@@ -201,16 +237,7 @@ def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
     """
     if total.spec != spec:
         raise SpecMismatch(f"labeling over {total.spec.dims}, expected {spec.dims}")
-    nv = spec.vertex_count
-    v_bijective, v_magnitude = _scan_labels(total.vertex.flat, 1, nv)
-    e_bijective, e_magnitude = _scan_labels(total.edge.flat, nv + 1, spec.edge_count)
-    per_cube = 2**spec.dim + spec.cube_edge_count
-    grid, *per_axis = _exact(
-        (total.vertex.grid, *total.edge.per_axis), max(v_magnitude, e_magnitude) * per_cube
-    )
-    sums = cube_vertex_sums(grid, spec)
-    sums += cube_edge_sums(tuple(per_axis), spec)
-    return _report("total", v_bijective and e_bijective, sums, closed_form_sums(spec).c_total)
+    return _report(spec, "total", total.vertex.flat, total.edge.flat)
 
 
 def verify_batch(
@@ -223,26 +250,13 @@ def verify_batch(
     minimum and the maximum cube sum (equal exactly when the row is magic)
     and whether the row is a bijection onto its kind's range; for "total"
     that is vertices onto [1, |V|] and edges onto [|V|+1, |V|+|E|], as in
-    `verify_supermagic`. Rows are reshaped, not wrapped in labelings, and
+    `verify_supermagic`. Rows are split, not wrapped in labelings, and
     each kernel the kind needs runs once for the whole batch.
     """
-    nv, ne = spec.vertex_count, spec.edge_count
-    widths = {"vertex": (nv, 0), "edge": (0, ne), "total": (nv, ne)}[kind]
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != sum(widths):
+    rows = frozen_labels(rows)
+    vertex, edge = _parts(spec, kind, rows)
+    if rows.ndim != 2:
         raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
-    m, split = len(rows), widths[0]
-    # a bijection exactly when the vertex part and the edge part, each
-    # sorted on its own, read 1, 2, ..., n across the row
-    ordered = np.hstack((np.sort(rows[:, :split]), np.sort(rows[:, split:])))
-    bijective = (ordered == np.arange(1, rows.shape[1] + 1)).all(axis=1)
-    magnitude = max(-int(rows.min()), int(rows.max())) if rows.size else 0
-    per_cube = (2**spec.dim if split else 0) + (spec.cube_edge_count if widths[1] else 0)
-    (labels,) = _exact((rows,), magnitude * per_cube)
-    parts = []
-    if split:
-        parts.append(cube_vertex_sums(labels[:, :split].reshape(m, *spec.dims), spec))
-    if widths[1]:
-        parts.append(cube_edge_sums(split_edge_labels(spec, labels[:, split:]), spec))
-    sums = sum(parts).reshape(m, spec.cube_count)
+    sums, bijective = _scan(spec, vertex, edge)
+    sums = sums.reshape(len(rows), spec.cube_count)
     return sums.min(axis=1), sums.max(axis=1), bijective

@@ -21,6 +21,7 @@ from gridmagic import (
     GridSpec,
     LabelingDocument,
     ParseError,
+    SpecMismatch,
     UnsupportedDimension,
     UsageError,
     VersionMismatch,
@@ -307,6 +308,22 @@ def test_document_coerces_int_sequences():
     assert save(rebuilt) == save(doc)
 
 
+@pytest.mark.parametrize(
+    "labels, dtype",
+    [
+        ([1.5, 6, 4, 3, 5, 2], "float64"),  # verify_document read it as MAGIC sum=14
+        (np.full(6, 2**63, dtype=np.uint64), "uint64"),
+        (["1", "2", "3", "4", "5", "6"], "<U1"),
+        ([True, False, True, False, True, False], "bool"),
+    ],
+)
+def test_document_refuses_labels_that_are_not_int64_integers(labels, dtype):
+    with pytest.raises(SpecMismatch, match=f"got dtype {dtype}$"):
+        LabelingDocument("1", (3, 2), (1, 2), "vertex", labels, ())
+    with pytest.raises(SpecMismatch, match=f"got dtype {dtype}$"):
+        LabelingDocument("1", (3, 2), (1, 2), "edge", (), [*labels, labels[0]])
+
+
 # Every JSON value that is not an integer, as an element of each integer list.
 NON_INTEGERS = ["true", "1.0", "1.5", '"3"', "null", "[1]"]
 INTEGER_LISTS = ["vertex_labels", "edge_labels", "dims", "axis_permutation"]
@@ -500,6 +517,15 @@ def test_cli_search_refuses_large_grids_promptly(dims, mode, space):
     assert run.stderr == (
         f"refused: search needs {space} candidate assignments, budget allows 100000000\n"
     )
+
+
+def test_cli_refuses_a_grid_too_large_to_allocate():
+    # 10^14 vertices, 728 TiB of labels: past any 48-bit address space, so
+    # the allocation fails at once and nothing pages in
+    run = run_fresh(["generate", "--dims", "10000000,10000000"])
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
 
 
 def test_cli_render_and_cover(tmp_path, capsys):

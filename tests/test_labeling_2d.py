@@ -13,6 +13,7 @@ from gridmagic import (
     EdgeLabeling,
     GridSpec,
     SpecMismatch,
+    VertexLabeling,
     base_edge_labeling,
     base_vertex_labeling,
     edge_labeling_from_flat,
@@ -149,3 +150,38 @@ def test_edge_labeling_is_one_read_only_view_of_the_callers_buffer():
     for count in (spec.edge_count - 1, spec.edge_count + 1):
         with pytest.raises(SpecMismatch):
             EdgeLabeling(spec, np.arange(1, count + 1))
+
+
+# Label inputs that used to be truncated, wrapped or cast instead of refused,
+# each with the dtype the refusal names.
+NON_INT64_LABELS = [
+    ([1.5, 6, 4, 3, 5, 2], "float64"),  # verified as MAGIC sum=14; the cube sums are 14.5 and 14
+    (np.array([1, 2, 3, 4, 5, 2**63], dtype=np.uint64), "uint64"),  # wrapped to -2**63
+    ([2**63] * 6, "uint64"),  # a bare OverflowError
+    ([1, 2, 3, 4, 5, 2**63], "float64"),  # int64 and uint64 elements promote to float64
+    ([1, 2, 3, 4, 5, 2**64], "object"),
+    (["1", "2", "3", "4", "5", "6"], "<U1"),
+    ([True, False, True, False, True, False], "bool"),
+]
+
+
+@pytest.mark.parametrize("labels, dtype", NON_INT64_LABELS)
+def test_labelings_refuse_labels_that_are_not_int64_integers(labels, dtype):
+    spec = GridSpec((3, 2))  # 6 vertices and 7 edges
+    edge_labels = np.concatenate((np.asarray(labels), np.asarray(labels)[:1]))
+    for build, arg in [
+        (vertex_labeling_from_flat, labels),
+        (edge_labeling_from_flat, edge_labels),
+        (VertexLabeling, np.asarray(labels).reshape(spec.dims)),
+        (EdgeLabeling, edge_labels),
+    ]:
+        with pytest.raises(SpecMismatch, match=f"got dtype {dtype}$"):
+            build(spec, arg)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_labelings_take_any_integer_dtype_within_int64(dtype):
+    spec = GridSpec((3, 2))
+    f = vertex_labeling_from_flat(spec, np.array([1, 6, 4, 3, 5, 2], dtype=dtype))
+    assert f.grid.dtype == np.int64
+    assert f.flat.tolist() == [1, 6, 4, 3, 5, 2]

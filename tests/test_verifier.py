@@ -14,6 +14,7 @@ from conftest import (
     triangular,
 )
 from gridmagic import (
+    GridMagicError,
     GridSpec,
     Overflow,
     PredictedSums,
@@ -470,3 +471,30 @@ def test_verify_batch_rejects_rows_of_the_wrong_width():
         verify_batch(spec, "vertex", np.ones((2, spec.vertex_count + 1), dtype=np.int64))
     with pytest.raises(SpecMismatch):
         verify_batch(spec, "total", np.ones(spec.vertex_count + spec.edge_count, dtype=np.int64))
+
+
+@pytest.mark.parametrize("kind", ["supermagic", "Vertex", ""])
+def test_verify_batch_names_the_kinds_it_knows(kind):
+    spec = GridSpec((3, 2))
+    rows = np.ones((1, spec.vertex_count), dtype=np.int64)
+    with pytest.raises(GridMagicError, match=r"kind must be one of \('vertex', 'edge', 'total'\)"):
+        verify_batch(spec, kind, rows)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "total"])
+def test_verify_batch_of_no_rows_is_three_empty_arrays(kind):
+    spec = GridSpec((3, 2, 2))
+    width = {"vertex": spec.vertex_count, "edge": spec.edge_count}.get(
+        kind, spec.vertex_count + spec.edge_count
+    )
+    lo, hi, bijective = verify_batch(spec, kind, np.zeros((0, width), dtype=np.int64))
+    assert lo.shape == hi.shape == bijective.shape == (0,)
+    assert bijective.dtype == bool
+
+
+def test_verify_batch_refuses_rows_that_are_not_int64_integers():
+    spec = GridSpec((3, 2))
+    with pytest.raises(SpecMismatch, match="got dtype float64$"):
+        verify_batch(spec, "vertex", np.array([[1.5, 6, 4, 3, 5, 2]]))
+    with pytest.raises(SpecMismatch, match="got dtype uint64$"):
+        verify_batch(spec, "vertex", np.full((1, 6), 2**63, dtype=np.uint64))
