@@ -1,16 +1,26 @@
 """Desk-scale ground truth by brute force.
 
 The oracle enumerates every labeling of a tiny grid (all |V|! or |E|!
-bijections, or all |V|!*|E|! pairs in supermagic mode) block by block:
-each block of up to 720 permutations is multiplied by a 0/1
-cube-incidence matrix built from the grid model, and the rows whose cube
-sums all agree are tallied into a histogram of magic sums. The verifier
-only re-checks what the scan found, with one verifier call per block:
-each labeling kept in `found` must be a bijection whose cube sums all
-equal the scan's sum, or the search raises; it never decides what the
-scan counts. The oracle shares no arithmetic with the closed-form
-predictions or the constructive labelings; membership of the constructed
-labeling in the found set is therefore independent evidence that the
+bijections, or all |V|!*|E|! pairs in supermagic mode) sums first. The
+last six positions of every permutation run through one table of all 720
+orders, so a pair of an outer row (the vertex labels in supermagic mode)
+and an inner prefix stands for 720 labelings. One float64 matrix product,
+with weights built from a 0/1 cube-incidence matrix of the grid model,
+gives the cube sums of all labelings of a block of such pairs; the
+labelings whose cube sums all agree are tallied into a histogram of magic
+sums from the sums alone. Every cube sum is an integer below 2**53, which
+each scan checks up front, so float64 holds it exactly in any summation
+order. Labelings are built only for the first FOUND_CAP magic ones, which
+go into `found`.
+
+The verifier only re-checks what the scan found, with one verifier call
+for a full scan's found list: each labeling kept in `found` must be a
+bijection whose cube sums all equal the scan's sum, or the search raises;
+it never decides what the scan counts. The oracle shares no arithmetic
+with the closed-form predictions or the constructive labelings. The scan
+counts a labeling exactly when it is a bijection onto the mode's pools
+whose incidence cube sums agree, so `confirm_construction` applies that
+test to the constructed labeling alone: independent evidence that the
 construction lands inside the feasible set.
 
 Search spaces explode fast, so `SearchBudget.max_assignments` refuses
@@ -49,13 +59,13 @@ DEFAULT_MAX_ASSIGNMENTS = 10**8
 # counts everything.
 FOUND_CAP = 1000
 
-# Precompute per-permutation edge sums in supermagic mode only below this
-# count, to bound memory.
-_PRECOMPUTE_CAP = 10**6
-
-# The exhaustive scan enumerates permutations in blocks of at most
-# _SUFFIX_LEN! rows (720), which keeps a block's arrays to tens of KB. The
-# target-sum search descends its frontier in chunks of the same size.
+# The full scan runs the last _SUFFIX_LEN positions of each permutation
+# through a table of all _SUFFIX_LEN! (720) orders at once. It takes pairs
+# of an outer row and an inner prefix in blocks of about _CHUNK_SUMS cube
+# sums (each pair row gives cubes * 720 of them), which keeps a block's
+# float64 sums near 128 KB. The target-sum search descends its frontier in
+# chunks of _BLOCK_ROWS rows.
+_CHUNK_SUMS = 2**14
 _SUFFIX_LEN = 6
 _BLOCK_ROWS = math.factorial(_SUFFIX_LEN)
 
@@ -140,45 +150,72 @@ def _disagreement(spec: GridSpec, mode: str, labels: np.ndarray, magic_sum: int)
 
 
 class _Tally:
-    """Histogram plus capped found list, with one verifier call per block.
+    """Histogram plus capped found list.
 
-    Every found labeling is re-checked independently: a block's rows under
-    `FOUND_CAP` go to `verify_batch` together, and each must be a bijection
+    Every found labeling is re-checked independently: the rows handed to
+    `keep` go to `verify_batch` together, and each must be a bijection
     whose cube sums all equal the sum the scan recorded.
     """
 
-    def __init__(self, spec: GridSpec, mode: str, member_target: tuple[int, ...] | None):
+    def __init__(self, spec: GridSpec, mode: str):
         self.spec = spec
         self.mode = mode
-        self.target = None if member_target is None else np.array(member_target, dtype=np.int64)
         self.histogram: dict[int, int] = {}
         self.found: list[tuple[str, int]] = []
-        self.target_seen = False
 
-    def record(self, head: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> None:
-        """Count the magic labelings `head + row`, one per row of `rows`.
+    @property
+    def room(self) -> int:
+        """How many more labelings `found` takes."""
+        return FOUND_CAP - len(self.found)
 
-        `rows` is (m, n) in scan order and `sums` holds their m magic sums.
-        """
-        values, counts = np.unique(sums, return_counts=True)
-        for magic_sum, count in zip(values.tolist(), counts.tolist()):
-            self.histogram[magic_sum] = self.histogram.get(magic_sum, 0) + count
-        if self.target is not None and not self.target_seen:
-            target_head, target_row = np.split(self.target, [len(head)])
-            self.target_seen = bool(
-                (head == target_head).all() and (rows == target_row).all(axis=1).any()
-            )
-        room = FOUND_CAP - len(self.found)
-        if room <= 0:
+    def count(self, sums: np.ndarray) -> None:
+        """Add magic labelings with the int64 `sums` to the histogram."""
+        if not len(sums):
             return
-        rows, sums = rows[:room], sums[:room]
-        labels = np.hstack((np.broadcast_to(head, (len(rows), len(head))), rows))
+        low = int(sums.min())
+        counts = np.bincount(sums - low)
+        for offset in np.flatnonzero(counts).tolist():
+            magic_sum = low + offset
+            self.histogram[magic_sum] = self.histogram.get(magic_sum, 0) + int(counts[offset])
+
+    def keep(self, labels: np.ndarray, sums: np.ndarray) -> None:
+        """Re-check the (m, n) labelings `labels`, m <= `room`, and add them to `found`."""
+        if not len(labels):
+            return
         lo, hi, bijective = verify_batch(self.spec, _KIND[self.mode], labels)
         bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
         if len(bad):
             raise _disagreement(self.spec, self.mode, labels[bad[0]], int(sums[bad[0]]))
         for row, magic_sum in zip(labels.tolist(), sums.tolist()):
             self.found.append((labeling_digest(row), magic_sum))
+
+    def record(self, head: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> None:
+        """Count the magic labelings `head + row`, one per row of `rows`.
+
+        `rows` is (m, n) in scan order and `sums` holds their m magic sums.
+        """
+        self.count(sums)
+        rows, sums = rows[: self.room], sums[: self.room]
+        self.keep(np.hstack((np.broadcast_to(head, (len(rows), len(head))), rows)), sums)
+
+
+def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """The mode's label pools in slot order, and the cube incidence of its slots.
+
+    A labeling lists its vertex labels, then its edge labels, in rank
+    order. Vertex and edge mode have one pool, 1..n. In supermagic mode the
+    vertices take 1..|V| and the edges |V|+1..|V|+|E|.
+    """
+    nv, ne = spec.vertex_count, spec.edge_count
+    pools, incidences = [], []
+    if mode != "edge":
+        pools.append(np.arange(1, nv + 1))
+        incidences.append(_incidence(nv, _cube_vertex_ranks(spec)))
+    if mode != "vertex":
+        first = nv + 1 if mode == "supermagic" else 1
+        pools.append(np.arange(first, first + ne))
+        incidences.append(_incidence(ne, _cube_edge_ranks(spec)))
+    return pools, np.hstack(incidences)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,24 +235,6 @@ def _index_permutations(k: int) -> np.ndarray:
     return columns
 
 
-def _permutation_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
-    """Every permutation of the sorted `values` as (B, n) int64 blocks.
-
-    Rows come in `itertools.permutations` order. Each block fixes one
-    prefix of the first n - k positions and runs the last k through the
-    lexicographic index table over the values the prefix leaves. Blocks
-    are stored column by column, so `block.T` is contiguous.
-    """
-    n = len(values)
-    k = min(n, _SUFFIX_LEN)
-    table = _index_permutations(k)
-    for prefix in itertools.permutations(range(n), n - k):
-        columns = np.empty((n, table.shape[1]), dtype=np.int64)
-        columns[: n - k] = values[list(prefix), None]
-        columns[n - k :] = np.delete(values, prefix)[table]
-        yield columns.T
-
-
 def _incidence(n: int, cubes: list[tuple[int, ...]]) -> np.ndarray:
     """0/1 matrix whose row c marks the ranks inside cube c."""
     matrix = np.zeros((len(cubes), n), dtype=np.int64)
@@ -224,48 +243,122 @@ def _incidence(n: int, cubes: list[tuple[int, ...]]) -> np.ndarray:
     return matrix
 
 
-def _summed_blocks(
-    values: np.ndarray, incidence: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Permutation blocks with their (cubes, B) cube sums."""
-    for block in _permutation_blocks(values):
-        yield block, incidence @ block.T
+def _check_float_exact(max_label: int, per_cube: int) -> None:
+    """Refuse cube sums that float64 might round.
 
-
-def _block_scan(spec: GridSpec, mode: str, tally: _Tally) -> int:
-    """Examine every assignment of the mode, one block of rows at a time.
-
-    A labeling is an outer part (the vertex labels in supermagic mode,
-    empty otherwise) followed by an inner part; its cube sums are the sum
-    of both parts' sums. Outer rows are walked one by one against every
-    inner block, so rows reach the tally in lexicographic order.
+    A cube sum of at most `per_cube` labels from 1..`max_label`, and every
+    partial sum on the way to it, is an integer of at most
+    max_label * per_cube. Below 2**53 float64 holds each exactly, so BLAS
+    sums exactly in any order and with any number of threads.
     """
-    nv, ne = spec.vertex_count, spec.edge_count
-    no_labels = (np.arange(0), np.zeros((spec.cube_count, 0), dtype=np.int64))
-    vertex = (np.arange(1, nv + 1), _incidence(nv, _cube_vertex_ranks(spec)))
-    edge_incidence = _incidence(ne, _cube_edge_ranks(spec))
-    if mode == "vertex":
-        outer, inner = no_labels, vertex
-    elif mode == "edge":
-        outer, inner = no_labels, (np.arange(1, ne + 1), edge_incidence)
-    else:
-        # edge labels are enumerated directly in their shifted range, so cube
-        # totals and digests need no correction afterwards
-        outer, inner = vertex, (np.arange(nv + 1, nv + ne + 1), edge_incidence)
+    if max_label * per_cube >= 2**53:
+        raise GridMagicError(
+            f"cube sums of up to {per_cube} labels <= {max_label} are not exact in float64"
+        )
 
-    # Keep the inner blocks only when several outer rows reuse them.
-    precompute = len(outer[0]) > 1 and math.factorial(len(inner[0])) <= _PRECOMPUTE_CAP
-    inner_blocks = list(_summed_blocks(*inner)) if precompute else None
 
+def _lex_rows(values: np.ndarray, r: int) -> np.ndarray:
+    """Each r-permutation of the sorted `values`, then the values it leaves.
+
+    One row per r-permutation, in lexicographic order; the left-over
+    values follow it in ascending order.
+    """
+    n = len(values)
+    heads = np.array(list(itertools.permutations(range(n), r)), dtype=np.intp)
+    left = np.ones((len(heads), n), dtype=bool)
+    left[np.arange(len(heads))[:, None], heads] = False
+    rest = np.nonzero(left)[1].reshape(len(heads), n - r)
+    return values[np.hstack((heads, rest))]
+
+
+def _permutation_blocks(outer: np.ndarray, inner: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Every pair of permutations of the sorted `outer` and `inner`, in blocks.
+
+    A pair row lists an outer permutation, the first n - k values of an
+    inner permutation (k = min(n, _SUFFIX_LEN)) and the k inner values left
+    over, ascending. It stands for the k! labelings whose last k labels run
+    through the columns of `_index_permutations(k)` (see `_labelings`).
+    Blocks hold at most `size` pair rows, as float64, and the rows come in
+    lexicographic order, so their labelings come in the order of
+    `itertools.product(permutations(outer), permutations(inner))`.
+    """
+    k = min(len(inner), _SUFFIX_LEN)
+    outer_rows = _lex_rows(outer, len(outer)).astype(np.float64)
+    inner_rows = _lex_rows(inner, len(inner) - k).astype(np.float64)
+    pairs = len(outer_rows) * len(inner_rows)
+    for start in range(0, pairs, size):
+        o, i = np.divmod(np.arange(start, min(start + size, pairs)), len(inner_rows))
+        yield np.hstack((outer_rows[o], inner_rows[i]))
+
+
+def _labelings(pairs: np.ndarray, k: int, perms: np.ndarray) -> np.ndarray:
+    """The int64 labelings of the (m, n) pair rows `pairs`.
+
+    Row i runs its last k values through suffix permutation `perms[i]`.
+    """
+    head = pairs.shape[1] - k
+    tails = np.take_along_axis(pairs[:, head:], _index_permutations(k).T[perms], axis=1)
+    return np.hstack((pairs[:, :head], tails)).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _suffix_slots(head: int, k: int) -> np.ndarray:
+    """(head + k, k!) table of the slot that takes pair column j under suffix permutation q.
+
+    Head columns stay in their own slot. Suffix permutation q puts left-over
+    value i into suffix slot j where `_index_permutations(k)[j, q] == i`.
+    """
+    table = _index_permutations(k)
+    head_slots = np.repeat(np.arange(head)[:, None], table.shape[1], axis=1)
+    slots = np.vstack((head_slots, head + np.argsort(table, axis=0)))
+    slots.flags.writeable = False
+    return slots
+
+
+def _suffix_weights(incidence: np.ndarray, k: int) -> np.ndarray:
+    """(slots, cubes * k!) float64 weights that turn pair rows into cube sums.
+
+    Entry (j, (c, q)) is 1 when cube c holds the slot that takes column j
+    of a pair row under suffix permutation q, so a pair row times the
+    weights lists the cube sums of its k! labelings, cube by cube.
+    """
+    cubes, slots = incidence.shape
+    cube_starts = np.arange(cubes)[:, None] * slots
+    flat = incidence.astype(np.float64).ravel()
+    return flat[cube_starts + _suffix_slots(slots - k, k)[:, None, :]].reshape(slots, -1)
+
+
+def _sum_first_scan(spec: GridSpec, mode: str, tally: _Tally) -> int:
+    """Examine every assignment of the mode, cube sums first.
+
+    The outer part is the vertex labels in supermagic mode and empty
+    otherwise. One float64 product per block of `_permutation_blocks`
+    gives the cube sums of all its labelings; labelings are built only for
+    the magic ones that go into `found`.
+    """
+    pools, incidence = _label_pools(spec, mode)
+    inner = pools[-1]
+    outer = pools[0] if len(pools) == 2 else inner[:0]
+    _check_float_exact(int(inner[-1]), int(incidence.sum(axis=1).max()))
+    k = min(len(inner), _SUFFIX_LEN)
+    weights = _suffix_weights(incidence, k)
+    cubes = len(incidence)
     examined = 0
-    for outer_block, outer_sums in _summed_blocks(*outer):
-        for outer_row, row_sums in zip(outer_block, outer_sums.T):
-            for block, block_sums in inner_blocks if precompute else _summed_blocks(*inner):
-                examined += len(block)
-                totals = block_sums + row_sums[:, None]
-                magic = (totals[1:] == totals[0]).all(axis=0)
-                if magic.any():
-                    tally.record(outer_row, block[magic], totals[0, magic])
+    room = tally.room
+    kept = []  # (pair rows, suffix permutations, sums) of the labelings for `found`
+    for block in _permutation_blocks(outer, inner, max(1, _CHUNK_SUMS // weights.shape[1])):
+        sums = (block @ weights).reshape(len(block), cubes, -1)
+        examined += sums[:, 0].size
+        magic = (sums[:, 1:] == sums[:, :1]).all(axis=1)
+        tally.count(sums[:, 0][magic].astype(np.int64))
+        if room and magic.any():
+            # flat indices run row-major, so the kept labelings stay in order
+            rows, perms = np.divmod(np.flatnonzero(magic)[:room], magic.shape[1])
+            kept.append((block[rows], perms, sums[rows, 0, perms]))
+            room -= len(rows)
+    if kept:
+        pairs, perms, magic_sums = (np.concatenate(part) for part in zip(*kept))
+        tally.keep(_labelings(pairs, k, perms), magic_sums.astype(np.int64))
     return examined
 
 
@@ -285,14 +378,8 @@ def _pruned_scan(spec: GridSpec, mode: str, target_sum: int, tally: _Tally) -> i
     """
     if not 0 < target_sum <= INT64_MAX:
         return 0  # cube sums of positive labels are positive; int64 sums stay exact
-    nv, ne = spec.vertex_count, spec.edge_count
-    if mode == "vertex":
-        incidence = _incidence(nv, _cube_vertex_ranks(spec))
-    elif mode == "edge":
-        incidence = _incidence(ne, _cube_edge_ranks(spec))
-    else:
-        vertex = _incidence(nv, _cube_vertex_ranks(spec))
-        incidence = np.hstack((vertex, _incidence(ne, _cube_edge_ranks(spec))))
+    nv = spec.vertex_count
+    _, incidence = _label_pools(spec, mode)
     slot_count = incidence.shape[1]
     # labels are 1..slot_count (label l is column l - 1 of `used`); in
     # supermagic mode 1..nv go to the vertex slots and the rest to the edges
@@ -343,26 +430,10 @@ def _pruned_scan(spec: GridSpec, mode: str, target_sum: int, tally: _Tally) -> i
     return examined
 
 
-def _run(
-    spec: GridSpec,
-    budget: SearchBudget,
-    target_sum: int | None,
-    member_target: tuple[int, ...] | None,
-) -> tuple[SearchResult, bool]:
+def _check_budget(spec: GridSpec, budget: SearchBudget) -> None:
     factorials = _factorials(spec, budget.mode)
     if _exceeds(factorials, budget.max_assignments):
         raise BudgetExceeded(factorials, budget.max_assignments)
-    tally = _Tally(spec, budget.mode, member_target)
-    if target_sum is not None:
-        examined = _pruned_scan(spec, budget.mode, target_sum, tally)
-    else:
-        examined = _block_scan(spec, budget.mode, tally)
-    result = SearchResult(
-        examined=examined,
-        found=tuple(tally.found),
-        sum_histogram=tally.histogram,
-    )
-    return result, tally.target_seen
 
 
 def exhaustive_search(
@@ -370,7 +441,12 @@ def exhaustive_search(
 ) -> SearchResult:
     """Scan every candidate labeling of the given mode.
 
-    Without `target_sum` every assignment is examined. With it, the scan
+    Without `target_sum` every assignment is examined, sums first: one
+    float64 product per block of permutation pairs gives all their cube
+    sums, exact because each scan first checks that no cube sum can reach
+    2**53 (GridMagicError otherwise). The histogram counts from the sums,
+    and only the magic labelings kept in `found` are built, each
+    re-checked by the verifier. With `target_sum`, the scan
     is a breadth-first frontier search that drops a partial assignment as
     soon as its cube sums rule the target out; it is complete for that
     sum, and `examined` counts only the finished (hence magic)
@@ -387,8 +463,15 @@ def exhaustive_search(
         isinstance(target_sum, bool) or not isinstance(target_sum, int)
     ):
         raise GridMagicError(f"target_sum must be an int, got {target_sum!r}")
-    result, _ = _run(spec, budget, target_sum, None)
-    return result
+    _check_budget(spec, budget)
+    tally = _Tally(spec, budget.mode)
+    if target_sum is None:
+        examined = _sum_first_scan(spec, budget.mode, tally)
+    else:
+        examined = _pruned_scan(spec, budget.mode, target_sum, tally)
+    return SearchResult(
+        examined=examined, found=tuple(tally.found), sum_histogram=tally.histogram
+    )
 
 
 def construction_sequence(spec: GridSpec, mode: str) -> tuple[int, ...]:
@@ -403,7 +486,24 @@ def construction_sequence(spec: GridSpec, mode: str) -> tuple[int, ...]:
 
 
 def confirm_construction(spec: GridSpec, budget: SearchBudget) -> bool:
-    """Whether the constructed labeling appears among the oracle's magic set."""
+    """Whether the constructed labeling is among the oracle's magic set.
+
+    The full scan examines every bijection onto the mode's pools (in
+    supermagic mode vertices onto 1..|V| and edges onto |V|+1..|V|+|E|)
+    and counts one as magic exactly when its cube sums by `_incidence` all
+    agree. So the answer is that test on the constructed labeling alone,
+    with no scan. The budget is checked before the labeling is built, and
+    a search the budget refuses raises BudgetExceeded as it would.
+    """
+    _check_budget(spec, budget)
     target = construction_sequence(spec, budget.mode)
-    _, seen = _run(spec, budget, None, target)
-    return seen
+    pools, incidence = _label_pools(spec, budget.mode)
+    if len(target) != incidence.shape[1]:
+        return False
+    start = 0
+    for pool in pools:
+        if sorted(target[start : start + len(pool)]) != pool.tolist():
+            return False
+        start += len(pool)
+    sums = incidence @ np.array(target, dtype=np.int64)
+    return bool((sums == sums[0]).all())

@@ -258,5 +258,7 @@ def verify_batch(
     if rows.ndim != 2:
         raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
     sums, bijective = _scan(spec, vertex, edge)
-    sums = sums.reshape(len(rows), spec.cube_count)
+    # numpy reduces short C-ordered rows slowly; column order is faster,
+    # copy included
+    sums = np.asfortranarray(sums.reshape(len(rows), spec.cube_count))
     return sums.min(axis=1), sums.max(axis=1), bijective

@@ -205,6 +205,40 @@ def test_oracle_and_verifier_agree_on_every_candidate():
     assert rejected == 720 - full.found_count
 
 
+def test_confirm_construction_refuses_before_building(monkeypatch):
+    def no_build(spec, mode):
+        raise AssertionError("built the labeling of a search the budget refuses")
+
+    monkeypatch.setattr("gridmagic.oracle.construction_sequence", no_build)
+    with pytest.raises(BudgetExceeded):
+        confirm_construction(GridSpec((3, 3)), SearchBudget("supermagic"))
+    with pytest.raises(BudgetExceeded):
+        confirm_construction(GridSpec((2, 2)), SearchBudget("vertex", max_assignments=23))
+
+
+@pytest.mark.parametrize(
+    "max_label, per_cube, exact",
+    [(2**53 - 1, 1, True), (2**53, 1, False), (2**51, 3, True), (2**51, 4, False)],
+)
+def test_float64_exactness_bound(max_label, per_cube, exact):
+    if exact:
+        oracle._check_float_exact(max_label, per_cube)
+    else:
+        with pytest.raises(GridMagicError, match="not exact in float64"):
+            oracle._check_float_exact(max_label, per_cube)
+
+
+def test_full_scan_checks_the_exactness_bound(monkeypatch):
+    # (3,2) supermagic: labels up to 6 + 7 = 13, and 4 vertices plus 4 edges
+    # per square
+    def refuse(max_label, per_cube):
+        raise GridMagicError(f"refused {max_label} x {per_cube}")
+
+    monkeypatch.setattr(oracle, "_check_float_exact", refuse)
+    with pytest.raises(GridMagicError, match=r"^refused 13 x 8$"):
+        exhaustive_search(GridSpec((3, 2)), SearchBudget("supermagic"))
+
+
 def test_budget_validation():
     with pytest.raises(Exception):
         SearchBudget("nonsense")
@@ -314,7 +348,7 @@ def test_verifier_catches_a_scan_that_forgets_part_of_a_cube(
     ],
 )
 def test_tally_refuses_a_row_that_is_not_a_bijection(mode, head, row, magic_sum):
-    tally = oracle._Tally(GridSpec((2, 2)), mode, None)
+    tally = oracle._Tally(GridSpec((2, 2)), mode)
     with pytest.raises(GridMagicError, match=f"^oracle/verifier disagreement on a {mode} "):
         tally.record(np.array(head, dtype=np.int64), np.array([row]), np.array([magic_sum]))
 
@@ -323,7 +357,7 @@ def test_tally_reports_the_first_failing_row():
     # row 0 is a magic bijection of Grid(2,2); row 1 repeats a label, and
     # row 2 repeats one too and sums to 11
     spec = GridSpec((2, 2))
-    tally = oracle._Tally(spec, "vertex", None)
+    tally = oracle._Tally(spec, "vertex")
     rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
     with pytest.raises(GridMagicError) as info:
         tally.record(np.zeros(0, dtype=np.int64), rows, np.array([10, 10, 10]))
@@ -338,7 +372,7 @@ def test_tally_reports_the_first_failing_row():
 def test_tally_refuses_a_bijection_whose_cube_sums_differ(magic_sum):
     # labels 1..6 in rank order give Grid(3,2) the cube sums 10 and 18, so
     # recording either one matches the minimum or the maximum, not both
-    tally = oracle._Tally(GridSpec((3, 2)), "vertex", None)
+    tally = oracle._Tally(GridSpec((3, 2)), "vertex")
     rows = np.array([(1, 2, 3, 4, 5, 6)])
     with pytest.raises(GridMagicError, match=f"vertex labeling: scan sum {magic_sum}, verifier"):
         tally.record(np.zeros(0, dtype=np.int64), rows, np.array([magic_sum]))

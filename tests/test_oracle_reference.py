@@ -4,8 +4,8 @@ The full-scan references walk `itertools.permutations` one candidate at
 a time and sum each cube with Python's `sum`; the target-sum reference is
 a depth-first walk that tries one label at a time. Their examined count,
 histogram, capped found list (in order) and construction membership
-define what the oracle reports, so the block scan and the frontier
-search must reproduce them exactly.
+define what the oracle reports, so the sum-first scan, the frontier
+search and `confirm_construction` must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from gridmagic.oracle import (
     SearchResult,
     _cube_edge_ranks,
     _cube_vertex_ranks,
+    _labelings,
     _permutation_blocks,
     construction_sequence,
 )
@@ -109,17 +110,37 @@ def reference_search(spec, mode, member_target=None) -> tuple[SearchResult, bool
     return result, tally.target_seen
 
 
+@functools.cache
+def full_reference(dims, mode) -> tuple[SearchResult, bool]:
+    spec = GridSpec(dims)
+    return reference_search(spec, mode, construction_sequence(spec, mode))
+
+
 @pytest.mark.parametrize("dims, mode", REFERENCE_CASES)
 def test_block_scan_matches_reference(dims, mode):
     spec = GridSpec(dims)
     budget = SearchBudget(mode)
-    expected, seen = reference_search(spec, mode, construction_sequence(spec, mode))
+    expected, seen = full_reference(dims, mode)
     result = exhaustive_search(spec, budget)
     assert result.examined == expected.examined
     assert result.found == expected.found
     assert result.sum_histogram == expected.sum_histogram
     assert seen
     assert confirm_construction(spec, budget) == seen
+
+
+@pytest.mark.parametrize("pairs", [1, 7])
+@pytest.mark.parametrize("dims, mode", REFERENCE_CASES)
+def test_block_scan_matches_reference_across_chunks(monkeypatch, pairs, dims, mode):
+    # Blocks of 1 and 7 pair rows put block boundaries inside every case:
+    # (2,2,2) vertex crosses FOUND_CAP inside a block, and in (2,2)
+    # supermagic, whose inner part is one prefix, a block spans outer rows.
+    spec = GridSpec(dims)
+    inner = spec.vertex_count if mode == "vertex" else spec.edge_count
+    per_pair = spec.cube_count * math.factorial(min(inner, _SUFFIX_LEN))
+    monkeypatch.setattr("gridmagic.oracle._CHUNK_SUMS", pairs * per_pair)
+    result = exhaustive_search(spec, SearchBudget(mode))
+    assert result == full_reference(dims, mode)[0]
 
 
 def reference_pruned_search(spec, mode, target_sum) -> SearchResult:
@@ -233,18 +254,30 @@ def test_frontier_search_matches_reference_across_chunks(
 
 @pytest.mark.parametrize("n", range(9))
 def test_permutation_blocks_follow_itertools_order(n):
-    # around the block suffix length (6): n < 6, n == 6 and n > 6
-    values = np.arange(3, 3 + n)
-    blocks = list(_permutation_blocks(values))
-    assert all(block.dtype == np.int64 and block.shape[1] == n for block in blocks)
-    assert all(len(block) == math.factorial(min(n, _SUFFIX_LEN)) for block in blocks)
-    rows = np.concatenate(blocks)
-    assert rows.tolist() == [list(p) for p in itertools.permutations(values.tolist())]
+    # around the suffix length (6): n < 6, n == 6 and n > 6, with and
+    # without an outer part, in blocks of 1, 7 and all pair rows
+    inner = np.arange(3, 3 + n)
+    k = min(n, _SUFFIX_LEN)
+    for outer in (inner[:0], np.arange(20, 22)):
+        expected = [
+            list(head + tail)
+            for head in itertools.permutations(outer.tolist())
+            for tail in itertools.permutations(inner.tolist())
+        ]
+        for size in (1, 7, len(expected)):
+            rows = []
+            for block in _permutation_blocks(outer, inner, size):
+                assert block.dtype == np.float64 and block.shape[1] == len(outer) + n
+                assert 1 <= len(block) <= size
+                pairs = np.repeat(block, math.factorial(k), axis=0)
+                perms = np.tile(np.arange(math.factorial(k)), len(block))
+                rows += _labelings(pairs, k, perms).tolist()
+            assert rows == expected
 
 
 def test_found_cap_crossed_inside_a_block():
     # every labeling of the single 3-cube is magic, and the cap falls inside
-    # the second 720-row block
+    # a block
     result = exhaustive_search(GridSpec((2, 2, 2)), SearchBudget("vertex"))
     first = itertools.islice(itertools.permutations(range(1, 9)), FOUND_CAP)
     assert result.found == tuple((labeling_digest(p), 36) for p in first)
@@ -256,6 +289,16 @@ def test_found_cap_crossed_inside_a_block():
     [
         ((3, 2), "vertex", (1, 2, 3, 4, 5, 6)),  # cube sums 10 and 18
         ((3, 2), "edge", (1, 2, 3, 4, 5, 6, 7)),
+        # Grid(2,2) has one cube, so these sums all agree and only the pool
+        # rules them out: a duplicated label, wrong lengths, labels outside
+        # 1..4, and a joint bijection of 1..8 whose vertex part is not 1..4
+        ((2, 2), "vertex", (1, 1, 2, 3)),
+        ((2, 2), "edge", (1, 2, 3)),
+        ((2, 2), "vertex", (1, 2, 3, 4, 5)),
+        ((2, 2), "vertex", (1, 2, 3, 5)),
+        ((2, 2), "edge", (0, 1, 2, 3)),
+        ((2, 2), "supermagic", (1, 2, 3, 5, 4, 6, 7, 8)),
+        ((2, 2), "supermagic", (1, 2, 3, 4, 5, 6, 7, 7)),
     ],
 )
 def test_non_magic_member_target_is_not_confirmed(monkeypatch, dims, mode, target):

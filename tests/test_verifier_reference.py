@@ -282,7 +282,7 @@ def test_disagreement_text_matches_reference(dims, mode):
 def test_tally_disagreement_text_matches_reference():
     # row 1 is the first that fails: a repeated label in Grid(2,2)
     spec = GridSpec((2, 2))
-    tally = oracle._Tally(spec, "vertex", None)
+    tally = oracle._Tally(spec, "vertex")
     rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
     with pytest.raises(GridMagicError) as info:
         tally.record(np.zeros(0, dtype=np.int64), rows, np.array([10, 10, 10]))
