@@ -1,44 +1,47 @@
 """Desk-scale ground truth by brute force.
 
 The oracle enumerates every labeling of a tiny grid (all |V|! or |E|!
-bijections, or all |V|!*|E|! pairs in supermagic mode) sums first. The
-last six positions of every permutation run through one table of all 720
-orders, so a pair of an outer row (the vertex labels in supermagic mode)
-and an inner prefix stands for 720 labelings. One float64 matrix product,
-with weights built from a 0/1 cube-incidence matrix of the grid model,
-gives the cube sums of all labelings of a block of such pairs; the
-labelings whose cube sums all agree are tallied into a histogram of magic
-sums from the sums alone. Every cube sum is an integer below 2**53, which
-each scan checks up front, so float64 holds it exactly in any summation
-order. Labelings are built only for the first FOUND_CAP magic ones, which
-go into `found`.
+bijections, or all |V|!*|E|! pairs in supermagic mode) in one scan. Slots
+are filled in rank order (in supermagic mode the vertex slots, then the
+edge slots), and all partial assignments that reach a slot form one
+frontier of rows. Each row is extended by every unused label of the
+slot's pool, ascending, so the rows stay in lexicographic order; the
+frontier is descended one chunk of at most _BLOCK_ROWS rows at a time,
+which bounds memory.
+
+Without a target sum the frontier is not pruned and stops k slots short
+of the end, k being 6 or the size of the last pool if smaller. A row
+there, followed by the k labels it left over, stands for the k!
+labelings whose last k labels run through one table of all k! orders.
+With a target sum the frontier drops every row whose partial cube sums
+rule the target out, and runs to the last slot (k = 0). Either way one
+float64 matrix product, with weights built from a 0/1 cube-incidence
+matrix of the grid model, gives the cube sums of all labelings of a
+block of rows; the labelings whose cube sums all agree are tallied into
+a histogram of magic sums from the sums alone.
+Every cube sum is an integer below 2**53, which each scan checks up
+front, so float64 holds it exactly in any summation order. Labelings are
+built only for the first FOUND_CAP magic ones, which go into `found`.
 
 The verifier only re-checks what the scan found, with one verifier call
-for a full scan's found list: each labeling kept in `found` must be a
-bijection whose cube sums all equal the scan's sum, or the search raises;
-it never decides what the scan counts. The oracle shares no arithmetic
-with the closed-form predictions or the constructive labelings. The scan
-counts a labeling exactly when it is a bijection onto the mode's pools
-whose incidence cube sums agree, so `confirm_construction` applies that
-test to the constructed labeling alone: independent evidence that the
+per scan: each labeling kept in `found` must be a bijection whose cube
+sums all equal the scan's sum, or the search raises; it never decides
+what the scan counts. The oracle shares no arithmetic with the
+closed-form predictions or the constructive labelings. The scan counts a
+labeling exactly when it is a bijection onto the mode's pools whose
+incidence cube sums agree, so `confirm_construction` applies that test to
+the constructed labeling alone: independent evidence that the
 construction lands inside the feasible set.
 
 Search spaces explode fast, so `SearchBudget.max_assignments` refuses
-anything beyond desk scale up front. Supplying a target sum switches to a
-breadth-first frontier search, complete for that sum: every partial
-assignment that reaches a slot is one row of a numpy array, each row is
-extended by every unused label at once, and rows whose partial cube sums
-rule the target out are dropped. A frontier longer than _BLOCK_ROWS rows
-is descended one chunk at a time, which bounds memory and keeps the rows
-in lexicographic order. The default full scan is deliberately unpruned so
-the ground truth inherits nothing from the thing it checks.
+anything beyond desk scale up front. The full scan is deliberately
+unpruned so the ground truth inherits nothing from the thing it checks.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -60,11 +63,10 @@ DEFAULT_MAX_ASSIGNMENTS = 10**8
 FOUND_CAP = 1000
 
 # The full scan runs the last _SUFFIX_LEN positions of each permutation
-# through a table of all _SUFFIX_LEN! (720) orders at once. It takes pairs
-# of an outer row and an inner prefix in blocks of about _CHUNK_SUMS cube
-# sums (each pair row gives cubes * 720 of them), which keeps a block's
-# float64 sums near 128 KB. The target-sum search descends its frontier in
-# chunks of _BLOCK_ROWS rows.
+# through a table of all _SUFFIX_LEN! (720) orders at once. The frontier is
+# descended in chunks of _BLOCK_ROWS rows, and the cube sums of a chunk are
+# taken in blocks of about _CHUNK_SUMS (a full-scan row gives cubes * 720
+# of them), which keeps a block's float64 sums near 128 KB.
 _CHUNK_SUMS = 2**14
 _SUFFIX_LEN = 6
 _BLOCK_ROWS = math.factorial(_SUFFIX_LEN)
@@ -163,11 +165,6 @@ class _Tally:
         self.histogram: dict[int, int] = {}
         self.found: list[tuple[str, int]] = []
 
-    @property
-    def room(self) -> int:
-        """How many more labelings `found` takes."""
-        return FOUND_CAP - len(self.found)
-
     def count(self, sums: np.ndarray) -> None:
         """Add magic labelings with the int64 `sums` to the histogram."""
         if not len(sums):
@@ -179,7 +176,7 @@ class _Tally:
             self.histogram[magic_sum] = self.histogram.get(magic_sum, 0) + int(counts[offset])
 
     def keep(self, labels: np.ndarray, sums: np.ndarray) -> None:
-        """Re-check the (m, n) labelings `labels`, m <= `room`, and add them to `found`."""
+        """Re-check the (m, n) labelings `labels` and add them to `found`."""
         if not len(labels):
             return
         lo, hi, bijective = verify_batch(self.spec, _KIND[self.mode], labels)
@@ -188,15 +185,6 @@ class _Tally:
             raise _disagreement(self.spec, self.mode, labels[bad[0]], int(sums[bad[0]]))
         for row, magic_sum in zip(labels.tolist(), sums.tolist()):
             self.found.append((labeling_digest(row), magic_sum))
-
-    def record(self, head: np.ndarray, rows: np.ndarray, sums: np.ndarray) -> None:
-        """Count the magic labelings `head + row`, one per row of `rows`.
-
-        `rows` is (m, n) in scan order and `sums` holds their m magic sums.
-        """
-        self.count(sums)
-        rows, sums = rows[: self.room], sums[: self.room]
-        self.keep(np.hstack((np.broadcast_to(head, (len(rows), len(head))), rows)), sums)
 
 
 def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
@@ -257,53 +245,107 @@ def _check_float_exact(max_label: int, per_cube: int) -> None:
         )
 
 
-def _lex_rows(values: np.ndarray, r: int) -> np.ndarray:
-    """Each r-permutation of the sorted `values`, then the values it leaves.
+def _plans(incidence: np.ndarray, target_sum: int) -> list[tuple[np.ndarray, ...]]:
+    """Per slot, what a frontier row needs for the slot to reach `target_sum`.
 
-    One row per r-permutation, in lexicographic order; the left-over
-    values follow it in ascending order.
+    Each plan covers the cubes that hold the slot: the float64 incidence
+    of the slots before it, so a row's partial cube sums are
+    `prefix @ weights` (exact, as `_check_float_exact` bounds them);
+    the cap on each cube's sum once the slot is filled, which is the target
+    minus the cube's slots still open after it (labels are >= 1); and the
+    positions of the cubes the slot closes, whose sums must hit the cap.
+    A row may then take the labels from the largest slack (cap minus
+    partial sum) of a closed cube up to the smallest slack of any cube.
     """
-    n = len(values)
-    heads = np.array(list(itertools.permutations(range(n), r)), dtype=np.intp)
-    left = np.ones((len(heads), n), dtype=bool)
-    left[np.arange(len(heads))[:, None], heads] = False
-    rest = np.nonzero(left)[1].reshape(len(heads), n - r)
-    return values[np.hstack((heads, rest))]
+    remaining = incidence.sum(axis=1, keepdims=True) - incidence.cumsum(axis=1)
+    plans = []
+    for slot in range(incidence.shape[1]):
+        cubes = np.flatnonzero(incidence[:, slot])
+        left = remaining[cubes, slot]
+        weights = incidence[cubes, :slot].T.astype(np.float64)
+        plans.append((weights, target_sum - left, np.flatnonzero(left == 0)))
+    return plans
 
 
-def _permutation_blocks(outer: np.ndarray, inner: np.ndarray, size: int) -> Iterator[np.ndarray]:
-    """Every pair of permutations of the sorted `outer` and `inner`, in blocks.
+def _extensions(
+    prefix: np.ndarray, used: np.ndarray, offset: int, pool: np.ndarray, plan: tuple | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each row of `prefix` followed by each label of `pool` it may take, in chunks.
 
-    A pair row lists an outer permutation, the first n - k values of an
-    inner permutation (k = min(n, _SUFFIX_LEN)) and the k inner values left
-    over, ascending. It stands for the k! labelings whose last k labels run
-    through the columns of `_index_permutations(k)` (see `_labelings`).
-    Blocks hold at most `size` pair rows, as float64, and the rows come in
-    lexicographic order, so their labelings come in the order of
-    `itertools.product(permutations(outer), permutations(inner))`.
+    `used[:, offset + i]` marks the rows that hold `pool[i]` already, and a
+    `plan` from `_plans` drops the labels that rule the target out. Chunks
+    of at most _BLOCK_ROWS rows come in lexicographic order, each with the
+    `used` marks of its rows.
     """
-    k = min(len(inner), _SUFFIX_LEN)
-    outer_rows = _lex_rows(outer, len(outer)).astype(np.float64)
-    inner_rows = _lex_rows(inner, len(inner) - k).astype(np.float64)
-    pairs = len(outer_rows) * len(inner_rows)
-    for start in range(0, pairs, size):
-        o, i = np.divmod(np.arange(start, min(start + size, pairs)), len(inner_rows))
-        yield np.hstack((outer_rows[o], inner_rows[i]))
+    ok = ~used[:, offset : offset + len(pool)]  # (rows, pool): every row times every label
+    if plan is not None:
+        weights, caps, closes = plan
+        slack = caps - (prefix @ weights).astype(np.int64)
+        ok &= pool <= slack.min(axis=1, keepdims=True, initial=INT64_MAX)
+        if len(closes):
+            ok &= pool >= slack[:, closes].max(axis=1, keepdims=True)
+    # flat indices run row-major, so the rows stay in lexicographic order
+    rows, picks = np.divmod(np.flatnonzero(ok), len(pool))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        parents, picked = rows[start : start + _BLOCK_ROWS], picks[start : start + _BLOCK_ROWS]
+        chunk_used = used.take(parents, axis=0)
+        chunk_used[np.arange(len(parents)), offset + picked] = True
+        chunk = np.concatenate((prefix.take(parents, axis=0), pool.take(picked)[:, None]), axis=1)
+        yield chunk, chunk_used
 
 
-def _labelings(pairs: np.ndarray, k: int, perms: np.ndarray) -> np.ndarray:
-    """The int64 labelings of the (m, n) pair rows `pairs`.
+def _frontier(
+    pools: list[np.ndarray], k: int, plans: list[tuple] | None = None
+) -> Iterator[np.ndarray]:
+    """Every assignment of all but the last k slots that `plans` keeps, in chunks.
+
+    Slot after slot takes a label of its pool (the pools are sorted and
+    fill in turn) that the row does not hold yet. A yielded float64 row
+    lists such an assignment, then the k labels of the last pool it leaves
+    over, ascending, and stands for the k! labelings whose last k labels
+    run through the columns of `_index_permutations(k)` (see `_labelings`).
+    Chunks hold at most _BLOCK_ROWS rows, and the rows come in
+    lexicographic order, so without `plans` their labelings come in the
+    order of `itertools.product(*map(itertools.permutations, pools))`.
+
+    The frontier is a stack with one chunk generator per slot being
+    filled, so only the chunk being extended at each slot is held. No
+    generator refers back to the stack, so a scan leaves no reference
+    cycles for the garbage collector.
+    """
+    offsets = np.cumsum([0] + [len(pool) for pool in pools]).tolist()
+    slots = [(offset, pool) for offset, pool in zip(offsets, pools) for _ in pool]
+    stop = len(slots) - k
+    root = np.zeros((1, 0)), np.zeros((1, len(slots)), dtype=bool)
+    stack = [iter([root])]
+    while stack:
+        chunk = next(stack[-1], None)
+        if chunk is None:
+            stack.pop()
+            continue
+        prefix, used = chunk
+        slot = prefix.shape[1]
+        if slot < stop:
+            plan = None if plans is None else plans[slot]
+            stack.append(_extensions(prefix, used, *slots[slot], plan))
+            continue
+        left = np.nonzero(~used[:, offsets[-2] :])[1]  # row-major, so ascending per row
+        yield np.concatenate((prefix, pools[-1][left].reshape(len(prefix), k)), axis=1)
+
+
+def _labelings(rows: np.ndarray, k: int, perms: np.ndarray) -> np.ndarray:
+    """The int64 labelings of the (m, n) frontier rows `rows`.
 
     Row i runs its last k values through suffix permutation `perms[i]`.
     """
-    head = pairs.shape[1] - k
-    tails = np.take_along_axis(pairs[:, head:], _index_permutations(k).T[perms], axis=1)
-    return np.hstack((pairs[:, :head], tails)).astype(np.int64)
+    head = rows.shape[1] - k
+    tails = np.take_along_axis(rows[:, head:], _index_permutations(k).T[perms], axis=1)
+    return np.hstack((rows[:, :head], tails)).astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
 def _suffix_slots(head: int, k: int) -> np.ndarray:
-    """(head + k, k!) table of the slot that takes pair column j under suffix permutation q.
+    """(head + k, k!) table of the slot that takes row column j under suffix permutation q.
 
     Head columns stay in their own slot. Suffix permutation q puts left-over
     value i into suffix slot j where `_index_permutations(k)[j, q] == i`.
@@ -316,10 +358,10 @@ def _suffix_slots(head: int, k: int) -> np.ndarray:
 
 
 def _suffix_weights(incidence: np.ndarray, k: int) -> np.ndarray:
-    """(slots, cubes * k!) float64 weights that turn pair rows into cube sums.
+    """(slots, cubes * k!) float64 weights that turn frontier rows into cube sums.
 
     Entry (j, (c, q)) is 1 when cube c holds the slot that takes column j
-    of a pair row under suffix permutation q, so a pair row times the
+    of a frontier row under suffix permutation q, so a row times the
     weights lists the cube sums of its k! labelings, cube by cube.
     """
     cubes, slots = incidence.shape
@@ -328,106 +370,43 @@ def _suffix_weights(incidence: np.ndarray, k: int) -> np.ndarray:
     return flat[cube_starts + _suffix_slots(slots - k, k)[:, None, :]].reshape(slots, -1)
 
 
-def _sum_first_scan(spec: GridSpec, mode: str, tally: _Tally) -> int:
-    """Examine every assignment of the mode, cube sums first.
+def _scan(spec: GridSpec, mode: str, target_sum: int | None) -> SearchResult:
+    """Examine every assignment of the mode, or every one at `target_sum`, sums first.
 
-    The outer part is the vertex labels in supermagic mode and empty
-    otherwise. One float64 product per block of `_permutation_blocks`
-    gives the cube sums of all its labelings; labelings are built only for
-    the magic ones that go into `found`.
+    One float64 product per block of frontier rows gives the cube sums of
+    all their labelings; labelings are built only for the magic ones that
+    go into `found`. With a target every row reaching the product is
+    already magic at that sum (k = 0), and the same test counts it.
     """
     pools, incidence = _label_pools(spec, mode)
-    inner = pools[-1]
-    outer = pools[0] if len(pools) == 2 else inner[:0]
-    _check_float_exact(int(inner[-1]), int(incidence.sum(axis=1).max()))
-    k = min(len(inner), _SUFFIX_LEN)
+    _check_float_exact(int(pools[-1][-1]), int(incidence.sum(axis=1).max()))
+    if target_sum is None:
+        k, plans = min(len(pools[-1]), _SUFFIX_LEN), None
+    else:
+        k, plans = 0, _plans(incidence, target_sum)
     weights = _suffix_weights(incidence, k)
+    size = max(1, _CHUNK_SUMS // weights.shape[1])
     cubes = len(incidence)
+    tally = _Tally(spec, mode)
     examined = 0
-    room = tally.room
-    kept = []  # (pair rows, suffix permutations, sums) of the labelings for `found`
-    for block in _permutation_blocks(outer, inner, max(1, _CHUNK_SUMS // weights.shape[1])):
-        sums = (block @ weights).reshape(len(block), cubes, -1)
-        examined += sums[:, 0].size
-        magic = (sums[:, 1:] == sums[:, :1]).all(axis=1)
-        tally.count(sums[:, 0][magic].astype(np.int64))
-        if room and magic.any():
-            # flat indices run row-major, so the kept labelings stay in order
-            rows, perms = np.divmod(np.flatnonzero(magic)[:room], magic.shape[1])
-            kept.append((block[rows], perms, sums[rows, 0, perms]))
-            room -= len(rows)
+    room = FOUND_CAP
+    kept = []  # (rows, suffix permutations, sums) of the labelings for `found`
+    for rows in _frontier(pools, k, plans):
+        for start in range(0, len(rows), size):
+            block = rows[start : start + size]
+            sums = (block @ weights).reshape(len(block), cubes, -1)
+            examined += sums[:, 0].size
+            magic = (sums[:, 1:] == sums[:, :1]).all(axis=1)
+            tally.count(sums[:, 0][magic].astype(np.int64))
+            if room and magic.any():
+                # flat indices run row-major, so the kept labelings stay in order
+                picks, perms = np.divmod(np.flatnonzero(magic)[:room], magic.shape[1])
+                kept.append((block[picks], perms, sums[picks, 0, perms]))
+                room -= len(picks)
     if kept:
-        pairs, perms, magic_sums = (np.concatenate(part) for part in zip(*kept))
-        tally.keep(_labelings(pairs, k, perms), magic_sums.astype(np.int64))
-    return examined
-
-
-def _pruned_scan(spec: GridSpec, mode: str, target_sum: int, tally: _Tally) -> int:
-    """Examine every assignment whose cube sums all equal `target_sum`.
-
-    Slots are filled in rank order (in supermagic mode the vertex slots,
-    then the edge slots), and all partial assignments that survive up to a
-    slot form one frontier of rows. Each frontier row is extended by every
-    unused label of the slot's pool, ascending, and a candidate survives
-    when each cube it closes sums to the target and each cube it leaves
-    open can still reach it (`partial + remaining <= target`, as labels are
-    >= 1). The extended frontier is built and descended one chunk of at
-    most _BLOCK_ROWS rows at a time, in order, so finished rows reach the
-    tally in lexicographic order and a slot holds only its candidate mask
-    (at most _BLOCK_ROWS times the pool size) and one chunk.
-    """
-    if not 0 < target_sum <= INT64_MAX:
-        return 0  # cube sums of positive labels are positive; int64 sums stay exact
-    nv = spec.vertex_count
-    _, incidence = _label_pools(spec, mode)
-    slot_count = incidence.shape[1]
-    # labels are 1..slot_count (label l is column l - 1 of `used`); in
-    # supermagic mode 1..nv go to the vertex slots and the rest to the edges
-    split = nv if mode == "supermagic" else slot_count
-    pools = [(0, split)] * split + [(split, slot_count)] * (slot_count - split)
-    labels = np.arange(1, slot_count + 1)
-    # per slot: its cubes, the open ones with their caps on the partial sum
-    # (target minus the slots still to fill), and the ones it closes
-    remaining = incidence.sum(axis=1, keepdims=True) - incidence.cumsum(axis=1)
-    plans = []
-    for slot in range(slot_count):
-        cubes = np.flatnonzero(incidence[:, slot])
-        left = remaining[cubes, slot]
-        plans.append((cubes, cubes[left > 0], target_sum - left[left > 0], cubes[left == 0]))
-    head = np.zeros(0, dtype=np.int64)
-    examined = 0
-
-    def descend(slot: int, prefix: np.ndarray, sums: np.ndarray, used: np.ndarray) -> None:
-        nonlocal examined
-        (lo, hi), (cubes, open_cubes, caps, closed_cubes) = pools[slot], plans[slot]
-        values = labels[lo:hi]
-        ok = ~used[:, lo:hi]  # (rows, pool): every row times every label
-        if len(open_cubes):
-            ok &= values <= (caps - sums[:, open_cubes]).min(axis=1, keepdims=True)
-        for c in closed_cubes:
-            ok &= values == target_sum - sums[:, c, None]
-        rows, picks = np.nonzero(ok)  # row-major, so rows stay in lexicographic order
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            part = slice(start, start + _BLOCK_ROWS)
-            parents, picked = rows[part], values[picks[part]]
-            chunk = np.column_stack((prefix[parents], picked))
-            if slot + 1 == slot_count:
-                examined += len(chunk)
-                tally.record(head, chunk, np.full(len(chunk), target_sum))
-                continue
-            chunk_sums = sums[parents]
-            chunk_sums[:, cubes] += picked[:, None]
-            chunk_used = used[parents]
-            chunk_used[np.arange(len(parents)), picked - 1] = True
-            descend(slot + 1, chunk, chunk_sums, chunk_used)
-
-    descend(
-        0,
-        np.zeros((1, 0), dtype=np.int64),
-        np.zeros((1, spec.cube_count), dtype=np.int64),
-        np.zeros((1, slot_count), dtype=bool),
-    )
-    return examined
+        picked, perms, magic_sums = (np.concatenate(part) for part in zip(*kept))
+        tally.keep(_labelings(picked, k, perms), magic_sums.astype(np.int64))
+    return SearchResult(examined=examined, found=tuple(tally.found), sum_histogram=tally.histogram)
 
 
 def _check_budget(spec: GridSpec, budget: SearchBudget) -> None:
@@ -442,17 +421,16 @@ def exhaustive_search(
     """Scan every candidate labeling of the given mode.
 
     Without `target_sum` every assignment is examined, sums first: one
-    float64 product per block of permutation pairs gives all their cube
-    sums, exact because each scan first checks that no cube sum can reach
-    2**53 (GridMagicError otherwise). The histogram counts from the sums,
-    and only the magic labelings kept in `found` are built, each
-    re-checked by the verifier. With `target_sum`, the scan
-    is a breadth-first frontier search that drops a partial assignment as
-    soon as its cube sums rule the target out; it is complete for that
-    sum, and `examined` counts only the finished (hence magic)
-    assignments. The frontier is extended in chunks of at most 720 rows,
-    so memory stays small however large the space. A target that no cube
-    sum can equal (below 1 or beyond int64) gives the empty result
+    float64 product per block of frontier rows gives all their cube sums,
+    exact because each scan first checks that no cube sum can reach 2**53
+    (GridMagicError otherwise). The histogram counts from the sums, and
+    only the magic labelings kept in `found` are built, each re-checked by
+    the verifier. With `target_sum` the same scan drops a partial
+    assignment as soon as its cube sums rule the target out; it is
+    complete for that sum, and `examined` counts only the finished (hence
+    magic) assignments. The frontier is extended in chunks of at most 720
+    rows, so memory stays small however large the space. A target that no
+    cube sum can equal (below 1 or beyond int64) gives the empty result
     without a search.
 
     Raises GridMagicError when `target_sum` is not an int (bools and
@@ -464,14 +442,10 @@ def exhaustive_search(
     ):
         raise GridMagicError(f"target_sum must be an int, got {target_sum!r}")
     _check_budget(spec, budget)
-    tally = _Tally(spec, budget.mode)
-    if target_sum is None:
-        examined = _sum_first_scan(spec, budget.mode, tally)
-    else:
-        examined = _pruned_scan(spec, budget.mode, target_sum, tally)
-    return SearchResult(
-        examined=examined, found=tuple(tally.found), sum_histogram=tally.histogram
-    )
+    if target_sum is not None and not 0 < target_sum <= INT64_MAX:
+        # cube sums of positive labels are positive; int64 sums stay exact
+        return SearchResult(examined=0, found=(), sum_histogram={})
+    return _scan(spec, budget.mode, target_sum)
 
 
 def construction_sequence(spec: GridSpec, mode: str) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import math
 
@@ -230,13 +231,15 @@ def test_float64_exactness_bound(max_label, per_cube, exact):
 
 def test_full_scan_checks_the_exactness_bound(monkeypatch):
     # (3,2) supermagic: labels up to 6 + 7 = 13, and 4 vertices plus 4 edges
-    # per square
+    # per square; a target scan sums in float64 too
     def refuse(max_label, per_cube):
         raise GridMagicError(f"refused {max_label} x {per_cube}")
 
     monkeypatch.setattr(oracle, "_check_float_exact", refuse)
     with pytest.raises(GridMagicError, match=r"^refused 13 x 8$"):
         exhaustive_search(GridSpec((3, 2)), SearchBudget("supermagic"))
+    with pytest.raises(GridMagicError, match=r"^refused 13 x 8$"):
+        exhaustive_search(GridSpec((3, 2)), SearchBudget("supermagic"), target_sum=54)
 
 
 def test_budget_validation():
@@ -339,7 +342,7 @@ def test_verifier_catches_a_scan_that_forgets_part_of_a_cube(
 @pytest.mark.parametrize(
     "mode, head, row, magic_sum",
     [
-        # one cube, so min and max of the cube sums agree with the recorded sum
+        # one cube, so min and max of the cube sums agree with the kept sum
         ("vertex", (), (1, 1, 2, 3), 7),
         ("edge", (), (4, 2, 2, 1), 9),
         ("supermagic", (1, 2, 3, 4), (5, 5, 6, 7), 33),
@@ -350,7 +353,7 @@ def test_verifier_catches_a_scan_that_forgets_part_of_a_cube(
 def test_tally_refuses_a_row_that_is_not_a_bijection(mode, head, row, magic_sum):
     tally = oracle._Tally(GridSpec((2, 2)), mode)
     with pytest.raises(GridMagicError, match=f"^oracle/verifier disagreement on a {mode} "):
-        tally.record(np.array(head, dtype=np.int64), np.array([row]), np.array([magic_sum]))
+        tally.keep(np.array([head + row]), np.array([magic_sum]))
 
 
 def test_tally_reports_the_first_failing_row():
@@ -360,7 +363,7 @@ def test_tally_reports_the_first_failing_row():
     tally = oracle._Tally(spec, "vertex")
     rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
     with pytest.raises(GridMagicError) as info:
-        tally.record(np.zeros(0, dtype=np.int64), rows, np.array([10, 10, 10]))
+        tally.keep(rows, np.array([10, 10, 10]))
     report = verify_vertex_magic(spec, vertex_labeling_from_flat(spec, rows[1]))
     assert str(info.value) == (
         f"oracle/verifier disagreement on a vertex labeling: scan sum 10, verifier {report}"
@@ -371,8 +374,25 @@ def test_tally_reports_the_first_failing_row():
 @pytest.mark.parametrize("magic_sum", [10, 18])
 def test_tally_refuses_a_bijection_whose_cube_sums_differ(magic_sum):
     # labels 1..6 in rank order give Grid(3,2) the cube sums 10 and 18, so
-    # recording either one matches the minimum or the maximum, not both
+    # keeping it at either one matches the minimum or the maximum, not both
     tally = oracle._Tally(GridSpec((3, 2)), "vertex")
     rows = np.array([(1, 2, 3, 4, 5, 6)])
     with pytest.raises(GridMagicError, match=f"vertex labeling: scan sum {magic_sum}, verifier"):
-        tally.record(np.zeros(0, dtype=np.int64), rows, np.array([magic_sum]))
+        tally.keep(rows, np.array([magic_sum]))
+
+
+@pytest.mark.parametrize(
+    "mode, target_sum",
+    [("vertex", None), ("edge", None), ("supermagic", None)]
+    + [("vertex", 10), ("edge", 10), ("supermagic", 36)],
+)
+def test_scans_leave_no_reference_cycles(mode, target_sum):
+    # a scan's frontier is freed by reference counting alone, so scans run
+    # back to back do not pile up garbage for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_search(GridSpec((2, 2)), SearchBudget(mode), target_sum=target_sum)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,11 +1,12 @@
-"""The oracle's array scans against the Python loops they replaced.
+"""The oracle's one array scan against the Python loops it replaced.
 
 The full-scan references walk `itertools.permutations` one candidate at
 a time and sum each cube with Python's `sum`; the target-sum reference is
 a depth-first walk that tries one label at a time. Their examined count,
 histogram, capped found list (in order) and construction membership
-define what the oracle reports, so the sum-first scan, the frontier
-search and `confirm_construction` must reproduce them exactly.
+define what the oracle reports, so the frontier scan, with and without a
+target sum and across chunk and block boundaries, and
+`confirm_construction` must reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from gridmagic.oracle import (
     SearchResult,
     _cube_edge_ranks,
     _cube_vertex_ranks,
+    _frontier,
     _labelings,
-    _permutation_blocks,
     construction_sequence,
 )
 
@@ -140,6 +141,16 @@ def test_block_scan_matches_reference_across_chunks(monkeypatch, pairs, dims, mo
     per_pair = spec.cube_count * math.factorial(min(inner, _SUFFIX_LEN))
     monkeypatch.setattr("gridmagic.oracle._CHUNK_SUMS", pairs * per_pair)
     result = exhaustive_search(spec, SearchBudget(mode))
+    assert result == full_reference(dims, mode)[0]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("dims, mode", REFERENCE_CASES)
+def test_block_scan_matches_reference_across_frontier_chunks(monkeypatch, rows, dims, mode):
+    # frontier chunks of 1 and 7 rows, so the blocks of the sum product
+    # end at chunk ends as well as inside chunks
+    monkeypatch.setattr("gridmagic.oracle._BLOCK_ROWS", rows)
+    result = exhaustive_search(GridSpec(dims), SearchBudget(mode))
     assert result == full_reference(dims, mode)[0]
 
 
@@ -252,10 +263,25 @@ def test_frontier_search_matches_reference_across_chunks(
     assert result == pruned_reference(dims, mode, target_sum)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("dims, mode, target_sum", PRUNED_CASES)
+def test_frontier_search_matches_reference_across_sum_blocks(
+    monkeypatch, rows, dims, mode, target_sum
+):
+    # a finished row has one cube sum per cube, so these are blocks of 1
+    # and 3 rows inside the 720-row chunks; (2,2,2) vertex crosses
+    # FOUND_CAP inside a block of 3
+    spec = GridSpec(dims)
+    monkeypatch.setattr("gridmagic.oracle._CHUNK_SUMS", rows * spec.cube_count)
+    result = exhaustive_search(spec, SearchBudget(mode), target_sum=target_sum)
+    assert result == pruned_reference(dims, mode, target_sum)
+
+
 @pytest.mark.parametrize("n", range(9))
-def test_permutation_blocks_follow_itertools_order(n):
-    # around the suffix length (6): n < 6, n == 6 and n > 6, with and
-    # without an outer part, in blocks of 1, 7 and all pair rows
+def test_permutation_blocks_follow_itertools_order(monkeypatch, n):
+    # the unpruned frontier around the suffix length (6): n < 6, n == 6
+    # and n > 6, with and without an outer pool, in chunks of 1, 7 and all
+    # rows
     inner = np.arange(3, 3 + n)
     k = min(n, _SUFFIX_LEN)
     for outer in (inner[:0], np.arange(20, 22)):
@@ -265,13 +291,14 @@ def test_permutation_blocks_follow_itertools_order(n):
             for tail in itertools.permutations(inner.tolist())
         ]
         for size in (1, 7, len(expected)):
+            monkeypatch.setattr("gridmagic.oracle._BLOCK_ROWS", size)
             rows = []
-            for block in _permutation_blocks(outer, inner, size):
-                assert block.dtype == np.float64 and block.shape[1] == len(outer) + n
-                assert 1 <= len(block) <= size
-                pairs = np.repeat(block, math.factorial(k), axis=0)
-                perms = np.tile(np.arange(math.factorial(k)), len(block))
-                rows += _labelings(pairs, k, perms).tolist()
+            for chunk in _frontier([outer, inner], k):
+                assert chunk.dtype == np.float64 and chunk.shape[1] == len(outer) + n
+                assert 1 <= len(chunk) <= size
+                expanded = np.repeat(chunk, math.factorial(k), axis=0)
+                perms = np.tile(np.arange(math.factorial(k)), len(chunk))
+                rows += _labelings(expanded, k, perms).tolist()
             assert rows == expected
 
 

@@ -285,5 +285,5 @@ def test_tally_disagreement_text_matches_reference():
     tally = oracle._Tally(spec, "vertex")
     rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
     with pytest.raises(GridMagicError) as info:
-        tally.record(np.zeros(0, dtype=np.int64), rows, np.array([10, 10, 10]))
+        tally.keep(rows, np.array([10, 10, 10]))
     assert str(info.value) == str(reference_disagreement(spec, "vertex", rows[1].tolist(), 10))
