@@ -10,7 +10,7 @@ class GridMagicError(Exception):
 
 
 class DimensionTooSmall(GridMagicError):
-    """Fewer than two axes, or a side length below 2."""
+    """Fewer than two axes, or a side length below 2 or not an integer."""
 
 
 class DimensionOrderViolation(GridMagicError):

@@ -47,6 +47,19 @@ class CubeId(NamedTuple):
     corner: VertexCoord
 
 
+def _side_lengths(dims: Sequence[int]) -> tuple[int, ...]:
+    """`dims` as ints: at least two, each an integer (numpy ints included) >= 2."""
+    try:
+        sides = tuple(map(operator.index, dims))
+    except TypeError:
+        raise DimensionTooSmall(f"side lengths must be integers, got {dims!r}") from None
+    if len(sides) < 2:
+        raise DimensionTooSmall(f"need at least 2 axes, got {len(sides)}")
+    if any(n < 2 for n in sides):
+        raise DimensionTooSmall(f"every side length must be >= 2, got {sides}")
+    return sides
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Side lengths of a grid graph, in canonical non-increasing order."""
@@ -54,12 +67,8 @@ class GridSpec:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = _side_lengths(self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(dims) < 2:
-            raise DimensionTooSmall(f"need at least 2 axes, got {len(dims)}")
-        if any(n < 2 for n in dims):
-            raise DimensionTooSmall(f"every side length must be >= 2, got {dims}")
         if any(a < b for a, b in zip(dims, dims[1:])):
             raise DimensionOrderViolation(
                 f"side lengths must be non-increasing, got {dims}"
@@ -109,11 +118,7 @@ def canonicalize(dims: Sequence[int]) -> tuple[GridSpec, tuple[int, ...]]:
     caller axis ``i`` lands at canonical position ``perm[i-1]``. Equal side
     lengths keep their original relative order.
     """
-    entries = [int(n) for n in dims]
-    if len(entries) < 2:
-        raise DimensionTooSmall(f"need at least 2 axes, got {len(entries)}")
-    if any(n < 2 for n in entries):
-        raise DimensionTooSmall(f"every side length must be >= 2, got {tuple(entries)}")
+    entries = _side_lengths(dims)
     order = sorted(range(len(entries)), key=lambda i: (-entries[i], i))
     perm = [0] * len(entries)
     for canonical_pos, caller_axis in enumerate(order, start=1):

@@ -2,9 +2,11 @@
 
 Labelings travel as a single JSON document holding the caller's axis
 order, the permutation into canonical order, and the label arrays in
-canonical rank order. In memory a document keeps its labels as read-only
-int64 arrays from `generate_document` or `load` through `save`, the
-verifier, the renderers and the label lookups. Serialization is canonical
+canonical rank order. In memory a document derives its canonical `spec`
+once, refuses a permutation or part length (`part_sizes`) that `load`
+would refuse, and keeps its labels as read-only int64 arrays from
+`generate_document` or `load` through `save`, the verifier, the renderers
+and the label lookups. Serialization is canonical
 (sorted keys, compact separators, newline-terminated), so identical
 documents are identical bytes and everything downstream can be diffed.
 `save` writes the label arrays with numpy passes over all labels. `load`
@@ -13,10 +15,11 @@ valid JSON with the general `json` parser; both give the same document,
 or the same error, for the same input.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
-3d oblique), Graphviz dot, or a flat CSV with one row per element. CSV
-and dot are written by the same numpy table writer as `save`'s label
-lists; TikZ is written one row at a time. The CLI ties it together:
-generate, verify, predict, search, render, cover.
+3d oblique), Graphviz dot, or a flat CSV with one row per element. All
+three take vertex names from the same numpy table writer as `save`'s
+label lists and edges axis by axis from `split_edge_labels`; CSV and dot
+rows are written whole by that writer, TikZ one row at a time. The CLI
+ties it together: generate, verify, predict, search, render, cover.
 Exit codes: 0 ok (and magic+bijective for verify), 1 verification or
 search refusal, 2 I/O or parse failure, 64 usage.
 """
@@ -26,10 +29,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,16 +62,15 @@ from .labeling_2d import (
     VertexLabeling,
     edge_labeling_from_flat,
     frozen_labels,
+    split_edge_labels,
     vertex_labeling_from_flat,
 )
-from .labeling_nd import (
-    TotalLabeling,
-    build_labelings,
-    combine_supermagic,
-    total_labeling_from_flats,
-)
+from .labeling_nd import TotalLabeling, constructed_parts, total_labeling_from_flats
 from .oracle import DEFAULT_MAX_ASSIGNMENTS, MODES, SearchBudget, exhaustive_search
-from .verifier import KINDS, MagicReport, closed_form_sums, verify_edge_magic, verify_supermagic, verify_vertex_magic
+from .verifier import (
+    KINDS, MagicReport, closed_form_sums, part_sizes,
+    verify_edge_magic, verify_supermagic, verify_vertex_magic,
+)
 
 FORMAT_VERSION = "1"
 STYLES = ("tikz2d", "tikz3d", "dot", "csv")
@@ -84,7 +85,11 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class LabelingDocument:
-    """On-disk form of a labeling: caller axis order plus canonical arrays."""
+    """On-disk form of a labeling: caller axis order plus canonical arrays.
+
+    `spec` is derived from `dims`; a permutation or label array length that
+    `load` would refuse is refused with the same `ParseError`.
+    """
 
     format_version: str
     dims: tuple[int, ...]  # caller order
@@ -92,12 +97,19 @@ class LabelingDocument:
     kind: str
     vertex_labels: np.ndarray  # read-only int64, canonical rank order; empty for kind="edge"
     edge_labels: np.ndarray  # read-only int64, enumeration order; empty for kind="vertex"
+    spec: GridSpec = field(init=False)
 
     def __post_init__(self):
-        for name in ("vertex_labels", "edge_labels"):
+        spec, perm = canonicalize(self.dims)
+        object.__setattr__(self, "spec", spec)
+        if tuple(self.axis_permutation) != perm:
+            raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
+        for name, want in zip(("vertex_labels", "edge_labels"), part_sizes(spec, self.kind)):
             labels = frozen_labels(getattr(self, name))
             if labels.ndim != 1:
                 raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
+            if len(labels) != want:
+                raise ParseError(f"{name} length mismatch: got {len(labels)}, want {want}")
             object.__setattr__(self, name, labels)
 
     def __eq__(self, other: object) -> bool:
@@ -124,24 +136,20 @@ class LabelingDocument:
 _INT64_DIGITS = 19  # digits of 2**63, the largest int64 magnitude
 
 
-def _digit_width(values: np.ndarray) -> int:
-    """Cells per value: a sign cell if some value is negative, then the widest value's digits."""
+def _sign_and_top(values: np.ndarray) -> tuple[int, int]:
+    """1 if some value is negative, else 0, and the largest magnitude (0 for none)."""
     lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
-    return int(lo < 0) + len(str(max(-lo, hi)))
+    return int(lo < 0), max(-lo, hi)
 
 
-def _digit_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The uint8 cells of int64 values, right-aligned: shape values.shape + (width,).
+def _digit_cells(values: np.ndarray, signed: int, top: int, out: np.ndarray) -> None:
+    """Write the uint8 cells of int64 values, right-aligned, into `out`.
 
-    The width is `_digit_width(values)`. When some value is negative the
-    first cell holds `-` or 0; the places left of a value's first digit
-    hold 0. `out`, if given, is filled and returned instead of a new block.
+    `signed, top` is `_sign_and_top(values)`, and `out` has the shape
+    values.shape + (signed + len(str(top)),). When `signed` the first cell
+    holds `-` or 0; the places left of a value's first digit hold 0.
     """
-    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
-    signed, top = int(lo < 0), max(-lo, hi)
     width = len(str(top))
-    if out is None:
-        out = np.empty((*values.shape, signed + width), np.uint8)
     if signed:
         np.multiply(values < 0, ord("-"), out=out[..., 0], casting="unsafe")
     rest = np.abs(values).view(np.uint64)  # abs wraps INT64_MIN to itself, which reads 2**63
@@ -157,7 +165,6 @@ def _digit_cells(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
             digit *= rest != 0
         out[..., col] = digit
         rest, quotient = quotient, rest
-    return out
 
 
 def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarray:
@@ -169,14 +176,15 @@ def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarr
     table.
     """
     cells = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
-    widths = [_digit_width(c) if c.dtype == np.int64 else c.shape[-1] for c in cells]
+    digits = [_sign_and_top(c) if c.dtype == np.int64 else None for c in cells]
+    widths = [c.shape[-1] if d is None else d[0] + len(str(d[1])) for c, d in zip(cells, digits)]
     table = np.empty((*shape, sum(widths)), np.uint8)
     col = 0
-    for c, width in zip(cells, widths):
-        if c.dtype == np.int64:
-            _digit_cells(c, out=table[..., col : col + width])
-        else:
+    for c, d, width in zip(cells, digits, widths):
+        if d is None:
             table[..., col : col + width] = c
+        else:
+            _digit_cells(c, *d, out=table[..., col : col + width])
         col += width
     return table
 
@@ -356,7 +364,7 @@ def load(data: bytes | str) -> LabelingDocument:
         raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
     dims = tuple(_int64_array(payload["dims"], "dims").tolist())
     try:
-        spec, perm = canonicalize(dims)
+        perm = canonicalize(dims)[1]
     except GridMagicError as e:
         raise ParseError(f"bad dims {list(dims)}: {e}") from e
     if tuple(_int64_array(payload["axis_permutation"], "axis_permutation").tolist()) != perm:
@@ -366,12 +374,6 @@ def load(data: bytes | str) -> LabelingDocument:
         raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
     vertex_labels = _int64_array(payload["vertex_labels"], "vertex_labels")
     edge_labels = _int64_array(payload["edge_labels"], "edge_labels")
-    want_v = spec.vertex_count if kind in ("vertex", "total") else 0
-    want_e = spec.edge_count if kind in ("edge", "total") else 0
-    if len(vertex_labels) != want_v:
-        raise ParseError(f"vertex_labels length mismatch: got {len(vertex_labels)}, want {want_v}")
-    if len(edge_labels) != want_e:
-        raise ParseError(f"edge_labels length mismatch: got {len(edge_labels)}, want {want_e}")
     return LabelingDocument(version, dims, perm, kind, vertex_labels, edge_labels)
 
 
@@ -380,26 +382,14 @@ def generate_document(dims: Sequence[int], kind: str) -> LabelingDocument:
     if kind not in KINDS:
         raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
     spec, perm = canonicalize(dims)
-    f, g = build_labelings(spec)
-    if kind == "vertex":
-        vertex_labels, edge_labels = f.flat, ()
-    elif kind == "edge":
-        vertex_labels, edge_labels = (), g.flat
-    else:
-        total = combine_supermagic(f, g)
-        vertex_labels, edge_labels = total.vertex.flat, total.edge.flat
     return LabelingDocument(
-        FORMAT_VERSION, tuple(int(n) for n in dims), perm, kind, vertex_labels, edge_labels
+        FORMAT_VERSION, tuple(int(n) for n in dims), perm, kind, *constructed_parts(spec, kind)
     )
-
-
-def document_spec(doc: LabelingDocument) -> GridSpec:
-    return canonicalize(doc.dims)[0]
 
 
 def document_labeling(doc: LabelingDocument) -> VertexLabeling | EdgeLabeling | TotalLabeling:
     """The document's labeling over the canonical spec, as views of its arrays."""
-    spec = document_spec(doc)
+    spec = doc.spec
     if doc.kind == "vertex":
         return vertex_labeling_from_flat(spec, doc.vertex_labels)
     if doc.kind == "edge":
@@ -409,13 +399,12 @@ def document_labeling(doc: LabelingDocument) -> VertexLabeling | EdgeLabeling | 
 
 def verify_document(doc: LabelingDocument) -> MagicReport:
     """Run the verifier matching the document's kind."""
-    spec = document_spec(doc)
     labeling = document_labeling(doc)
     if doc.kind == "vertex":
-        return verify_vertex_magic(spec, labeling)
+        return verify_vertex_magic(doc.spec, labeling)
     if doc.kind == "edge":
-        return verify_edge_magic(spec, labeling)
-    return verify_supermagic(spec, labeling)
+        return verify_edge_magic(doc.spec, labeling)
+    return verify_supermagic(doc.spec, labeling)
 
 
 def _to_canonical_coord(doc: LabelingDocument, coord: Sequence[int]) -> tuple[int, ...]:
@@ -431,7 +420,7 @@ def document_vertex_label(doc: LabelingDocument, coord: Sequence[int]) -> int:
     """Label of a vertex given in the caller's axis order."""
     if doc.kind == "edge":
         raise UsageError("edge-only document carries no vertex labels")
-    rank = vertex_rank(document_spec(doc), _to_canonical_coord(doc, coord))
+    rank = vertex_rank(doc.spec, _to_canonical_coord(doc, coord))
     return int(doc.vertex_labels[rank])
 
 
@@ -443,7 +432,7 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
     axis = _index(axis, "axis")
     if not 1 <= axis <= len(doc.dims):
         raise CoordOutOfRange(f"axis {axis} not in [1, {len(doc.dims)}]")
-    rank = edge_rank(document_spec(doc), EdgeId(canonical, doc.axis_permutation[axis - 1]))
+    rank = edge_rank(doc.spec, EdgeId(canonical, doc.axis_permutation[axis - 1]))
     return int(doc.edge_labels[rank])
 
 
@@ -453,26 +442,17 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
 # order, so labels pair up with the document arrays position by position.
 # CSV and dot rows are written by the digit-cell table writer above: one
 # table per row kind and edge axis, holding the vertex-name cells, the
-# label digits and the fixed punctuation. TikZ places nodes with float
-# `:g` coordinates and is written one Python f-string per row; it is meant
-# for small grids.
+# label digits and the fixed punctuation. TikZ takes its vertex names from
+# the same writer, places nodes with float `:g` coordinates and is written
+# one Python f-string per row; it is meant for small grids.
 
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
-def _vertex_names(spec: GridSpec, head: str, sep: str) -> list[str]:
-    """`head` plus the 1-based coordinates joined by `sep`, for every vertex by rank."""
-    names = [head + str(c) for c in range(1, spec.dims[0] + 1)]
-    for n in spec.dims[1:]:
-        suffixes = [sep + str(c) for c in range(1, n + 1)]
-        names = [name + suffix for name in names for suffix in suffixes]
-    return names
-
-
-def _vertex_name_cells(spec: GridSpec) -> np.ndarray:
-    """The cells of every vertex's name `c1,c2,...,cd` (1-based coordinates).
+def _vertex_name_cells(spec: GridSpec, sep: bytes) -> np.ndarray:
+    """The cells of every vertex's name: its 1-based coordinates joined by `sep`.
 
     The shape is `spec.dims + (width,)`; a short coordinate leaves 0 cells.
     """
@@ -480,30 +460,28 @@ def _vertex_name_cells(spec: GridSpec) -> np.ndarray:
     for a, n in enumerate(spec.dims):
         # coordinate a of every vertex: 1..n along axis a, the same along later axes
         coords = np.arange(1, n + 1, dtype=np.int64).reshape((n,) + (1,) * (spec.dim - a - 1))
-        fields += [b",", coords]
+        fields += [sep, coords]
     return _cell_table(spec.dims, *fields[1:])
 
 
-def _axis_blocks(spec: GridSpec) -> Iterator[tuple[int, tuple[int, ...], tuple, tuple, slice]]:
-    """Per axis: its edges' shape, lower and upper endpoints, and enumeration span.
+def _axis_blocks(doc: LabelingDocument) -> Iterator[tuple[int, tuple, tuple, np.ndarray | None]]:
+    """Per axis, ascending and 1-based: its edges' lower and upper endpoints, and labels.
 
-    Axes come in ascending order (1-based). The endpoints are indexes of a
-    `spec.dims`-shaped array; either one gives the axis's edges in
-    enumeration order, with the edges' shape: the dims with n_a - 1 at the
-    axis.
+    The endpoints index a `doc.spec.dims`-shaped array, and either one
+    gives the axis's edges in enumeration order. The labels are the axis's
+    view from `split_edge_labels`, of the same shape; None for a vertex
+    document.
     """
-    start = 0
-    for a, n in enumerate(spec.dims):
-        shape = spec.dims[:a] + (n - 1,) + spec.dims[a + 1 :]
+    spec = doc.spec
+    per_axis = [None] * spec.dim if doc.kind == "vertex" else split_edge_labels(spec, doc.edge_labels)
+    for a, (n, labels) in enumerate(zip(spec.dims, per_axis)):
         lower = (slice(None),) * a + (slice(0, n - 1),)
         upper = (slice(None),) * a + (slice(1, n),)
-        stop = start + math.prod(shape)
-        yield a + 1, shape, lower, upper, slice(start, stop)
-        start = stop
+        yield a + 1, lower, upper, labels
 
 
 def _render_tikz(doc: LabelingDocument, style: str) -> str:
-    spec = document_spec(doc)
+    spec = doc.spec
     if style == "tikz2d" and spec.dim != 2:
         raise UnsupportedDimension(f"tikz2d needs a 2-dimensional grid, got {spec.dim}")
     if style == "tikz3d" and spec.dim != 3:
@@ -517,7 +495,8 @@ def _render_tikz(doc: LabelingDocument, style: str) -> str:
         i, j, k = coords  # oblique projection: axis 2 drawn at a slant
         x = 3.0 * (i - 1) + 1.9 * (j - 1)
         y = 3.0 * (spec.dims[2] - k) + 1.15 * (j - 1)
-    names = _vertex_names(spec, "v", "_")
+    names = _table_text(spec.dims, b"v", _vertex_name_cells(spec, b"_"), b" ")
+    names = names.tobytes().decode().split()
     texts = doc.vertex_labels.tolist() if doc.kind != "edge" else [""] * len(names)
     lines = [
         "\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]"
@@ -527,51 +506,49 @@ def _render_tikz(doc: LabelingDocument, style: str) -> str:
         for name, px, py, text in zip(names, x.tolist(), y.tolist(), texts)
     ]
     ranks = np.arange(spec.vertex_count).reshape(spec.dims)
-    for axis, _, lower, upper, span in _axis_blocks(spec):
+    for axis, lower, upper, labels in _axis_blocks(doc):
         ends = zip(ranks[lower].reshape(-1).tolist(), ranks[upper].reshape(-1).tolist())
-        if doc.kind == "vertex":
+        if labels is None:
             lines += [f"  \\draw ({names[a]}) -- ({names[b]});" for a, b in ends]
             continue
         placement = "midway,right" if axis == spec.dim else "midway,above,sloped"
         lines += [
             f"  \\draw ({names[a]}) -- ({names[b]}) node[draw=none,{placement}] {{{label}}};"
-            for (a, b), label in zip(ends, doc.edge_labels[span].tolist())
+            for (a, b), label in zip(ends, labels.reshape(-1).tolist())
         ]
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 
 
 def _render_dot(doc: LabelingDocument) -> bytes:
-    spec = document_spec(doc)
-    names = _vertex_name_cells(spec)
+    spec = doc.spec
+    names = _vertex_name_cells(spec, b",")
     parts = [b"graph gridmagic {\n  node [shape=circle];\n"]
     if doc.kind == "edge":
         tail = (b'";\n',)
     else:
         tail = (b'" [label="', doc.vertex_labels.reshape(spec.dims), b'"];\n')
     parts.append(_table_text(spec.dims, b'  "', names, *tail))
-    for _, shape, lower, upper, span in _axis_blocks(spec):
-        if doc.kind == "vertex":
-            tail = (b'";\n',)
-        else:
-            tail = (b'" [label="', doc.edge_labels[span].reshape(shape), b'"];\n')
+    for _, lower, upper, labels in _axis_blocks(doc):
+        tail = (b'";\n',) if labels is None else (b'" [label="', labels, b'"];\n')
+        shape = names[lower].shape[:-1]
         parts.append(_table_text(shape, b'  "', names[lower], b'" -- "', names[upper], *tail))
     parts.append(b"}\n")
     return b"".join(parts)
 
 
 def _render_csv(doc: LabelingDocument) -> bytes:
-    spec = document_spec(doc)
+    spec = doc.spec
     header = ["kind"] + [f"x{i}" for i in range(1, spec.dim + 1)] + ["axis", "label"]
     parts = [",".join(header).encode() + b"\n"]
-    names = _vertex_name_cells(spec)
-    if doc.kind in ("vertex", "total"):
+    names = _vertex_name_cells(spec, b",")
+    if doc.kind != "edge":
         labels = doc.vertex_labels.reshape(spec.dims)
         parts.append(_table_text(spec.dims, b"vertex,", names, b",,", labels, b"\n"))
-    if doc.kind in ("edge", "total"):
-        for axis, shape, lower, _, span in _axis_blocks(spec):
-            labels = doc.edge_labels[span].reshape(shape)
-            parts.append(_table_text(shape, b"edge,", names[lower], b",%d," % axis, labels, b"\n"))
+    for axis, lower, _, labels in _axis_blocks(doc):
+        if labels is not None:
+            fields = (b"edge,", names[lower], b",%d," % axis, labels, b"\n")
+            parts.append(_table_text(labels.shape, *fields))
     return b"".join(parts)
 
 

@@ -175,3 +175,18 @@ def total_labeling_from_flats(
 def combine_supermagic(f: VertexLabeling, g: EdgeLabeling) -> TotalLabeling:
     """Merge vertex and edge labelings, shifting edge labels above |V|."""
     return TotalLabeling(f, EdgeLabeling(g.spec, g.flat + f.spec.vertex_count))
+
+
+def constructed_parts(spec: GridSpec, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex and edge labels of the constructed `kind` labeling; a lacking part is empty.
+
+    `kind` is "vertex", "edge" or "total" (`combine_supermagic` of the two).
+    """
+    f, g = build_labelings(spec)
+    empty = np.empty(0, dtype=np.int64)
+    if kind == "vertex":
+        return f.flat, empty
+    if kind == "edge":
+        return empty, g.flat
+    total = combine_supermagic(f, g)
+    return total.vertex.flat, total.edge.flat

@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
-from .labeling_nd import build_labelings, combine_supermagic
-from .verifier import INT64_MAX, _parts, _report, verify_batch
+from .labeling_nd import constructed_parts
+from .verifier import INT64_MAX, _parts, _report, part_sizes, verify_batch
 
 MODES = ("vertex", "edge", "supermagic")
 # the verifier's name for each mode's labelings
@@ -108,8 +108,7 @@ def labeling_digest(labels: Sequence[int]) -> str:
 
 def _factorials(spec: GridSpec, mode: str) -> tuple[int, ...]:
     """The n whose n! multiply to the size of the search space."""
-    nv, ne = spec.vertex_count, spec.edge_count
-    return {"vertex": (nv,), "edge": (ne,), "supermagic": (nv, ne)}[mode]
+    return tuple(n for n in part_sizes(spec, _KIND[mode]) if n)
 
 
 def required_assignments(spec: GridSpec, mode: str) -> int:
@@ -191,17 +190,16 @@ def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarra
     """The mode's label pools in slot order, and the cube incidence of its slots.
 
     A labeling lists its vertex labels, then its edge labels, in rank
-    order. Vertex and edge mode have one pool, 1..n. In supermagic mode the
-    vertices take 1..|V| and the edges |V|+1..|V|+|E|.
+    order. With the mode's `part_sizes` nv and ne, vertices take 1..nv and
+    edges nv+1..nv+ne, so an edge labeling's edges take 1..|E|.
     """
-    nv, ne = spec.vertex_count, spec.edge_count
+    nv, ne = part_sizes(spec, _KIND[mode])
     pools, incidences = [], []
-    if mode != "edge":
+    if nv:
         pools.append(np.arange(1, nv + 1))
         incidences.append(_incidence(nv, _cube_vertex_ranks(spec)))
-    if mode != "vertex":
-        first = nv + 1 if mode == "supermagic" else 1
-        pools.append(np.arange(first, first + ne))
+    if ne:
+        pools.append(np.arange(nv + 1, nv + ne + 1))
         incidences.append(_incidence(ne, _cube_edge_ranks(spec)))
     return pools, np.hstack(incidences)
 
@@ -450,13 +448,7 @@ def exhaustive_search(
 
 def construction_sequence(spec: GridSpec, mode: str) -> tuple[int, ...]:
     """The constructed labeling as the flat label sequence the oracle uses."""
-    f, g = build_labelings(spec)
-    if mode == "vertex":
-        return tuple(f.flat.tolist())
-    if mode == "edge":
-        return tuple(g.flat.tolist())
-    total = combine_supermagic(f, g)
-    return tuple(total.vertex.flat.tolist() + total.edge.flat.tolist())
+    return tuple(np.concatenate(constructed_parts(spec, _KIND[mode])).tolist())
 
 
 def confirm_construction(spec: GridSpec, budget: SearchBudget) -> bool:

@@ -14,7 +14,8 @@ the axis arrays as soon as their shapes agree lets later passes serve
 several axes, (d-1)(d+2)/2 passes in all.
 
 Every check runs through one core, `_scan`, over an optional vertex part
-(..., |V|) and an optional edge part (..., |E|). The kernels pair over
+(..., |V|) and an optional edge part (..., |E|); `part_sizes` is the one
+table of each kind's parts and their lengths. The kernels pair over
 the trailing `spec.dim` axes only, so the leading axes are a batch: a
 single labeling has none, and `verify_batch` checks m labelings, one per
 row, with one call per kernel. One min and one max per part bound every
@@ -179,12 +180,18 @@ def _scan(
     return sums, bijective.reshape(batch)
 
 
-def _parts(spec: GridSpec, kind: str, rows: np.ndarray) -> tuple[np.ndarray | None, ...]:
-    """The vertex and the edge part of (..., n) `rows` of `kind`, as views or None."""
+def part_sizes(spec: GridSpec, kind: str) -> tuple[int, int]:
+    """The lengths of the vertex and the edge part of a `kind` labeling, 0 for a part it lacks."""
     if kind not in KINDS:
         raise GridMagicError(f"kind must be one of {KINDS}, got {kind!r}")
     nv = 0 if kind == "edge" else spec.vertex_count
     ne = 0 if kind == "vertex" else spec.edge_count
+    return nv, ne
+
+
+def _parts(spec: GridSpec, kind: str, rows: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    """The vertex and the edge part of (..., n) `rows` of `kind`, as views or None."""
+    nv, ne = part_sizes(spec, kind)
     if rows.shape[-1:] != (nv + ne,):
         raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
     return (rows[..., :nv] if nv else None), (rows[..., nv:] if ne else None)

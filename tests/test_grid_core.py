@@ -59,6 +59,18 @@ def test_canonicalize_rejects_small_input():
         canonicalize([4, 1])
 
 
+@pytest.mark.parametrize("sides", [(3.9, 2), ("3", 2.5), (3, np.float64(2)), (3, None)])
+def test_side_lengths_must_be_integers(sides):
+    # int() would have read (3.9, 2) as (3, 2) and ("3", 2.5) as (3, 2)
+    with pytest.raises(DimensionTooSmall, match="side lengths must be integers"):
+        GridSpec(sides)
+    with pytest.raises(DimensionTooSmall, match="side lengths must be integers"):
+        canonicalize(list(sides))
+    spec = GridSpec((np.int64(3), np.int32(2)))
+    assert spec.dims == (3, 2) and all(type(n) is int for n in spec.dims)
+    assert canonicalize([np.int16(2), np.int64(3)]) == (spec, (2, 1))
+
+
 def test_gridspec_rejects_noncanonical_and_overflowing():
     with pytest.raises(DimensionOrderViolation):
         GridSpec((3, 5))

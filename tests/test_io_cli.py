@@ -18,6 +18,7 @@ from conftest import load_script
 from gridmagic import (
     CoordOutOfRange,
     EdgeId,
+    GridMagicError,
     GridSpec,
     LabelingDocument,
     ParseError,
@@ -322,6 +323,29 @@ def test_document_refuses_labels_that_are_not_int64_integers(labels, dtype):
         LabelingDocument("1", (3, 2), (1, 2), "vertex", labels, ())
     with pytest.raises(SpecMismatch, match=f"got dtype {dtype}$"):
         LabelingDocument("1", (3, 2), (1, 2), "edge", (), [*labels, labels[0]])
+
+
+@pytest.mark.parametrize(
+    "perm, kind, n_v, n_e, error, text",
+    [
+        ((1, 2), "vertex", 5, 0, ParseError, "vertex_labels length mismatch: got 5, want 6"),
+        ((1, 2), "total", 6, 8, ParseError, "edge_labels length mismatch: got 8, want 7"),
+        ((1, 2), "edge", 6, 7, ParseError, "vertex_labels length mismatch: got 6, want 0"),
+        ((1, 2), "supermagic", 6, 0, GridMagicError, "kind must be one of"),
+        # verify_document read it as MAGIC, yet load(save(doc)) refused it
+        ((2, 1), "vertex", 6, 0, ParseError, r"axis_permutation inconsistent with dims, want \[1, 2\]"),
+    ],
+)
+def test_document_refuses_what_load_refuses(perm, kind, n_v, n_e, error, text):
+    vertex, edge = np.arange(1, n_v + 1), np.arange(1, n_e + 1)
+    with pytest.raises(error, match=text):
+        LabelingDocument("1", (3, 2), perm, kind, vertex, edge)
+
+
+def test_document_derives_its_spec():
+    doc = LabelingDocument("1", (2, 3), (2, 1), "vertex", np.arange(1, 7), ())
+    assert doc.spec == GridSpec((3, 2))
+    assert load(save(doc)) == doc
 
 
 # Every JSON value that is not an integer, as an element of each integer list.
