@@ -83,12 +83,18 @@ EXIT_USAGE = 64
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
+def _check_version(version: object) -> None:
+    if not isinstance(version, str) or version != FORMAT_VERSION:
+        raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabelingDocument:
     """On-disk form of a labeling: caller axis order plus canonical arrays.
 
-    `spec` is derived from `dims`; a permutation or label array length that
-    `load` would refuse is refused with the same `ParseError`.
+    `spec` is derived from `dims`, and `dims` and `axis_permutation` are
+    kept as tuples of ints. A format version, permutation or label array
+    length that `load` would refuse is refused with the same error.
     """
 
     format_version: str
@@ -100,10 +106,13 @@ class LabelingDocument:
     spec: GridSpec = field(init=False)
 
     def __post_init__(self):
+        _check_version(self.format_version)
         spec, perm = canonicalize(self.dims)
         object.__setattr__(self, "spec", spec)
         if tuple(self.axis_permutation) != perm:
             raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
+        object.__setattr__(self, "dims", tuple(spec.dims[p - 1] for p in perm))
+        object.__setattr__(self, "axis_permutation", perm)
         for name, want in zip(("vertex_labels", "edge_labels"), part_sizes(spec, self.kind)):
             labels = frozen_labels(getattr(self, name))
             if labels.ndim != 1:
@@ -360,8 +369,7 @@ def load(data: bytes | str) -> LabelingDocument:
         extra = set(payload) - expected
         raise ParseError(f"bad document keys: missing {sorted(missing)}, unknown {sorted(extra)}")
     version = payload["format_version"]
-    if not isinstance(version, str) or version != FORMAT_VERSION:
-        raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
+    _check_version(version)
     dims = tuple(_int64_array(payload["dims"], "dims").tolist())
     try:
         perm = canonicalize(dims)[1]
@@ -382,9 +390,7 @@ def generate_document(dims: Sequence[int], kind: str) -> LabelingDocument:
     if kind not in KINDS:
         raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
     spec, perm = canonicalize(dims)
-    return LabelingDocument(
-        FORMAT_VERSION, tuple(int(n) for n in dims), perm, kind, *constructed_parts(spec, kind)
-    )
+    return LabelingDocument(FORMAT_VERSION, dims, perm, kind, *constructed_parts(spec, kind))
 
 
 def document_labeling(doc: LabelingDocument) -> VertexLabeling | EdgeLabeling | TotalLabeling:

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionOrderViolation, DimensionTooSmall, SpecMismatch
+from .errors import SpecMismatch
 from .grid_core import GridSpec
 from .labeling_2d import (
     EdgeLabeling,
@@ -85,20 +85,14 @@ def _coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> 
     return out % 2
 
 
-def _extended_spec(base: GridSpec, nd: int) -> GridSpec:
-    nd = int(nd)
-    if nd < 2:
-        raise DimensionTooSmall(f"new side length must be >= 2, got {nd}")
-    if nd > base.dims[-1]:
-        raise DimensionOrderViolation(
-            f"new side length {nd} exceeds the last canonical side {base.dims[-1]}"
-        )
-    return GridSpec(base.dims + (nd,))
-
-
 def extend_vertex_labeling(base: VertexLabeling, nd: int) -> VertexLabeling:
-    """Lift a magic vertex labeling by one dimension (nd layers)."""
-    spec = _extended_spec(base.spec, nd)
+    """Lift a magic vertex labeling by one dimension (nd layers).
+
+    `GridSpec` checks `nd` as a new last side, so it must be an integer
+    from 2 up to the base's last side.
+    """
+    spec = GridSpec(base.spec.dims + (nd,))
+    nd = spec.dims[-1]
     layer_size = base.spec.vertex_count
     parity = _coord_parity(base.spec.dims)
     x = np.arange(1, nd + 1, dtype=np.int64)
@@ -118,7 +112,8 @@ def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) 
         raise SpecMismatch(
             f"vertex labeling over {base_f.spec.dims} but edge labeling over {base_g.spec.dims}"
         )
-    spec = _extended_spec(base_f.spec, nd)
+    spec = GridSpec(base_f.spec.dims + (nd,))  # checks nd as extend_vertex_labeling does
+    nd = spec.dims[-1]
     d = spec.dim
     per_layer = layer_counts(spec)
 

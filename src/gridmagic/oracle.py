@@ -13,15 +13,19 @@ Without a target sum the frontier is not pruned and stops k slots short
 of the end, k being 6 or the size of the last pool if smaller. A row
 there, followed by the k labels it left over, stands for the k!
 labelings whose last k labels run through one table of all k! orders.
-With a target sum the frontier drops every row whose partial cube sums
-rule the target out, and runs to the last slot (k = 0). Either way one
-float64 matrix product, with weights built from a 0/1 cube-incidence
-matrix of the grid model, gives the cube sums of all labelings of a
-block of rows; the labelings whose cube sums all agree are tallied into
-a histogram of magic sums from the sums alone.
+With a target sum each row carries its int64 partial cube sums, which a
+slot updates only in the cubes that hold it, and runs to the last slot
+(k = 0). A label is dropped when some cube holding the slot could no
+longer reach the target: its open slots, filled with the smallest or
+the largest labels of their pools, would overshoot or fall short.
+Either way one float64 matrix product, with weights built from a 0/1
+cube-incidence matrix of the grid model, gives the cube sums of all
+labelings of a block of rows; the labelings whose cube sums all agree
+are tallied into a histogram of magic sums from the sums alone.
 Every cube sum is an integer below 2**53, which each scan checks up
 front, so float64 holds it exactly in any summation order. Labelings are
-built only for the first FOUND_CAP magic ones, which go into `found`.
+built only for the first FOUND_CAP magic ones, which go into `found`,
+digested together from one table of their digits.
 
 The verifier only re-checks what the scan found, with one verifier call
 per scan: each labeling kept in `found` must be a bijection whose cube
@@ -64,12 +68,13 @@ FOUND_CAP = 1000
 
 # The full scan runs the last _SUFFIX_LEN positions of each permutation
 # through a table of all _SUFFIX_LEN! (720) orders at once. The frontier is
-# descended in chunks of _BLOCK_ROWS rows, and the cube sums of a chunk are
-# taken in blocks of about _CHUNK_SUMS (a full-scan row gives cubes * 720
-# of them), which keeps a block's float64 sums near 128 KB.
+# descended in chunks of at most _BLOCK_ROWS rows, which bounds the memory
+# of its stack, and the cube sums of a chunk are taken in blocks of about
+# _CHUNK_SUMS (a full-scan row gives cubes * 720 of them), which keeps a
+# block's float64 sums near 128 KB.
 _CHUNK_SUMS = 2**14
 _SUFFIX_LEN = 6
-_BLOCK_ROWS = math.factorial(_SUFFIX_LEN)
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -182,8 +187,31 @@ class _Tally:
         bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
         if len(bad):
             raise _disagreement(self.spec, self.mode, labels[bad[0]], int(sums[bad[0]]))
-        for row, magic_sum in zip(labels.tolist(), sums.tolist()):
-            self.found.append((labeling_digest(row), magic_sum))
+        self.found += zip(_digests(labels), sums.tolist())
+
+
+def _digests(labels: np.ndarray) -> list[str]:
+    """`labeling_digest` of each row of the (m, n) int64 labels, all >= 1.
+
+    Every label goes into one uint8 table as its decimal digits,
+    right-aligned behind 0 cells, and a comma. Dropping the 0 cells leaves
+    each row's comma-joined text plus a comma, row after row, and each
+    row's slice is hashed without that comma.
+    """
+    width = len(str(int(labels.max())))
+    cells = np.zeros((*labels.shape, width + 1), dtype=np.uint8)
+    cells[..., width] = ord(",")
+    rest = labels.copy()
+    for col in range(width - 1, -1, -1):
+        cells[..., col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    shown = cells != 0
+    text = memoryview(cells[shown].tobytes())
+    ends = np.cumsum(shown.sum(axis=(1, 2))).tolist()
+    return [
+        hashlib.blake2b(text[start : end - 1], digest_size=16).hexdigest()
+        for start, end in zip([0] + ends[:-1], ends)
+    ]
 
 
 def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
@@ -243,92 +271,141 @@ def _check_float_exact(max_label: int, per_cube: int) -> None:
         )
 
 
-def _plans(incidence: np.ndarray, target_sum: int) -> list[tuple[np.ndarray, ...]]:
-    """Per slot, what a frontier row needs for the slot to reach `target_sum`.
+def _plans(
+    pools: list[np.ndarray], incidence: np.ndarray, target_sum: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per slot, the cubes that hold it and the bounds that keep `target_sum` in reach.
 
-    Each plan covers the cubes that hold the slot: the float64 incidence
-    of the slots before it, so a row's partial cube sums are
-    `prefix @ weights` (exact, as `_check_float_exact` bounds them);
-    the cap on each cube's sum once the slot is filled, which is the target
-    minus the cube's slots still open after it (labels are >= 1); and the
-    positions of the cubes the slot closes, whose sums must hit the cap.
-    A row may then take the labels from the largest slack (cap minus
-    partial sum) of a closed cube up to the smallest slack of any cube.
+    Say a cube holding the slot has partial sum p and r slots still open
+    after it. Per pool, the cube's open slots of that pool take at least
+    the sum of its smallest labels and at most the sum of its largest, so
+    the slot's label must lie between target - p - (the largest fill) and
+    target - p - (the smallest); for a cube the slot closes (r = 0) both
+    are target - p. A plan holds the cubes' indices and, as (cubes, 1)
+    int64 columns, the two bounds at p = 0 counted as positions in the
+    slot's pool (a run of consecutive labels): `low`, and `high` one past
+    the last. A row may then take the positions from the largest `low - p`
+    up to, but not including, the smallest `high - p`.
     """
-    remaining = incidence.sum(axis=1, keepdims=True) - incidence.cumsum(axis=1)
+    slot_pool = np.repeat(np.arange(len(pools)), [len(pool) for pool in pools])
+    first_labels = np.array([pool[0] for pool in pools])[slot_pool]
+    low = np.tile(target_sum - first_labels, (len(incidence), 1))
+    high = low + 1
+    for index, pool in enumerate(pools):
+        own = incidence * (slot_pool == index)
+        left = own.sum(axis=1, keepdims=True) - own.cumsum(axis=1)  # open after each slot
+        smallest = np.concatenate(([0], np.cumsum(pool)))  # sum of the r smallest labels
+        low -= smallest[-1] - smallest[len(pool) - left]
+        high -= smallest[left]
     plans = []
     for slot in range(incidence.shape[1]):
         cubes = np.flatnonzero(incidence[:, slot])
-        left = remaining[cubes, slot]
-        weights = incidence[cubes, :slot].T.astype(np.float64)
-        plans.append((weights, target_sum - left, np.flatnonzero(left == 0)))
+        plans.append((cubes, low[cubes, slot, None], high[cubes, slot, None]))
     return plans
 
 
-def _extensions(
-    prefix: np.ndarray, used: np.ndarray, offset: int, pool: np.ndarray, plan: tuple | None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each row of `prefix` followed by each label of `pool` it may take, in chunks.
+@functools.lru_cache(maxsize=None)
+def _from_position(n: int) -> np.ndarray:
+    """(n + 1, n) bool table whose row a marks the positions a, ..., n - 1."""
+    table = np.arange(n) >= np.arange(n + 1)[:, None]
+    table.flags.writeable = False
+    return table
 
-    `used[:, offset + i]` marks the rows that hold `pool[i]` already, and a
-    `plan` from `_plans` drops the labels that rule the target out. Chunks
-    of at most _BLOCK_ROWS rows come in lexicographic order, each with the
-    `used` marks of its rows.
+
+def _allowed(used: np.ndarray, sums: np.ndarray, plan: tuple | None) -> np.ndarray:
+    """Flat (row, pool position) indices of the labels each row may take next.
+
+    `used` marks, per row, the pool's labels the row holds already, and a
+    `plan` drops the labels that rule the target out. Flat indices run
+    row-major, so the rows they extend stay in lexicographic order.
     """
-    ok = ~used[:, offset : offset + len(pool)]  # (rows, pool): every row times every label
+    ok = ~used  # (rows, pool): every row times every label
     if plan is not None:
-        weights, caps, closes = plan
-        slack = caps - (prefix @ weights).astype(np.int64)
-        ok &= pool <= slack.min(axis=1, keepdims=True, initial=INT64_MAX)
-        if len(closes):
-            ok &= pool >= slack[:, closes].max(axis=1, keepdims=True)
-    # flat indices run row-major, so the rows stay in lexicographic order
-    rows, picks = np.divmod(np.flatnonzero(ok), len(pool))
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        parents, picked = rows[start : start + _BLOCK_ROWS], picks[start : start + _BLOCK_ROWS]
+        cubes, low, high = plan
+        partial = sums[cubes]
+        n = used.shape[1]
+        first = np.minimum((low - partial).max(axis=0, initial=0), n)
+        end = np.maximum((high - partial).min(axis=0, initial=n), 0)
+        table = _from_position(n)
+        ok &= table.take(first, axis=0) > table.take(end, axis=0)  # first <= i < end
+    return np.flatnonzero(ok)
+
+
+def _extensions(
+    used: np.ndarray, sums: np.ndarray, offset: int, pool: np.ndarray, plan: tuple | None
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each row followed by each label of `pool` it may take, in chunks.
+
+    `used[:, offset + i]` marks the rows that hold `pool[i]` already, and
+    column i of the (cubes, rows) int64 `sums` holds row i's partial cube
+    sums. A `plan` from `_plans` drops the labels that rule the target
+    out, and the label taken is added to the sums of the cubes that hold
+    the slot. Chunks of at most _BLOCK_ROWS rows come in lexicographic
+    order, each with the `used` marks and partial cube sums of its rows,
+    the labels they took and their parent rows.
+    """
+    allowed = _allowed(used[:, offset : offset + len(pool)], sums, plan)
+    for start in range(0, len(allowed), _BLOCK_ROWS):
+        parents, picked = np.divmod(allowed[start : start + _BLOCK_ROWS], len(pool))
+        labels = pool.take(picked)
         chunk_used = used.take(parents, axis=0)
         chunk_used[np.arange(len(parents)), offset + picked] = True
-        chunk = np.concatenate((prefix.take(parents, axis=0), pool.take(picked)[:, None]), axis=1)
-        yield chunk, chunk_used
+        chunk_sums = sums.take(parents, axis=1)
+        if plan is not None:
+            chunk_sums[plan[0]] += labels
+        yield chunk_used, chunk_sums, labels, parents
 
 
 def _frontier(
-    pools: list[np.ndarray], k: int, plans: list[tuple] | None = None
+    pools: list[np.ndarray], k: int, plans: list[tuple] | None = None, cubes: int = 0
 ) -> Iterator[np.ndarray]:
     """Every assignment of all but the last k slots that `plans` keeps, in chunks.
 
     Slot after slot takes a label of its pool (the pools are sorted and
-    fill in turn) that the row does not hold yet. A yielded float64 row
-    lists such an assignment, then the k labels of the last pool it leaves
-    over, ascending, and stands for the k! labelings whose last k labels
-    run through the columns of `_index_permutations(k)` (see `_labelings`).
-    Chunks hold at most _BLOCK_ROWS rows, and the rows come in
-    lexicographic order, so without `plans` their labelings come in the
-    order of `itertools.product(*map(itertools.permutations, pools))`.
+    fill in turn) that the row does not hold yet. With `plans` each row
+    carries the partial sums of the `cubes` cubes, which the plans bound.
+    A yielded float64 row lists such an assignment, then the k labels of
+    the last pool it leaves over, ascending, and stands for the k!
+    labelings whose last k labels run through the columns of
+    `_index_permutations(k)` (see `_labelings`). Chunks hold at most
+    _BLOCK_ROWS rows, and the rows come in lexicographic order, so without
+    `plans` their labelings come in the order of
+    `itertools.product(*map(itertools.permutations, pools))`.
 
     The frontier is a stack with one chunk generator per slot being
-    filled, so only the chunk being extended at each slot is held. No
-    generator refers back to the stack, so a scan leaves no reference
-    cycles for the garbage collector.
+    filled, so only the chunk being extended at each slot is held. A
+    chunk keeps the label each row took and its parent row, not the whole
+    assignment, which is read back through the parents only for the rows
+    yielded. No generator refers back to the stack, so a scan leaves no
+    reference cycles for the garbage collector.
     """
     offsets = np.cumsum([0] + [len(pool) for pool in pools]).tolist()
     slots = [(offset, pool) for offset, pool in zip(offsets, pools) for _ in pool]
     stop = len(slots) - k
-    root = np.zeros((1, 0)), np.zeros((1, len(slots)), dtype=bool)
+    root = np.zeros((1, len(slots)), dtype=bool), np.zeros((cubes, 1), dtype=np.int64), None, None
     stack = [iter([root])]
+    picks = []  # picks[s]: the labels and parent rows of the current chunk with s slots filled
     while stack:
         chunk = next(stack[-1], None)
         if chunk is None:
             stack.pop()
             continue
-        prefix, used = chunk
-        slot = prefix.shape[1]
+        used, sums, *pick = chunk
+        slot = len(stack) - 1
+        picks[slot:] = [pick]
         if slot < stop:
             plan = None if plans is None else plans[slot]
-            stack.append(_extensions(prefix, used, *slots[slot], plan))
+            stack.append(_extensions(used, sums, *slots[slot], plan))
             continue
+        rows = np.empty((len(used), len(slots)))
         left = np.nonzero(~used[:, offsets[-2] :])[1]  # row-major, so ascending per row
-        yield np.concatenate((prefix, pools[-1][left].reshape(len(prefix), k)), axis=1)
+        rows[:, stop:] = pools[-1][left].reshape(len(used), k)
+        index = np.arange(len(used))
+        for column in range(stop - 1, -1, -1):
+            labels, parents = picks[column + 1]
+            rows[:, column] = labels[index]
+            index = parents[index]
+        yield rows
 
 
 def _labelings(rows: np.ndarray, k: int, perms: np.ndarray) -> np.ndarray:
@@ -381,7 +458,7 @@ def _scan(spec: GridSpec, mode: str, target_sum: int | None) -> SearchResult:
     if target_sum is None:
         k, plans = min(len(pools[-1]), _SUFFIX_LEN), None
     else:
-        k, plans = 0, _plans(incidence, target_sum)
+        k, plans = 0, _plans(pools, incidence, target_sum)
     weights = _suffix_weights(incidence, k)
     size = max(1, _CHUNK_SUMS // weights.shape[1])
     cubes = len(incidence)
@@ -389,7 +466,7 @@ def _scan(spec: GridSpec, mode: str, target_sum: int | None) -> SearchResult:
     examined = 0
     room = FOUND_CAP
     kept = []  # (rows, suffix permutations, sums) of the labelings for `found`
-    for rows in _frontier(pools, k, plans):
+    for rows in _frontier(pools, k, plans, cubes):
         for start in range(0, len(rows), size):
             block = rows[start : start + size]
             sums = (block @ weights).reshape(len(block), cubes, -1)
@@ -424,12 +501,13 @@ def exhaustive_search(
     (GridMagicError otherwise). The histogram counts from the sums, and
     only the magic labelings kept in `found` are built, each re-checked by
     the verifier. With `target_sum` the same scan drops a partial
-    assignment as soon as its cube sums rule the target out; it is
+    assignment as soon as the int64 partial sum of some cube, plus the
+    least or the most its open slots can add, misses the target; it is
     complete for that sum, and `examined` counts only the finished (hence
-    magic) assignments. The frontier is extended in chunks of at most 720
-    rows, so memory stays small however large the space. A target that no
-    cube sum can equal (below 1 or beyond int64) gives the empty result
-    without a search.
+    magic) assignments. The frontier is extended in chunks of at most
+    2048 rows, so memory stays small however large the space. A target
+    that no cube sum can equal (below 1 or beyond int64) gives the empty
+    result without a search.
 
     Raises GridMagicError when `target_sum` is not an int (bools and
     floats included), and BudgetExceeded up front when the search space

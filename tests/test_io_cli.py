@@ -342,6 +342,24 @@ def test_document_refuses_what_load_refuses(perm, kind, n_v, n_e, error, text):
         LabelingDocument("1", (3, 2), perm, kind, vertex, edge)
 
 
+@pytest.mark.parametrize("version", ["2", "", 1, None])
+def test_document_refuses_a_format_version_load_refuses(version):
+    # saved, such a document could not be loaded again
+    with pytest.raises(VersionMismatch, match=f"format_version {version!r}, supported '1'"):
+        LabelingDocument(version, (3, 2), (1, 2), "vertex", np.arange(1, 7), ())
+
+
+@pytest.mark.parametrize(
+    "dims, perm", [([3, 2], [1, 2]), (np.array([2, 3]), np.array([2, 1])), ((2, 3), [2, 1])]
+)
+def test_document_keeps_dims_and_permutation_as_int_tuples(dims, perm):
+    doc = LabelingDocument("1", dims, perm, "vertex", np.arange(1, 7), ())
+    assert doc.dims == tuple(np.asarray(dims).tolist())
+    assert doc.axis_permutation == tuple(np.asarray(perm).tolist())
+    assert all(type(n) is int for n in doc.dims + doc.axis_permutation)
+    assert doc == load(save(doc))
+
+
 def test_document_derives_its_spec():
     doc = LabelingDocument("1", (2, 3), (2, 1), "vertex", np.arange(1, 7), ())
     assert doc.spec == GridSpec((3, 2))

@@ -103,6 +103,24 @@ def test_extension_rejects_bad_side_lengths():
         extend_edge_labeling(base_vertex_labeling(4, 3), g2, 2)
 
 
+@pytest.mark.parametrize("nd", [2.9, 2.0, "2", None])
+def test_extension_refuses_a_side_that_is_not_an_integer(nd):
+    # as GridSpec refuses it, before any label is built
+    f2, g2 = base_vertex_labeling(3, 2), base_edge_labeling(3, 2)
+    with pytest.raises(DimensionTooSmall, match="side lengths must be integers"):
+        extend_vertex_labeling(f2, nd)
+    with pytest.raises(DimensionTooSmall, match="side lengths must be integers"):
+        extend_edge_labeling(f2, g2, nd)
+
+
+def test_extension_takes_a_numpy_integer_side():
+    f2, g2 = base_vertex_labeling(3, 2), base_edge_labeling(3, 2)
+    f, g = extend_vertex_labeling(f2, np.int64(2)), extend_edge_labeling(f2, g2, np.int64(2))
+    assert f.spec == g.spec == GridSpec((3, 2, 2))
+    assert np.array_equal(f.grid, extend_vertex_labeling(f2, 2).grid)
+    assert np.array_equal(g.flat, extend_edge_labeling(f2, g2, 2).flat)
+
+
 @pytest.mark.parametrize(
     "dims,sums",
     [

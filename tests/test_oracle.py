@@ -281,6 +281,26 @@ def test_supermagic_scan_grid32():
     assert confirm_construction(spec, SearchBudget("supermagic"))
 
 
+@pytest.mark.parametrize(
+    "dims, mode, targets",
+    [
+        # the one mode whose cubes keep open slots in two pools
+        ((3, 2), "supermagic", range(50, 59)),
+        ((3, 2), "edge", range(14, 19)),
+        ((3, 3), "vertex", range(15, 26)),
+    ],
+)
+def test_target_scans_count_every_sum_of_the_full_scan(dims, mode, targets):
+    # the bounds prune from both sides, by the smallest and the largest
+    # labels a cube's open slots can take; one sum past either end of the
+    # histogram must come out empty
+    histogram = full_scan(dims, mode).sum_histogram
+    assert (targets[0] + 1, targets[-1] - 1) == (min(histogram), max(histogram))
+    for target in targets:
+        result = exhaustive_search(GridSpec(dims), SearchBudget(mode), target_sum=target)
+        assert result.found_count == result.examined == histogram.get(target, 0)
+
+
 def test_supermagic_target_needs_both_parts(monkeypatch):
     # the constructed edge labels after a vertex part that is not magic:
     # cube vertex sums 10 and 18, edge sums equal, so the totals differ
@@ -396,3 +416,36 @@ def test_scans_leave_no_reference_cycles(mode, target_sum):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 2, 3, 4)],
+        [(4, 3, 2, 1), (2, 4, 1, 3)],
+        [(9, 10, 11, 12), (12, 1, 10, 7)],
+        [(1, 99, 100, 999), (100, 5, 10, 7), (123, 45, 6, 789)],
+    ],
+)
+def test_batched_digests_match_labeling_digest(rows):
+    # labels of one, two and three digits, and a single row
+    assert oracle._digests(np.array(rows)) == [labeling_digest(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "dims, mode, target_sum",
+    [((3, 2), "vertex", None), ((3, 2), "edge", None), ((4, 3), "vertex", 28)],
+)
+def test_found_digests_match_labeling_digest(monkeypatch, dims, mode, target_sum):
+    # the labelings a scan keeps, one-digit (full scans) and two-digit
+    kept = []
+
+    def keeping(labels):
+        kept.extend(labels.tolist())
+        return digests(labels)
+
+    digests = oracle._digests
+    monkeypatch.setattr(oracle, "_digests", keeping)
+    result = exhaustive_search(GridSpec(dims), SearchBudget(mode, 10**9), target_sum)
+    assert len(kept) == len(result.found) > 1
+    assert [digest for digest, _ in result.found] == [labeling_digest(row) for row in kept]

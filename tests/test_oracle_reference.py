@@ -269,7 +269,7 @@ def test_frontier_search_matches_reference_across_sum_blocks(
     monkeypatch, rows, dims, mode, target_sum
 ):
     # a finished row has one cube sum per cube, so these are blocks of 1
-    # and 3 rows inside the 720-row chunks; (2,2,2) vertex crosses
+    # and 3 rows inside the frontier chunks; (2,2,2) vertex crosses
     # FOUND_CAP inside a block of 3
     spec = GridSpec(dims)
     monkeypatch.setattr("gridmagic.oracle._CHUNK_SUMS", rows * spec.cube_count)
