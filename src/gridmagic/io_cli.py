@@ -9,17 +9,21 @@ would refuse, and keeps its labels as read-only int64 arrays from
 and the label lookups. Serialization is canonical
 (sorted keys, compact separators, newline-terminated), so identical
 documents are identical bytes and everything downstream can be diffed.
-`save` writes the label arrays with numpy passes over all labels. `load`
-reads bytes in exactly `save`'s layout with an array parser and any other
-valid JSON with the general `json` parser; both give the same document,
-or the same error, for the same input.
+`save` writes the label arrays with numpy passes over fixed-size blocks
+of labels. `load` reads bytes in exactly `save`'s layout with an array
+parser, a block of text at a time, and any other valid JSON with the
+general `json` parser; both give the same document, or the same error,
+for the same input.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
 3d oblique), Graphviz dot, or a flat CSV with one row per element. All
 three take vertex names from the same numpy table writer as `save`'s
 label lists and edges axis by axis from `split_edge_labels`; CSV and dot
-rows are written whole by that writer, TikZ one row at a time. The CLI
-ties it together: generate, verify, predict, search, render, cover.
+rows are written by that writer a block at a time, TikZ one row at a
+time. The CLI ties it together: generate, verify, predict, search,
+render, cover. `generate` and `render` write their output block by
+block, never joined into one document-sized string, and only once every
+block is built, so a refused command leaves no partial file.
 Exit codes: 0 ok (and magic+bijective for verify), 1 verification or
 search refusal, 2 I/O or parse failure, 64 usage.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -134,15 +139,19 @@ class LabelingDocument:
 
 # --- label arrays as text ---------------------------------------------
 #
-# Label arrays hold up to ~1M values, so they are written and read with
-# numpy passes over all values at once, never one Python int per label.
-# Text is written as a uint8 table with one row per output line (or list
-# item): constant byte fields, digit cells and name cells side by side.
-# A cell left at 0 (a non-negative value's sign, the places left of a
-# value's first digit) is dropped by one compress, so values of any width
-# share the same columns.
+# Label arrays hold millions of values, so they are written and read with
+# numpy passes, never one Python int per label, and in blocks small
+# enough that a pass's temporaries stay in cache and memory stays near
+# the size of the labels themselves. Text is written as a uint8 table
+# with one row per output line (or list item): constant byte fields,
+# digit cells and name cells side by side. A cell left at 0 (a
+# non-negative value's sign, the places left of a value's first digit)
+# is dropped by one compress, so values of any width share the same
+# columns, and blocks of different widths join into the same text.
 
 _INT64_DIGITS = 19  # digits of 2**63, the largest int64 magnitude
+_PARSE_BLOCK = 2**18  # bytes of a label list parsed per pass, cut at the next comma
+_WRITE_BLOCK = 2**15  # table rows written per pass, in whole steps of the leading axis
 
 
 def _sign_and_top(values: np.ndarray) -> tuple[int, int]:
@@ -198,22 +207,35 @@ def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarr
     return table
 
 
-def _table_text(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarray:
+def _table_text(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> list[np.ndarray]:
     """The text of `_cell_table(shape, *fields)`, row after row, without its 0 cells.
 
-    It comes back as a 1-d uint8 array, which `bytes.join` takes as it is.
+    The table is built a block of `_WRITE_BLOCK` rows at a time, in whole
+    steps along the leading axis of `shape`. The text comes back as one
+    1-d uint8 array per block, which `bytes.join` and binary writes take
+    as they are.
     """
-    table = _cell_table(shape, *fields)
-    return table[table != 0]
+    step = max(1, _WRITE_BLOCK // max(1, math.prod(shape[1:])))
+    full = []
+    for f in fields:
+        if not isinstance(f, bytes):  # seen at the table's shape, a block is a leading-axis slice
+            f = np.broadcast_to(f, shape if f.dtype == np.int64 else shape + f.shape[-1:])
+        full.append(f)
+    parts = []
+    for lo in range(0, shape[0], step):
+        block = [f if isinstance(f, bytes) else f[lo : lo + step] for f in full]
+        table = _cell_table((min(step, shape[0] - lo), *shape[1:]), *block)
+        parts.append(table[table != 0])
+    return parts
 
 
-def _json_int_list(values: np.ndarray) -> bytes:
-    """`json.dumps(values.tolist(), separators=(",", ":")).encode()` for int64."""
+def _json_int_list(values: np.ndarray) -> list[bytes | np.ndarray]:
+    """The parts of `json.dumps(values.tolist(), separators=(",", ":")).encode()` for int64."""
     if values.size == 0:
-        return b"[]"
-    text = _table_text(values.shape, values, b",")
-    text[-1] = ord("]")
-    return b"".join((b"[", text))
+        return [b"[]"]
+    parts = _table_text(values.shape, values, b",")
+    parts[-1][-1] = ord("]")
+    return [b"[", *parts]
 
 
 def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
@@ -222,10 +244,29 @@ def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
     Canonical means what `_json_int_list` writes between the brackets: values
     joined by single commas, each `0` or `-?[1-9][0-9]*` and within int64.
     Anything else (spaces, `-0`, `01`, `1.0`, an empty value, 2**63) is
-    refused, and `load` hands the whole document to json.loads.
+    refused, and `load` hands the whole document to json.loads. The body is
+    cut at commas into pieces of about `_PARSE_BLOCK` bytes, and each piece
+    is parsed into its own slice of the result.
     """
-    if start == stop:
-        return np.empty(0, np.int64)
+    values = np.empty(data.count(b",", start, stop) + 1 if start < stop else 0, np.int64)
+    done = 0
+    while start < stop:
+        cut = data.find(b",", min(start + _PARSE_BLOCK, stop), stop)
+        end = stop if cut < 0 else cut
+        count = _int64_list_piece(data, start, end, values[done:])
+        if count is None:
+            return None
+        done, start = done + count, end + 1
+        if start == stop:  # a comma at the very end leaves an empty last value
+            return None
+    return values
+
+
+def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray) -> int | None:
+    """Parse the canonical values of non-empty `data[start:stop]` into `out`, and count them.
+
+    None, with `out` in any state, if the piece is not canonical.
+    """
     text = np.frombuffer(data, np.uint8, stop - start, start)
     # digit values after 19 zeros, so a gather at ends - k never runs off the front
     padded = np.zeros(_INT64_DIGITS + text.size, np.uint8)
@@ -251,7 +292,9 @@ def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
         return None
     # right-aligned digit columns: column k of value i is digits[ends[i] - k]
     n_digits = n_digits.astype(np.uint8)
-    magnitude = np.zeros(ends.size, np.uint64)
+    values = out[: ends.size]
+    magnitude = values.view(np.uint64)
+    magnitude[...] = 0
     digit = np.empty(ends.size, np.uint8)
     for k in range(width, 0, -1):
         padded[_INT64_DIGITS - k :].take(ends, out=digit)
@@ -260,9 +303,8 @@ def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
         magnitude += digit
     if width == _INT64_DIGITS and (magnitude > np.uint64(INT64_MAX) + neg).any():
         return None
-    values = magnitude.view(np.int64)
     np.negative(values, out=values, where=neg)  # 2**63 wraps to INT64_MIN, as it should
-    return values
+    return ends.size
 
 
 _CANONICAL_HEAD = re.compile(
@@ -312,29 +354,38 @@ def _json_payload(data: bytes | str) -> object:
         raise ParseError(f"document is not UTF-8: {e.reason} at byte {e.start}") from None
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer past Python's int-string limit
+        raise ParseError(f"invalid JSON number: {e}") from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
+
+
+def _save_parts(doc: LabelingDocument) -> list[bytes | np.ndarray]:
+    """The bytes of `save(doc)` as parts, a block of labels at most in each."""
+
+    def dumps(value: object) -> bytes:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+    return [
+        b'{"axis_permutation":', dumps(list(doc.axis_permutation)),
+        b',"dims":', dumps(list(doc.dims)),
+        b',"edge_labels":', *_json_int_list(doc.edge_labels),
+        b',"format_version":', dumps(doc.format_version),
+        b',"kind":', dumps(doc.kind),
+        b',"vertex_labels":', *_json_int_list(doc.vertex_labels),
+        b"}\n",
+    ]
 
 
 def save(doc: LabelingDocument) -> bytes:
     """Canonical byte serialization: sorted keys, compact, newline-terminated.
 
     The bytes are `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
-    plus a newline; the label arrays are written by `_json_int_list`.
+    plus a newline. The label arrays are written by `_json_int_list` a
+    block at a time; `gridmagic generate` writes those blocks as they are,
+    and `save` joins them.
     """
-
-    def dumps(value: object) -> bytes:
-        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
-
-    return b"".join((
-        b'{"axis_permutation":', dumps(list(doc.axis_permutation)),
-        b',"dims":', dumps(list(doc.dims)),
-        b',"edge_labels":', _json_int_list(doc.edge_labels),
-        b',"format_version":', dumps(doc.format_version),
-        b',"kind":', dumps(doc.kind),
-        b',"vertex_labels":', _json_int_list(doc.vertex_labels),
-        b"}\n",
-    ))
+    return b"".join(_save_parts(doc))
 
 
 def _int64_array(raw: object, key: str) -> np.ndarray:
@@ -354,9 +405,11 @@ def _int64_array(raw: object, key: str) -> np.ndarray:
 def load(data: bytes | str) -> LabelingDocument:
     """Parse and validate a document produced by `save`.
 
-    Bytes in exactly `save`'s layout are read with array passes; any other
-    input goes through json.loads. Both give the same payload to the same
-    checks, so the result, or the error, does not depend on the path.
+    Bytes in exactly `save`'s layout are read with array passes over blocks
+    of about `_PARSE_BLOCK` bytes, each parsed into its slice of the label
+    array, so memory stays near the size of the labels; any other input
+    goes through json.loads. Both give the same payload to the same checks,
+    so the result, or the error, does not depend on the path.
     """
     payload = _canonical_payload(data) if isinstance(data, bytes) else None
     if payload is None:
@@ -501,8 +554,8 @@ def _render_tikz(doc: LabelingDocument, style: str) -> str:
         i, j, k = coords  # oblique projection: axis 2 drawn at a slant
         x = 3.0 * (i - 1) + 1.9 * (j - 1)
         y = 3.0 * (spec.dims[2] - k) + 1.15 * (j - 1)
-    names = _table_text(spec.dims, b"v", _vertex_name_cells(spec, b"_"), b" ")
-    names = names.tobytes().decode().split()
+    names = b"".join(_table_text(spec.dims, b"v", _vertex_name_cells(spec, b"_"), b" "))
+    names = names.decode().split()
     texts = doc.vertex_labels.tolist() if doc.kind != "edge" else [""] * len(names)
     lines = [
         "\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]"
@@ -526,7 +579,7 @@ def _render_tikz(doc: LabelingDocument, style: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_dot(doc: LabelingDocument) -> bytes:
+def _render_dot(doc: LabelingDocument) -> list[bytes | np.ndarray]:
     spec = doc.spec
     names = _vertex_name_cells(spec, b",")
     parts = [b"graph gridmagic {\n  node [shape=circle];\n"]
@@ -534,37 +587,46 @@ def _render_dot(doc: LabelingDocument) -> bytes:
         tail = (b'";\n',)
     else:
         tail = (b'" [label="', doc.vertex_labels.reshape(spec.dims), b'"];\n')
-    parts.append(_table_text(spec.dims, b'  "', names, *tail))
+    parts += _table_text(spec.dims, b'  "', names, *tail)
     for _, lower, upper, labels in _axis_blocks(doc):
         tail = (b'";\n',) if labels is None else (b'" [label="', labels, b'"];\n')
         shape = names[lower].shape[:-1]
-        parts.append(_table_text(shape, b'  "', names[lower], b'" -- "', names[upper], *tail))
+        parts += _table_text(shape, b'  "', names[lower], b'" -- "', names[upper], *tail)
     parts.append(b"}\n")
-    return b"".join(parts)
+    return parts
 
 
-def _render_csv(doc: LabelingDocument) -> bytes:
+def _render_csv(doc: LabelingDocument) -> list[bytes | np.ndarray]:
     spec = doc.spec
     header = ["kind"] + [f"x{i}" for i in range(1, spec.dim + 1)] + ["axis", "label"]
     parts = [",".join(header).encode() + b"\n"]
     names = _vertex_name_cells(spec, b",")
     if doc.kind != "edge":
         labels = doc.vertex_labels.reshape(spec.dims)
-        parts.append(_table_text(spec.dims, b"vertex,", names, b",,", labels, b"\n"))
+        parts += _table_text(spec.dims, b"vertex,", names, b",,", labels, b"\n")
     for axis, lower, _, labels in _axis_blocks(doc):
         if labels is not None:
             fields = (b"edge,", names[lower], b",%d," % axis, labels, b"\n")
-            parts.append(_table_text(labels.shape, *fields))
-    return b"".join(parts)
+            parts += _table_text(labels.shape, *fields)
+    return parts
 
 
-def render(doc: LabelingDocument, style: str) -> str:
-    """Deterministic text rendering of a document in the given style."""
+def _render_parts(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
+    """The ASCII text of `render(doc, style)` as parts, a block of rows at most in each."""
     if style not in STYLES:
         raise UsageError(f"style must be one of {STYLES}, got {style!r}")
     if style in ("tikz2d", "tikz3d"):
-        return _render_tikz(doc, style)
-    return (_render_dot(doc) if style == "dot" else _render_csv(doc)).decode()
+        return [_render_tikz(doc, style).encode()]
+    return _render_dot(doc) if style == "dot" else _render_csv(doc)
+
+
+def render(doc: LabelingDocument, style: str) -> str:
+    """Deterministic text rendering of a document in the given style.
+
+    CSV and dot are written a block of rows at a time; `gridmagic render`
+    writes those blocks as they are, and `render` joins them.
+    """
+    return b"".join(_render_parts(doc, style)).decode()
 
 
 # --- command line ------------------------------------------------------
@@ -641,14 +703,23 @@ def _print_report(report: MagicReport, dims: tuple[int, ...]) -> None:
         print(f"NOT_MAGIC distinct={report.distinct_count}")
 
 
+def _write_parts(path: str, parts: list[bytes | np.ndarray]) -> None:
+    """Write ASCII parts to the file at `path`, or to stdout for `-`, one after another.
+
+    Callers build every part first, so a refusal while building (say, a
+    `MemoryError`) leaves no truncated file behind.
+    """
+    if path == "-":
+        for part in parts:
+            sys.stdout.write(str(part, "ascii"))
+    else:
+        with open(path, "wb") as handle:
+            handle.writelines(parts)
+
+
 def _cmd_generate(args) -> int:
     doc = generate_document(_parse_dims(args.dims), args.kind)
-    payload = save(doc) if args.format == "json" else _render_csv(doc)
-    if args.out == "-":
-        sys.stdout.write(payload.decode())
-    else:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
+    _write_parts(args.out, _save_parts(doc) if args.format == "json" else _render_csv(doc))
     return EXIT_OK
 
 
@@ -683,7 +754,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_render(args) -> int:
     doc = _read_document(args.file)
-    sys.stdout.write(render(doc, args.style))
+    _write_parts("-", _render_parts(doc, args.style))
     return EXIT_OK
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 from pathlib import Path
 
-from gridmagic import GridSpec, cube_edges, cube_vertices, enumerate_cubes
+import pytest
+
+from gridmagic import GridSpec, cube_edges, cube_vertices, enumerate_cubes, io_cli
 
 SUITE_SEED = 20260810
 SUITE_MAX_TOTAL = 10**6
@@ -28,6 +31,21 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Text block sizes for the document codec and renderers: the module's own,
+# and tiny ones that put a block boundary every few bytes or rows.
+TEXT_BLOCKS = [None, 1, 7]
+
+
+@contextlib.contextmanager
+def text_blocks(size: int | None):
+    """Parse and write label text in blocks of `size` (None: the module's sizes)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if size is not None:
+            patch.setattr(io_cli, "_PARSE_BLOCK", size)
+            patch.setattr(io_cli, "_WRITE_BLOCK", size)
+        yield
 
 
 def random_canonical_specs(

@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gridmagic
-from conftest import load_script
+from conftest import TEXT_BLOCKS, load_script, text_blocks
 from gridmagic import (
     CoordOutOfRange,
     EdgeId,
@@ -38,6 +39,7 @@ from gridmagic import (
     verify_document,
     verify_supermagic,
 )
+from gridmagic import io_cli
 from gridmagic.io_cli import _canonical_payload, document_labeling
 
 
@@ -390,6 +392,7 @@ MALFORMED = {
     "not utf-8": b"\xff\xfe",
     "nested lists": b"[" * 100_000 + b"]" * 100_000,
     "nested in an object": b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "number past the int-string limit": b'{"edge_labels":[' + b"1" * 5000 + b"]}",
 }
 
 
@@ -568,6 +571,53 @@ def test_cli_refuses_a_grid_too_large_to_allocate():
     assert (run.returncode, run.stdout) == (1, "")
     assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+def test_load_memory_stays_near_the_label_arrays():
+    # blocks keep the parser's temporaries small; whole-array passes peaked
+    # near 5x the labels. numpy reports its buffers to tracemalloc.
+    doc = generate_document((577, 577), "total")
+    data, label_bytes = save(doc), doc.vertex_labels.nbytes + doc.edge_labels.nbytes
+    del doc
+    tracemalloc.start()
+    try:
+        loaded = load(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.edge_labels) == 2 * 577 * 576
+    assert peak < 1.5 * label_bytes
+
+
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, block):
+    dims, path = "7,5,3", tmp_path / "doc.json"
+    doc = generate_document([7, 5, 3], "total")
+    data, renders = save(doc), {style: render(doc, style) for style in ("csv", "dot")}
+    with text_blocks(block):
+        assert run_cli(capsys, ["generate", "--dims", dims, "--out", str(path)]) == (0, "", "")
+        assert path.read_bytes() == data
+        assert run_cli(capsys, ["generate", "--dims", dims]) == (0, data.decode(), "")
+        assert run_cli(capsys, ["generate", "--dims", dims, "--format", "csv"]) == (0, renders["csv"], "")
+        for style, text in renders.items():
+            assert run_cli(capsys, ["render", str(path), "--style", style]) == (0, text, "")
+
+
+def test_cli_refusal_while_building_output_writes_nothing(tmp_path, capsys, monkeypatch):
+    lists, json_int_list = [], io_cli._json_int_list
+
+    def refuse_the_second_list(values):
+        lists.append(values)
+        if len(lists) % 2 == 0:  # the vertex labels, after the edge labels' blocks
+            raise MemoryError
+        return json_int_list(values)
+
+    monkeypatch.setattr(io_cli, "_json_int_list", refuse_the_second_list)
+    path = tmp_path / "doc.json"
+    for out in (str(path), "-"):
+        code, stdout, err = run_cli(capsys, ["generate", "--dims", "5,3", "--out", out])
+        assert (code, stdout, err) == (1, "", "refused: out of memory\n")
+    assert not path.exists()
 
 
 def test_cli_render_and_cover(tmp_path, capsys):

@@ -4,15 +4,23 @@
 handed `tolist()` to `json.dumps`, and `load` ran `json.loads` on every
 input. Their bytes, documents and errors define the format, so the array
 codec must reproduce them exactly, error types and messages included.
-`reference_load` carries the one fix made with the array codec: bytes
-that are not UTF-8 raise `ParseError` instead of `UnicodeDecodeError`.
+`reference_load` carries two fixes made since: bytes that are not UTF-8,
+and integers longer than Python's int-string limit (a `ValueError` from
+json.loads), raise `ParseError` instead of the `UnicodeDecodeError` or
+`ValueError` that escaped the command line with a traceback.
+
+The array codec parses and writes in blocks, so each comparison also runs
+with block sizes small enough to put block boundaries between list items.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
+import pytest
+from conftest import TEXT_BLOCKS, text_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +71,8 @@ def reference_load(data: bytes | str) -> LabelingDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except ValueError as e:
+        raise ParseError(f"invalid JSON number: {e}") from None
     if not isinstance(payload, dict):
         raise ParseError("document root must be an object")
     expected = {"format_version", "dims", "axis_permutation", "kind", "vertex_labels", "edge_labels"}
@@ -141,12 +151,14 @@ def encoded_documents(draw):
 @settings(max_examples=200, deadline=None)
 @given(encoded_documents())
 def test_save_and_load_match_reference(data):
-    assert _canonical_payload(data) is not None  # save's layout takes the array path
-    expected = outcome(reference_load, data)
-    assert outcome(load, data) == expected
-    assert outcome(load, data.decode()) == outcome(reference_load, data.decode())
-    if isinstance(expected, LabelingDocument):
-        assert save(expected) == data == reference_save(expected)
+    for block in TEXT_BLOCKS:
+        with text_blocks(block):
+            assert _canonical_payload(data) is not None  # save's layout takes the array path
+            expected = outcome(reference_load, data)
+            assert outcome(load, data) == expected
+            assert outcome(load, data.decode()) == outcome(reference_load, data.decode())
+            if isinstance(expected, LabelingDocument):
+                assert save(expected) == data == reference_save(expected)
 
 
 # Values around each change of digit count and around 2**32, where the
@@ -156,12 +168,47 @@ BOUNDARIES = sorted({10**k + d for k in range(19) for d in (-1, 0)} | {2**31, 2*
 
 def test_digit_boundaries_match_reference():
     _, perm = canonicalize((2, 2))
-    for top in BOUNDARIES:
+    for top, block in itertools.product(BOUNDARIES, TEXT_BLOCKS):
         for label in (top, -top):
             doc = LabelingDocument(FORMAT_VERSION, (2, 2), perm, "vertex", [label, 0, 1, -1], ())
-            data = save(doc)
-            assert data == reference_save(doc)
-            assert load(data) == doc == reference_load(data)
+            with text_blocks(block):
+                data = save(doc)
+                assert data == reference_save(doc)
+                assert load(data) == doc == reference_load(data)
+
+
+# Vertex label bodies of a (2, 2) document with something to refuse or
+# keep next to a comma, where some block size puts a block boundary.
+CUT_BODIES = [
+    b"1,2,3,4",
+    b"1,,2,3",  # an empty value
+    b"1,2,3,4,",  # a trailing comma
+    b",1,2,3",  # a leading comma
+    b"1,-0,2,3",  # valid JSON, but not what save writes
+    b"1,01,2,3",
+    b"1,-,2,3",
+    b"1,2,3,-",
+    b"1,1234567890123456789,2,3",  # 19 digits
+    b"1,-9223372036854775808,2,3",  # INT64_MIN
+    b"1,9223372036854775807,2,-9223372036854775808",
+    b"1,9223372036854775808,2,3",  # 2**63
+    b"1,12345678901234567890,2,3",  # 20 digits
+    b"1," + b"1" * 5000 + b",2,3",  # past Python's int-string limit
+]
+
+
+@pytest.mark.parametrize("body", CUT_BODIES, ids=lambda body: body[:30].decode())
+def test_block_boundaries_match_reference(body):
+    _, perm = canonicalize((2, 2))
+    empty = reference_encode({
+        "format_version": FORMAT_VERSION, "dims": [2, 2], "axis_permutation": list(perm),
+        "kind": "vertex", "vertex_labels": [], "edge_labels": [],
+    })
+    data = empty.replace(b'"vertex_labels":[]', b'"vertex_labels":[' + body + b"]")
+    expected = outcome(reference_load, data)
+    for size in range(1, min(len(body), 60) + 2):  # a boundary after every byte
+        with text_blocks(size):
+            assert outcome(load, data) == expected, size
 
 
 MUTATION_BYTES = list(b'0123456789,-[]{}".e+ \n') + [0xFF]
@@ -177,5 +224,8 @@ def test_one_byte_mutations_match_reference(text, data):
         mutated = text[:at] + byte + text[at:]
     else:
         mutated = text[:at] + (byte if edit == "replace" else b"") + text[at + 1 :]
-    assert outcome(load, mutated) == outcome(reference_load, mutated)
+    expected = outcome(reference_load, mutated)
+    for block in TEXT_BLOCKS:
+        with text_blocks(block):
+            assert outcome(load, mutated) == expected, block
 

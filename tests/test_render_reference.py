@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from gridmagic import (
     render,
 )
 from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS
+from conftest import TEXT_BLOCKS, text_blocks
 
 
 def _fmt(x: float) -> str:
@@ -137,10 +139,12 @@ def test_render_matches_loop_reference(dims, kind):
 @given(dims=caller_dims, kind=st.sampled_from(KINDS))
 def test_generate_csv_matches_loop_reference(dims, kind):
     argv = ["generate", "--dims", ",".join(map(str, dims)), "--kind", kind, "--format", "csv"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli(argv) == 0
-    assert out.getvalue() == reference_csv(generate_document(dims, kind))
+    expected = reference_csv(generate_document(dims, kind))
+    for block in TEXT_BLOCKS:
+        out = io.StringIO()
+        with text_blocks(block), contextlib.redirect_stdout(out):
+            assert cli(argv) == 0
+        assert out.getvalue() == expected
 
 
 def test_tikz_matches_loop_reference_for_every_kind():
@@ -192,5 +196,7 @@ def test_csv_and_dot_match_loop_reference_for_wide_coordinates_and_int64_labels(
     dims, kind, palette, seed
 ):
     doc = _document(dims, kind, palette, seed)
-    assert render(doc, "csv") == reference_csv(doc)
-    assert render(doc, "dot") == reference_dot(doc)
+    expected = {"csv": reference_csv(doc), "dot": reference_dot(doc)}
+    for block, style in itertools.product(TEXT_BLOCKS, expected):
+        with text_blocks(block):
+            assert render(doc, style) == expected[style], (block, style)
