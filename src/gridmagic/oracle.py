@@ -24,8 +24,8 @@ labelings of a block of rows; the labelings whose cube sums all agree
 are tallied into a histogram of magic sums from the sums alone.
 Every cube sum is an integer below 2**53, which each scan checks up
 front, so float64 holds it exactly in any summation order. Labelings are
-built only for the first FOUND_CAP magic ones, which go into `found`,
-digested together from one table of their digits.
+built only for the first FOUND_CAP magic ones, which `found` keeps as
+tuples of ints.
 
 The verifier only re-checks what the scan found, with one verifier call
 per scan: each labeling kept in `found` must be a bijection whose cube
@@ -45,10 +45,9 @@ unpruned so the ground truth inherits nothing from the thing it checks.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -62,7 +61,7 @@ MODES = ("vertex", "edge", "supermagic")
 _KIND = {"vertex": "vertex", "edge": "edge", "supermagic": "total"}
 DEFAULT_MAX_ASSIGNMENTS = 10**8
 
-# `found` keeps at most this many (digest, sum) pairs; the histogram always
+# `found` keeps at most this many (labeling, sum) pairs; the histogram always
 # counts everything.
 FOUND_CAP = 1000
 
@@ -96,19 +95,13 @@ class SearchResult:
     """Tally of one exhaustive scan."""
 
     examined: int
-    found: tuple[tuple[str, int], ...]  # (labeling digest, magic sum), capped
+    found: tuple[tuple[tuple[int, ...], int], ...]  # (labels in rank order, magic sum), capped
     sum_histogram: dict[int, int]
 
     @property
     def found_count(self) -> int:
         """Total number of magic labelings, including ones beyond the cap."""
         return sum(self.sum_histogram.values())
-
-
-def labeling_digest(labels: Sequence[int]) -> str:
-    """Stable digest of a label sequence in rank order."""
-    data = ",".join(map(str, map(int, labels))).encode()
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 def _factorials(spec: GridSpec, mode: str) -> tuple[int, ...]:
@@ -156,18 +149,19 @@ def _disagreement(spec: GridSpec, mode: str, labels: np.ndarray, magic_sum: int)
 
 
 class _Tally:
-    """Histogram plus capped found list.
+    """Histogram plus capped found list of (labeling, magic sum) pairs.
 
     Every found labeling is re-checked independently: the rows handed to
     `keep` go to `verify_batch` together, and each must be a bijection
-    whose cube sums all equal the sum the scan recorded.
+    whose cube sums all equal the sum the scan recorded. A kept labeling
+    is a tuple of Python ints in rank order.
     """
 
     def __init__(self, spec: GridSpec, mode: str):
         self.spec = spec
         self.mode = mode
         self.histogram: dict[int, int] = {}
-        self.found: list[tuple[str, int]] = []
+        self.found: list[tuple[tuple[int, ...], int]] = []
 
     def count(self, sums: np.ndarray) -> None:
         """Add magic labelings with the int64 `sums` to the histogram."""
@@ -187,31 +181,7 @@ class _Tally:
         bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
         if len(bad):
             raise _disagreement(self.spec, self.mode, labels[bad[0]], int(sums[bad[0]]))
-        self.found += zip(_digests(labels), sums.tolist())
-
-
-def _digests(labels: np.ndarray) -> list[str]:
-    """`labeling_digest` of each row of the (m, n) int64 labels, all >= 1.
-
-    Every label goes into one uint8 table as its decimal digits,
-    right-aligned behind 0 cells, and a comma. Dropping the 0 cells leaves
-    each row's comma-joined text plus a comma, row after row, and each
-    row's slice is hashed without that comma.
-    """
-    width = len(str(int(labels.max())))
-    cells = np.zeros((*labels.shape, width + 1), dtype=np.uint8)
-    cells[..., width] = ord(",")
-    rest = labels.copy()
-    for col in range(width - 1, -1, -1):
-        cells[..., col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
-        rest //= 10
-    shown = cells != 0
-    text = memoryview(cells[shown].tobytes())
-    ends = np.cumsum(shown.sum(axis=(1, 2))).tolist()
-    return [
-        hashlib.blake2b(text[start : end - 1], digest_size=16).hexdigest()
-        for start, end in zip([0] + ends[:-1], ends)
-    ]
+        self.found += zip(map(tuple, labels.tolist()), sums.tolist())
 
 
 def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarray]:

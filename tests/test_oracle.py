@@ -15,11 +15,17 @@ from gridmagic import (
     BudgetExceeded,
     GridMagicError,
     GridSpec,
+    LabelingDocument,
     SearchBudget,
+    cli,
     confirm_construction,
+    edge_labeling_from_flat,
     exhaustive_search,
-    labeling_digest,
+    load,
     required_assignments,
+    save,
+    verify_document,
+    verify_edge_magic,
     verify_vertex_magic,
     vertex_labeling_from_flat,
 )
@@ -69,7 +75,7 @@ def test_single_cube_vertex_mode_every_bijection_is_magic():
     assert result.sum_histogram == {10: 24}
     # single cube: found is the full lexicographic permutation list
     perms = list(itertools.permutations(range(1, 5)))
-    assert [d for d, _ in result.found] == [labeling_digest(p) for p in perms]
+    assert [labels for labels, _ in result.found] == perms
 
 
 def test_single_cube_edge_mode_every_bijection_is_magic():
@@ -85,7 +91,7 @@ def test_supermagic_scan_grid22():
     assert result.examined == 576
     assert result.sum_histogram == {36: 576}
     constructed = construction_sequence(spec, "supermagic")
-    assert (labeling_digest(constructed), 36) in result.found
+    assert (constructed, 36) in result.found
 
 
 def test_vertex_scan_grid32_contains_construction():
@@ -128,7 +134,8 @@ def test_pruned_scan_keeps_found_order_past_one_block():
     pruned = exhaustive_search(spec, SearchBudget("vertex"), target_sum=36)
     full = full_scan((2, 2, 2), "vertex")
     assert pruned.sum_histogram == full.sum_histogram == {36: 40320}
-    assert pruned.found == full.found
+    first = itertools.islice(itertools.permutations(range(1, 9)), oracle.FOUND_CAP)
+    assert pruned.found == full.found == tuple((labels, 36) for labels in first)
 
 
 def test_pruned_edge_scan_agrees_with_full_scan():
@@ -192,16 +199,16 @@ def test_oracle_and_verifier_agree_on_every_candidate():
     # entire Grid(3,2) vertex space: 112 accepted, 608 rejected
     spec = GridSpec((3, 2))
     full = exhaustive_search(spec, SearchBudget("vertex"))
-    magic_digests = {d for d, _ in full.found}
+    magic_labelings = {labels for labels, _ in full.found}
     accepted = rejected = 0
     for perm in itertools.permutations(range(1, spec.vertex_count + 1)):
         report = verify_vertex_magic(spec, vertex_labeling_from_flat(spec, perm))
         if report.magic:
             accepted += 1
-            assert labeling_digest(perm) in magic_digests
+            assert perm in magic_labelings
         else:
             rejected += 1
-            assert labeling_digest(perm) not in magic_digests
+            assert perm not in magic_labelings
     assert accepted == full.found_count
     assert rejected == 720 - full.found_count
 
@@ -269,6 +276,52 @@ def test_histogram_is_symmetric_under_complement_duality(dims, mode):
     assert {centre - c: n for c, n in histogram.items()} == histogram
 
 
+@pytest.mark.parametrize(
+    "dims, mode", [((3, 2), "vertex"), ((3, 2), "edge"), ((3, 3), "vertex"), ((2, 2), "supermagic")]
+)
+def test_found_set_is_closed_under_complement_duality(dims, mode):
+    # found holds every magic labeling here; each label l of a pool maps to
+    # (pool first + pool last) - l, which takes sum c to centre - c
+    spec = GridSpec(dims)
+    result = full_scan(dims, mode)
+    assert len(result.found) == result.found_count <= oracle.FOUND_CAP
+    nv, ne = spec.vertex_count, spec.edge_count
+    flips = {
+        "vertex": [nv + 1] * nv,
+        "edge": [ne + 1] * ne,
+        "supermagic": [nv + 1] * nv + [2 * nv + ne + 1] * ne,
+    }[mode]
+    centre = dual_centre(spec, mode)
+    found = set(result.found)
+    duals = {
+        (tuple(flip - label for flip, label in zip(flips, labels)), centre - c)
+        for labels, c in found
+    }
+    assert duals == found
+
+
+@pytest.mark.parametrize(
+    "dims, mode, target_sum",
+    [((3, 2), "vertex", None), ((3, 2), "edge", None), ((4, 3), "vertex", 28)],
+)
+def test_found_labelings_are_int_tuples_in_order_that_verify(dims, mode, target_sum):
+    # one-digit labels (full scans) and two-digit labels (a target scan)
+    spec = GridSpec(dims)
+    result = exhaustive_search(spec, SearchBudget(mode, 10**9), target_sum)
+    assert len(result.found) == result.found_count > 1
+    labelings = [labels for labels, _ in result.found]
+    assert labelings == sorted(set(labelings))
+    check, from_flat = {
+        "vertex": (verify_vertex_magic, vertex_labeling_from_flat),
+        "edge": (verify_edge_magic, edge_labeling_from_flat),
+    }[mode]
+    for labels, magic_sum in result.found:
+        assert type(labels) is tuple and {type(label) for label in labels} == {int}
+        assert type(magic_sum) is int
+        report = check(spec, from_flat(spec, labels))
+        assert report.magic and report.bijective and report.magic_sum == magic_sum
+
+
 def test_supermagic_scan_grid32():
     spec = GridSpec((3, 2))
     result = full_scan((3, 2), "supermagic")
@@ -279,6 +332,23 @@ def test_supermagic_scan_grid32():
     assert result.found_count == 203_328
     assert dual_centre(spec, "supermagic") == 2 * 54
     assert confirm_construction(spec, SearchBudget("supermagic"))
+
+
+def test_found_witness_round_trips_through_a_document(tmp_path, capsys):
+    # a found supermagic labeling, vertex labels then edge labels in rank
+    # order, is a document that the verifier and the CLI accept at its sum
+    spec = GridSpec((3, 2))
+    labels, magic_sum = full_scan((3, 2), "supermagic").found[0]
+    nv = spec.vertex_count
+    doc = LabelingDocument("1", (3, 2), (1, 2), "total", labels[:nv], labels[nv:])
+    path = tmp_path / "witness.json"
+    path.write_bytes(save(doc))
+    loaded = load(path.read_bytes())
+    assert loaded == doc
+    report = verify_document(loaded)
+    assert report.magic and report.bijective and report.magic_sum == magic_sum
+    assert cli(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"MAGIC sum={magic_sum}"
 
 
 @pytest.mark.parametrize(
@@ -416,36 +486,3 @@ def test_scans_leave_no_reference_cycles(mode, target_sum):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [(1, 2, 3, 4)],
-        [(4, 3, 2, 1), (2, 4, 1, 3)],
-        [(9, 10, 11, 12), (12, 1, 10, 7)],
-        [(1, 99, 100, 999), (100, 5, 10, 7), (123, 45, 6, 789)],
-    ],
-)
-def test_batched_digests_match_labeling_digest(rows):
-    # labels of one, two and three digits, and a single row
-    assert oracle._digests(np.array(rows)) == [labeling_digest(row) for row in rows]
-
-
-@pytest.mark.parametrize(
-    "dims, mode, target_sum",
-    [((3, 2), "vertex", None), ((3, 2), "edge", None), ((4, 3), "vertex", 28)],
-)
-def test_found_digests_match_labeling_digest(monkeypatch, dims, mode, target_sum):
-    # the labelings a scan keeps, one-digit (full scans) and two-digit
-    kept = []
-
-    def keeping(labels):
-        kept.extend(labels.tolist())
-        return digests(labels)
-
-    digests = oracle._digests
-    monkeypatch.setattr(oracle, "_digests", keeping)
-    result = exhaustive_search(GridSpec(dims), SearchBudget(mode, 10**9), target_sum)
-    assert len(kept) == len(result.found) > 1
-    assert [digest for digest, _ in result.found] == [labeling_digest(row) for row in kept]
