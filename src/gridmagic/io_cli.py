@@ -3,10 +3,10 @@
 Labelings travel as a single JSON document holding the caller's axis
 order, the permutation into canonical order, and the label arrays in
 canonical rank order. In memory a document derives its canonical `spec`
-once, refuses a permutation or part length (`part_sizes`) that `load`
-would refuse, and keeps its labels as read-only int64 arrays from
-`generate_document` or `load` through `save`, the verifier, the renderers
-and the label lookups. Serialization is canonical
+once, is the one check of its format version, dims, permutation, kind
+and part lengths (`part_sizes`), and keeps its labels as read-only int64
+arrays from `generate_document` or `load` through `save`, the verifier,
+the renderers and the label lookups. Serialization is canonical
 (sorted keys, compact separators, newline-terminated), so identical
 documents are identical bytes and everything downstream can be diffed.
 `save` writes the label arrays with numpy passes over fixed-size blocks
@@ -49,6 +49,7 @@ from .errors import (
     GridMagicError,
     Overflow,
     ParseError,
+    SpecMismatch,
     UnsupportedDimension,
     UsageError,
     VersionMismatch,
@@ -88,18 +89,13 @@ EXIT_USAGE = 64
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _check_version(version: object) -> None:
-    if not isinstance(version, str) or version != FORMAT_VERSION:
-        raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class LabelingDocument:
     """On-disk form of a labeling: caller axis order plus canonical arrays.
 
     `spec` is derived from `dims`, and `dims` and `axis_permutation` are
-    kept as tuples of ints. A format version, permutation or label array
-    length that `load` would refuse is refused with the same error.
+    kept as tuples of ints. This is the one check of a document's values;
+    `load` only decodes, so it refuses what is refused here, the same way.
     """
 
     format_version: str
@@ -111,17 +107,25 @@ class LabelingDocument:
     spec: GridSpec = field(init=False)
 
     def __post_init__(self):
-        _check_version(self.format_version)
-        spec, perm = canonicalize(self.dims)
+        version = self.format_version
+        if not isinstance(version, str) or version != FORMAT_VERSION:
+            raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
+        try:
+            spec, perm = canonicalize(self.dims)
+        except GridMagicError as e:  # a non-sequence is shown as it is: list() could raise
+            dims = list(self.dims) if isinstance(self.dims, (list, tuple)) else self.dims
+            raise ParseError(f"bad dims {dims}: {e}") from e
         object.__setattr__(self, "spec", spec)
         if tuple(self.axis_permutation) != perm:
             raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
         object.__setattr__(self, "dims", tuple(spec.dims[p - 1] for p in perm))
         object.__setattr__(self, "axis_permutation", perm)
+        if self.kind not in KINDS:
+            raise ParseError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name, want in zip(("vertex_labels", "edge_labels"), part_sizes(spec, self.kind)):
             labels = frozen_labels(getattr(self, name))
             if labels.ndim != 1:
-                raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
+                raise SpecMismatch(f"labels must be one-dimensional, got shape {labels.shape}")
             if len(labels) != want:
                 raise ParseError(f"{name} length mismatch: got {len(labels)}, want {want}")
             object.__setattr__(self, name, labels)
@@ -403,13 +407,14 @@ def _int64_array(raw: object, key: str) -> np.ndarray:
 
 
 def load(data: bytes | str) -> LabelingDocument:
-    """Parse and validate a document produced by `save`.
+    """Parse a document produced by `save`.
 
     Bytes in exactly `save`'s layout are read with array passes over blocks
     of about `_PARSE_BLOCK` bytes, each parsed into its slice of the label
     array, so memory stays near the size of the labels; any other input
     goes through json.loads. Both give the same payload to the same checks,
-    so the result, or the error, does not depend on the path.
+    so the result, or the error, does not depend on the path. The values
+    are checked by `LabelingDocument`.
     """
     payload = _canonical_payload(data) if isinstance(data, bytes) else None
     if payload is None:
@@ -421,21 +426,10 @@ def load(data: bytes | str) -> LabelingDocument:
         missing = expected - set(payload)
         extra = set(payload) - expected
         raise ParseError(f"bad document keys: missing {sorted(missing)}, unknown {sorted(extra)}")
-    version = payload["format_version"]
-    _check_version(version)
-    dims = tuple(_int64_array(payload["dims"], "dims").tolist())
-    try:
-        perm = canonicalize(dims)[1]
-    except GridMagicError as e:
-        raise ParseError(f"bad dims {list(dims)}: {e}") from e
-    if tuple(_int64_array(payload["axis_permutation"], "axis_permutation").tolist()) != perm:
-        raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
-    kind = payload["kind"]
-    if kind not in KINDS:
-        raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
-    vertex_labels = _int64_array(payload["vertex_labels"], "vertex_labels")
-    edge_labels = _int64_array(payload["edge_labels"], "edge_labels")
-    return LabelingDocument(version, dims, perm, kind, vertex_labels, edge_labels)
+    keys = ("dims", "axis_permutation", "vertex_labels", "edge_labels")
+    dims, perm, vertex, edge = (_int64_array(payload[key], key) for key in keys)
+    version, kind = payload["format_version"], payload["kind"]
+    return LabelingDocument(version, tuple(dims.tolist()), tuple(perm.tolist()), kind, vertex, edge)
 
 
 def generate_document(dims: Sequence[int], kind: str) -> LabelingDocument:
@@ -642,8 +636,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"--dims expects a comma-separated integer list, got {text!r}")
-    if len(dims) < 2:
-        raise UsageError("--dims needs at least two side lengths")
     return dims
 
 

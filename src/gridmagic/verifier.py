@@ -107,14 +107,14 @@ def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return a[tuple(head)] + a[tuple(tail)]
 
 
-def cube_vertex_sums(grid: np.ndarray, spec: GridSpec | None = None) -> np.ndarray:
+def cube_vertex_sums(grid: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Sum of vertex labels per unit cube, indexed by 0-based corner.
 
-    The cube axes are the trailing `spec.dim` axes of `grid` (all of its
-    axes when no spec is given); leading axes are a batch.
+    The cube axes are the trailing `spec.dim` axes of `grid`; leading axes
+    are a batch.
     """
     out = grid
-    for axis in range(-(grid.ndim if spec is None else spec.dim), 0):
+    for axis in range(-spec.dim, 0):
         out = _pair_sum(out, axis)
     return out
 

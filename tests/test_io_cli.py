@@ -19,7 +19,6 @@ from conftest import TEXT_BLOCKS, load_script, text_blocks
 from gridmagic import (
     CoordOutOfRange,
     EdgeId,
-    GridMagicError,
     GridSpec,
     LabelingDocument,
     ParseError,
@@ -328,20 +327,37 @@ def test_document_refuses_labels_that_are_not_int64_integers(labels, dtype):
 
 
 @pytest.mark.parametrize(
-    "perm, kind, n_v, n_e, error, text",
+    "version, dims, perm, kind, n_v, n_e, error, text",
     [
-        ((1, 2), "vertex", 5, 0, ParseError, "vertex_labels length mismatch: got 5, want 6"),
-        ((1, 2), "total", 6, 8, ParseError, "edge_labels length mismatch: got 8, want 7"),
-        ((1, 2), "edge", 6, 7, ParseError, "vertex_labels length mismatch: got 6, want 0"),
-        ((1, 2), "supermagic", 6, 0, GridMagicError, "kind must be one of"),
+        ("1", (3, 2), (1, 2), "vertex", 5, 0, ParseError, "vertex_labels length mismatch: got 5, want 6"),
+        ("1", (3, 2), (1, 2), "total", 6, 8, ParseError, "edge_labels length mismatch: got 8, want 7"),
+        ("1", (3, 2), (1, 2), "edge", 6, 7, ParseError, "vertex_labels length mismatch: got 6, want 0"),
+        ("1", (3, 2), (1, 2), "supermagic", 6, 0, ParseError, "kind must be one of"),
         # verify_document read it as MAGIC, yet load(save(doc)) refused it
-        ((2, 1), "vertex", 6, 0, ParseError, r"axis_permutation inconsistent with dims, want \[1, 2\]"),
+        ("1", (3, 2), (2, 1), "vertex", 6, 0, ParseError, r"axis_permutation inconsistent with dims, want \[1, 2\]"),
+        ("1", (3,), (1,), "vertex", 3, 0, ParseError, r"bad dims \[3\]: need at least 2 axes, got 1"),
+        ("1", (3, 1), (1, 2), "vertex", 3, 0, ParseError, r"bad dims \[3, 1\]: every side length must be >= 2"),
+        ("1", (2**32, 2**31), (1, 2), "vertex", 0, 0, ParseError, r"bad dims \[4294967296, 2147483648\]: \|V\|\+\|E\|"),
+        ("2", (3, 2), (1, 2), "vertex", 6, 0, VersionMismatch, "format_version '2', supported '1'"),
     ],
 )
-def test_document_refuses_what_load_refuses(perm, kind, n_v, n_e, error, text):
+def test_document_refuses_what_load_refuses(version, dims, perm, kind, n_v, n_e, error, text):
     vertex, edge = np.arange(1, n_v + 1), np.arange(1, n_e + 1)
-    with pytest.raises(error, match=text):
-        LabelingDocument("1", (3, 2), perm, kind, vertex, edge)
+    with pytest.raises(error, match=text) as built:
+        LabelingDocument(version, dims, perm, kind, vertex, edge)
+    payload = {
+        "format_version": version, "dims": list(dims), "axis_permutation": list(perm),
+        "kind": kind, "vertex_labels": vertex.tolist(), "edge_labels": edge.tolist(),
+    }
+    with pytest.raises(error) as loaded:
+        load(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    assert type(loaded.value) is type(built.value)
+    assert str(loaded.value) == str(built.value)
+
+
+def test_document_refuses_labels_that_are_not_one_dimensional():
+    with pytest.raises(SpecMismatch, match=r"labels must be one-dimensional, got shape \(2, 3\)$"):
+        LabelingDocument("1", (3, 2), (1, 2), "vertex", np.arange(1, 7).reshape(2, 3), ())
 
 
 @pytest.mark.parametrize("version", ["2", "", 1, None])

@@ -270,7 +270,7 @@ def test_random_specs_verify_exactly(spec):
 def test_cube_sums_match_plain_enumeration_per_cube(candidate):
     spec, f, g = candidate
     # both orders are corner row-major
-    assert cube_vertex_sums(f.grid).ravel().tolist() == brute_vertex_cube_sums(spec, f)
+    assert cube_vertex_sums(f.grid, spec).ravel().tolist() == brute_vertex_cube_sums(spec, f)
     assert cube_edge_sums(g.per_axis, spec).ravel().tolist() == brute_edge_cube_sums(spec, g)
 
 
@@ -417,7 +417,7 @@ def test_batched_kernels_match_single_labelings(batch):
     )
     assert vertex_sums.shape == edge_sums.shape == (len(rows), *(n - 1 for n in spec.dims))
     for f, g, vs, es in zip(fs, gs, vertex_sums, edge_sums):
-        assert vs.tolist() == cube_vertex_sums(f.grid).tolist()
+        assert vs.tolist() == cube_vertex_sums(f.grid, spec).tolist()
         assert es.tolist() == cube_edge_sums(g.per_axis, spec).tolist()
         assert vs.ravel().tolist() == brute_vertex_cube_sums(spec, f)
         assert es.ravel().tolist() == brute_edge_cube_sums(spec, g)
