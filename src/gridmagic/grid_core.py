@@ -135,24 +135,28 @@ def _index(x: object, what: str) -> int:
         raise CoordOutOfRange(f"{what} {x!r} is not an integer") from None
 
 
-def _check_coord(spec: GridSpec, v: VertexCoord) -> None:
-    if len(v) != spec.dim or any(
-        not 1 <= _index(c, "coordinate") <= n for c, n in zip(v, spec.dims)
-    ):
+def _checked_coord(spec: GridSpec, v: VertexCoord) -> list[int]:
+    """`v` as Python ints, if it is a vertex of the grid."""
+    coords = [_index(c, "coordinate") for c in v]
+    if len(coords) != spec.dim:
         raise CoordOutOfRange(f"{v} not a vertex of the {spec.dims} grid")
+    for c, n in zip(coords, spec.dims):
+        if not 1 <= c <= n:
+            raise CoordOutOfRange(f"{v} not a vertex of the {spec.dims} grid")
+    return coords
 
 
 def vertex_rank(spec: GridSpec, v: VertexCoord) -> int:
     """Row-major position of a vertex, in [0, |V|)."""
-    _check_coord(spec, v)
     rank = 0
-    for c, n in zip(v, spec.dims):
+    for c, n in zip(_checked_coord(spec, v), spec.dims):
         rank = rank * n + (c - 1)
     return rank
 
 
 def vertex_unrank(spec: GridSpec, rank: int) -> VertexCoord:
     """Inverse of `vertex_rank`."""
+    rank = _index(rank, "rank")
     if not 0 <= rank < spec.vertex_count:
         raise CoordOutOfRange(f"rank {rank} not in [0, {spec.vertex_count})")
     coords = []
@@ -180,22 +184,25 @@ def enumerate_edges(spec: GridSpec) -> Iterator[EdgeId]:
             yield EdgeId(base, axis)
 
 
-def _check_edge(spec: GridSpec, e: EdgeId) -> None:
-    if not 1 <= _index(e.axis, "axis") <= spec.dim:
+def _checked_edge(spec: GridSpec, e: EdgeId) -> tuple[list[int], int]:
+    """The base and axis of `e` as Python ints, if it is an edge of the grid."""
+    axis = _index(e.axis, "axis")
+    if not 1 <= axis <= spec.dim:
         raise CoordOutOfRange(f"axis {e.axis} not in [1, {spec.dim}]")
-    _check_coord(spec, e.base)
-    if e.base[e.axis - 1] >= spec.dims[e.axis - 1]:
+    base = _checked_coord(spec, e.base)
+    if base[axis - 1] >= spec.dims[axis - 1]:
         raise CoordOutOfRange(f"edge base {e.base} has no room along axis {e.axis}")
+    return base, axis
 
 
 def edge_rank(spec: GridSpec, e: EdgeId) -> int:
     """Position of an edge in `enumerate_edges` order."""
-    _check_edge(spec, e)
+    base, axis = _checked_edge(spec, e)
     total = spec.vertex_count
-    rank = sum((n - 1) * (total // n) for n in spec.dims[: e.axis - 1])
+    rank = sum((n - 1) * (total // n) for n in spec.dims[: axis - 1])
     within = 0
-    for i, (c, n) in enumerate(zip(e.base, spec.dims)):
-        size = n - 1 if i == e.axis - 1 else n
+    for i, (c, n) in enumerate(zip(base, spec.dims)):
+        size = n - 1 if i == axis - 1 else n
         within = within * size + (c - 1)
     return rank + within
 

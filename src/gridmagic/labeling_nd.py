@@ -9,7 +9,9 @@ In-layer edges are lifted the same way with per-layer offsets chosen by
 the parity of the edge's axis (or, for the last in-layer axis when the
 target dimension is even, by the parity of the base vertex's leading
 coordinates). Connecting edges get fresh labels above all in-layer ones,
-derived from the base vertex labeling.
+derived from the base vertex labeling. Every such lift is an arithmetic
+progression along the new axis, written layer by layer when that axis is
+short.
 
 Each lift preserves the magic property, so iterating from the
 two-dimensional base case yields magic labelings for every dimension;
@@ -76,13 +78,50 @@ def layer_counts(spec: GridSpec) -> LayerCounts:
 
 
 def _coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> np.ndarray:
-    """Parity of the 1-based coordinate sum over `axes` (default: all)."""
-    out = np.zeros(shape, dtype=np.int64)
+    """Parity (0 or 1, uint8) of the 1-based coordinate sum over `axes` (default: all).
+
+    The result broadcasts against `shape`: it has length 1 on every axis
+    left out of the sum.
+    """
+    out = np.zeros((1,) * len(shape), dtype=np.uint8)
     for a in range(len(shape)) if axes is None else axes:
         view = [1] * len(shape)
         view[a] = shape[a]
-        out = out + np.arange(1, shape[a] + 1, dtype=np.int64).reshape(view) % 2
-    return out % 2
+        out = out ^ (np.arange(1, shape[a] + 1) % 2).astype(np.uint8).reshape(view)
+    return out
+
+
+# Up to this many layers a lift is written one layer at a time, so every pass
+# runs along a whole layer rather than along the new axis, which canonical
+# order makes the shortest (2-6 labels on most d >= 4 specs). Past it the
+# strided layer writes cost more than numpy's per-loop overhead saves, and the
+# new axis goes innermost again. Measured with numpy 2.4.6 on a 2-core x86
+# host, best of 20: layer by layer, (4,)^9 builds in 5.5-8.4 ms against
+# 12.2-17.8 ms as one broadcast per lift, but (60,60,55), whose new side is
+# 55, takes 2.8-3.4 ms against 1.5-2.0 ms.
+_LAYERWISE_MAX_SIDE = 8
+
+
+def _write_layers(
+    out: np.ndarray, base: np.ndarray, step: int, backward: bool | np.ndarray, shift: int = 0
+) -> None:
+    """Write ``out[..., t] = base + shift + k * step`` for every layer t.
+
+    Over the n = ``out.shape[-1]`` layers, k = t where `backward` is false
+    and k = n - 1 - t where it is true; `backward` is a bool or an array that
+    broadcasts against `base`. Layer t is thus first + t * delta, with
+    `first` and `delta` built once at the base's shape.
+    """
+    n = out.shape[-1]
+    first = np.where(backward, (n - 1) * step, 0) + shift
+    delta = np.where(backward, -step, step)
+    if n <= _LAYERWISE_MAX_SIDE:
+        np.add(base, first, out=out[..., 0])
+        for t in range(1, n):
+            np.add(out[..., t - 1], delta, out=out[..., t])
+    else:
+        t = np.arange(n, dtype=np.int64)
+        np.add((base + first)[..., None], delta[..., None] * t, out=out)
 
 
 def extend_vertex_labeling(base: VertexLabeling, nd: int) -> VertexLabeling:
@@ -92,12 +131,10 @@ def extend_vertex_labeling(base: VertexLabeling, nd: int) -> VertexLabeling:
     from 2 up to the base's last side.
     """
     spec = GridSpec(base.spec.dims + (nd,))
-    nd = spec.dims[-1]
-    layer_size = base.spec.vertex_count
-    parity = _coord_parity(base.spec.dims)
-    x = np.arange(1, nd + 1, dtype=np.int64)
-    offsets = np.where(parity[..., None] == 0, (x - 1) * layer_size, (nd - x) * layer_size)
-    return VertexLabeling(spec, base.grid[..., None] + offsets)
+    grid = np.empty(spec.dims, dtype=np.int64)
+    # layers count forward on even coordinate sums, backward on odd ones
+    _write_layers(grid, base.grid, base.spec.vertex_count, _coord_parity(base.spec.dims))
+    return VertexLabeling(spec, grid)
 
 
 def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) -> EdgeLabeling:
@@ -117,31 +154,21 @@ def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) 
     d = spec.dim
     per_layer = layer_counts(spec)
 
-    x = np.arange(1, nd + 1, dtype=np.int64)
-    forward = (x - 1) * per_layer.edges
-    backward = (nd - x) * per_layer.edges
-
     flat = np.empty(spec.edge_count, dtype=np.int64)
     per_axis = split_edge_labels(spec, flat)
     for axis, arr in enumerate(base_g.per_axis, start=1):
         if d % 2 == 0 and axis == d - 1:
-            # even target dimension: the last in-layer axis switches on the
-            # parity of the base vertex's first d-2 coordinates
-            parity = _coord_parity(arr.shape, axes=range(d - 2))
-            offsets = np.where(parity[..., None] == 1, forward, backward)
+            # even target dimension: the last in-layer axis counts forward on
+            # odd coordinate sums over the base vertex's first d-2 axes
+            backward = _coord_parity(arr.shape, axes=range(d - 2)) == 0
         else:
-            offsets = forward if axis % 2 == 1 else backward
-        np.add(arr[..., None], offsets, out=per_axis[axis - 1])
+            backward = axis % 2 == 0
+        _write_layers(per_axis[axis - 1], arr, per_layer.edges, backward)
 
-    # connecting edges: base coordinate x_d runs over [1, nd-1]
-    t = np.arange(1, nd, dtype=np.int64)
-    parity = _coord_parity(base_f.spec.dims)
-    offsets = nd * per_layer.edges + np.where(
-        parity[..., None] == 1,
-        (t - 1) * per_layer.vertices,
-        (nd - 1 - t) * per_layer.vertices,
-    )
-    np.add(base_f.grid[..., None], offsets, out=per_axis[-1])
+    # connecting edges: one layer per base coordinate x_d in [1, nd-1], above
+    # all nd * per_layer.edges in-layer labels, forward on odd coordinate sums
+    backward = _coord_parity(base_f.spec.dims) == 0
+    _write_layers(per_axis[-1], base_f.grid, per_layer.vertices, backward, nd * per_layer.edges)
     return EdgeLabeling(spec, flat)
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -86,8 +87,15 @@ class SearchBudget:
     def __post_init__(self):
         if self.mode not in MODES:
             raise GridMagicError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_assignments < 1:
+        try:
+            allowed = operator.index(self.max_assignments)
+        except TypeError:
+            raise GridMagicError(
+                f"max_assignments must be an integer, got {self.max_assignments!r}"
+            ) from None
+        if allowed < 1:
             raise GridMagicError("max_assignments must be >= 1")
+        object.__setattr__(self, "max_assignments", allowed)
 
 
 @dataclass(frozen=True)

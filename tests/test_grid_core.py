@@ -155,6 +155,33 @@ def test_edge_lookups_reject_non_integral_coordinates_and_axes(lookup, e):
     assert run(EdgeId((np.int64(2), True), np.int64(1))) == run(EdgeId((2, 1), 1))
 
 
+@pytest.mark.parametrize("rank", [1.5, 1.0, "1", None, np.float64(2)])
+def test_vertex_unrank_rejects_a_non_integral_rank(rank):
+    # 1.5 would otherwise unrank to (1.0, 2.5)
+    with pytest.raises(CoordOutOfRange, match="rank .* is not an integer"):
+        vertex_unrank(GridSpec((3, 2)), rank)
+
+
+@pytest.mark.parametrize(
+    "lookup,arg,want",
+    [
+        ("vertex_rank", (np.int64(2), np.int64(1)), 2),
+        ("vertex_rank", (np.uint8(3), np.int32(2)), 5),
+        ("edge_rank", EdgeId((np.int64(2), np.int64(1)), np.int64(1)), 2),
+        ("edge_rank", EdgeId((np.int16(1), np.int64(1)), np.uint8(2)), 4),
+        ("vertex_unrank", np.int64(3), (2, 2)),
+        ("vertex_unrank", np.uint16(4), (3, 1)),
+    ],
+)
+def test_ranks_of_numpy_integers_are_python_ints(lookup, arg, want):
+    spec = GridSpec((3, 2))
+    run = {"vertex_rank": vertex_rank, "edge_rank": edge_rank, "vertex_unrank": vertex_unrank}
+    got = run[lookup](spec, arg)
+    assert got == want
+    for value in got if isinstance(got, tuple) else (got,):
+        assert type(value) is int
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_specs(), st.data())
 def test_unrank_inverts_rank(spec, data):

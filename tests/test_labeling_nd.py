@@ -24,6 +24,7 @@ from gridmagic import (
     enumerate_cubes,
     extend_edge_labeling,
     extend_vertex_labeling,
+    labeling_nd,
     layer_counts,
     verify_edge_magic,
     verify_supermagic,
@@ -135,6 +136,23 @@ def test_build_labelings_magic_sums(dims, sums):
     rv, re_ = verify_vertex_magic(spec, f), verify_edge_magic(spec, g)
     assert (rv.magic_sum, re_.magic_sum) == sums
     assert rv.bijective and re_.bijective
+
+
+def test_build_labelings_lifts_through_the_module_attributes(monkeypatch):
+    # the benchmark's per-layer spans wrap these attributes by name
+    calls = {"extend_vertex_labeling": 0, "extend_edge_labeling": 0}
+    for name in calls:
+        inner = getattr(labeling_nd, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(labeling_nd, name, counted)
+    spec = GridSpec((5, 4, 3, 2))
+    f, g = build_labelings(spec)
+    assert calls == {"extend_vertex_labeling": 2, "extend_edge_labeling": 2}
+    assert f.spec == g.spec == spec
 
 
 @pytest.mark.parametrize(

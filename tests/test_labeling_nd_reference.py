@@ -1,0 +1,126 @@
+"""The layer-by-layer dimension lift against the broadcast lift it replaced.
+
+`reference_extend_vertex_labeling` and `reference_extend_edge_labeling` are
+the old bodies: each lift is one numpy broadcast whose innermost axis is the
+new side, with int64 coordinate parities and full-size `np.where` offsets
+where the direction switches on parity. The lift now writes short new sides
+one layer at a time and long ones as a broadcast; both orders, and the
+parity-switched in-layer axis of even target dimensions, must give exactly
+the old labels.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+import pytest
+
+from conftest import random_canonical_specs
+from gridmagic import (
+    EdgeLabeling,
+    GridSpec,
+    VertexLabeling,
+    base_edge_labeling,
+    base_vertex_labeling,
+    build_labelings,
+    extend_edge_labeling,
+    extend_vertex_labeling,
+    layer_counts,
+)
+from gridmagic.labeling_2d import split_edge_labels
+
+
+def reference_coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> np.ndarray:
+    """Parity of the 1-based coordinate sum over `axes` (default: all)."""
+    out = np.zeros(shape, dtype=np.int64)
+    for a in range(len(shape)) if axes is None else axes:
+        view = [1] * len(shape)
+        view[a] = shape[a]
+        out = out + np.arange(1, shape[a] + 1, dtype=np.int64).reshape(view) % 2
+    return out % 2
+
+
+def reference_extend_vertex_labeling(base: VertexLabeling, nd: int) -> VertexLabeling:
+    spec = GridSpec(base.spec.dims + (nd,))
+    nd = spec.dims[-1]
+    layer_size = base.spec.vertex_count
+    parity = reference_coord_parity(base.spec.dims)
+    x = np.arange(1, nd + 1, dtype=np.int64)
+    offsets = np.where(parity[..., None] == 0, (x - 1) * layer_size, (nd - x) * layer_size)
+    return VertexLabeling(spec, base.grid[..., None] + offsets)
+
+
+def reference_extend_edge_labeling(
+    base_f: VertexLabeling, base_g: EdgeLabeling, nd: int
+) -> EdgeLabeling:
+    spec = GridSpec(base_f.spec.dims + (nd,))
+    nd = spec.dims[-1]
+    d = spec.dim
+    per_layer = layer_counts(spec)
+
+    x = np.arange(1, nd + 1, dtype=np.int64)
+    forward = (x - 1) * per_layer.edges
+    backward = (nd - x) * per_layer.edges
+
+    flat = np.empty(spec.edge_count, dtype=np.int64)
+    per_axis = split_edge_labels(spec, flat)
+    for axis, arr in enumerate(base_g.per_axis, start=1):
+        if d % 2 == 0 and axis == d - 1:
+            parity = reference_coord_parity(arr.shape, axes=range(d - 2))
+            offsets = np.where(parity[..., None] == 1, forward, backward)
+        else:
+            offsets = forward if axis % 2 == 1 else backward
+        np.add(arr[..., None], offsets, out=per_axis[axis - 1])
+
+    t = np.arange(1, nd, dtype=np.int64)
+    parity = reference_coord_parity(base_f.spec.dims)
+    offsets = nd * per_layer.edges + np.where(
+        parity[..., None] == 1,
+        (t - 1) * per_layer.vertices,
+        (nd - 1 - t) * per_layer.vertices,
+    )
+    np.add(base_f.grid[..., None], offsets, out=per_axis[-1])
+    return EdgeLabeling(spec, flat)
+
+
+def reference_build_labelings(spec: GridSpec) -> tuple[VertexLabeling, EdgeLabeling]:
+    f = base_vertex_labeling(spec.dims[0], spec.dims[1])
+    g = base_edge_labeling(spec.dims[0], spec.dims[1])
+    for k in range(3, spec.dim + 1):
+        nd = spec.dims[k - 1]
+        g = reference_extend_edge_labeling(f, g, nd)
+        f = reference_extend_vertex_labeling(f, nd)
+    return f, g
+
+
+def _assert_same_labels(got, want) -> None:
+    (got_f, got_g), (want_f, want_g) = got, want
+    assert got_f.spec == want_f.spec and got_g.spec == want_g.spec
+    assert np.array_equal(got_f.flat, want_f.flat)
+    assert np.array_equal(got_g.flat, want_g.flat)
+
+
+def test_suite_builds_match_reference():
+    for spec in random_canonical_specs():
+        _assert_same_labels(build_labelings(spec), reference_build_labelings(spec))
+
+
+@pytest.mark.parametrize("dims", [(2,) * d for d in range(2, 9)] + [(4,) * 9])
+def test_all_twos_and_wide_builds_match_reference(dims):
+    spec = GridSpec(dims)
+    _assert_same_labels(build_labelings(spec), reference_build_labelings(spec))
+
+
+# Lifted to dimensions 3 (odd), 4 (even: the parity-switched in-layer axis)
+# and 5 (odd) by every new side from 2 to 12, short and long alike.
+LIFT_BASES = [(13, 12), (12, 12, 12), (12, 12, 12, 12)]
+
+
+@pytest.mark.parametrize("base_dims", LIFT_BASES)
+@pytest.mark.parametrize("nd", list(range(2, 13)) + [np.int64(5), np.uint8(11)])
+def test_single_lifts_match_reference(base_dims, nd):
+    f, g = build_labelings(GridSpec(base_dims))
+    got = extend_vertex_labeling(f, nd), extend_edge_labeling(f, g, nd)
+    want = reference_extend_vertex_labeling(f, nd), reference_extend_edge_labeling(f, g, nd)
+    _assert_same_labels(got, want)

@@ -47,6 +47,19 @@ def test_required_assignments():
     assert required_assignments(spec, "supermagic") == math.factorial(4) ** 2
 
 
+@pytest.mark.parametrize("allowed", ["10", 2.5, 10.0, None, 0, -3, np.int64(0)])
+def test_budget_refuses_a_non_integer_or_nonpositive_max_assignments(allowed):
+    with pytest.raises(GridMagicError, match="max_assignments must be"):
+        SearchBudget("vertex", allowed)
+
+
+def test_budget_takes_a_numpy_integer_max_assignments():
+    budget = SearchBudget("vertex", np.int64(24))
+    assert budget == SearchBudget("vertex", 24)
+    assert type(budget.max_assignments) is int
+    assert exhaustive_search(GridSpec((2, 2)), budget).examined == 24
+
+
 def test_budget_refusal_reports_required():
     with pytest.raises(BudgetExceeded) as info:
         exhaustive_search(GridSpec((3, 3)), SearchBudget("supermagic"))
