@@ -17,13 +17,12 @@ for the same input.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
 3d oblique), Graphviz dot, or a flat CSV with one row per element. All
-three take vertex names from the same numpy table writer as `save`'s
-label lists and edges axis by axis from `split_edge_labels`; CSV and dot
-rows are written by that writer a block at a time, TikZ one row at a
-time. The CLI ties it together: generate, verify, predict, search,
-render, cover. `generate` and `render` write their output block by
-block, never joined into one document-sized string, and only once every
-block is built, so a refused command leaves no partial file.
+four styles are written by the same numpy table writer as `save`'s label
+lists, a block of rows at a time, edges axis by axis from
+`split_edge_labels`. The CLI ties it together: generate, verify, predict,
+search, render, cover. `generate` and `render` write their output block
+by block, never joined into one document-sized string, and only once
+every block is built, so a refused command leaves no partial file.
 Exit codes: 0 ok (and magic+bijective for verify), 1 verification or
 search refusal, 2 I/O or parse failure, 64 usage.
 """
@@ -493,15 +492,10 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
 #
 # Every renderer walks vertices in rank order and edges in enumeration
 # order, so labels pair up with the document arrays position by position.
-# CSV and dot rows are written by the digit-cell table writer above: one
+# Every style's rows are written by the digit-cell table writer above: one
 # table per row kind and edge axis, holding the vertex-name cells, the
-# label digits and the fixed punctuation. TikZ takes its vertex names from
-# the same writer, places nodes with float `:g` coordinates and is written
-# one Python f-string per row; it is meant for small grids.
-
-
-def _fmt(x: float) -> str:
-    return f"{x:g}"
+# label digits and the fixed punctuation. TikZ adds the cells of its node
+# coordinates, the `:g` text of each distinct float x and y.
 
 
 def _vertex_name_cells(spec: GridSpec, sep: bytes) -> np.ndarray:
@@ -533,44 +527,42 @@ def _axis_blocks(doc: LabelingDocument) -> Iterator[tuple[int, tuple, tuple, np.
         yield a + 1, lower, upper, labels
 
 
-def _render_tikz(doc: LabelingDocument, style: str) -> str:
+def _render_tikz(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
     spec = doc.spec
     if style == "tikz2d" and spec.dim != 2:
         raise UnsupportedDimension(f"tikz2d needs a 2-dimensional grid, got {spec.dim}")
     if style == "tikz3d" and spec.dim != 3:
         raise UnsupportedDimension(f"tikz3d needs a 3-dimensional grid, got {spec.dim}")
 
-    coords = np.indices(spec.dims).reshape(spec.dim, -1) + 1
+    i, j, *k = np.ix_(*(np.arange(n, dtype=np.int64) for n in spec.dims))  # 0-based coordinates
     if spec.dim == 2:
-        i, j = coords
-        x, y = 3.0 * (i - 1), 3.0 * (spec.dims[1] - j)
+        x, y = 3.0 * i, 3.0 * (spec.dims[1] - 1 - j)
+    else:  # oblique projection: axis 2 drawn at a slant
+        x, y = 3.0 * i + 1.9 * j, 3.0 * (spec.dims[2] - 1 - k[0]) + 1.15 * j
+    # the `:g` text of each distinct x and y, left-aligned in cells padded with 0
+    x, y = (
+        np.array([f"{v:g}" for v in c.ravel().tolist()], "S").view(np.uint8).reshape(*c.shape, -1)
+        for c in (x, y)
+    )
+    names = _vertex_name_cells(spec, b"_")
+    parts = [
+        b"\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]\n"
+    ]
+    if doc.kind == "edge":
+        tail = (b") {};\n",)
     else:
-        i, j, k = coords  # oblique projection: axis 2 drawn at a slant
-        x = 3.0 * (i - 1) + 1.9 * (j - 1)
-        y = 3.0 * (spec.dims[2] - k) + 1.15 * (j - 1)
-    names = b"".join(_table_text(spec.dims, b"v", _vertex_name_cells(spec, b"_"), b" "))
-    names = names.decode().split()
-    texts = doc.vertex_labels.tolist() if doc.kind != "edge" else [""] * len(names)
-    lines = [
-        "\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]"
-    ]
-    lines += [
-        f"  \\node ({name}) at ({_fmt(px)},{_fmt(py)}) {{{text}}};"
-        for name, px, py, text in zip(names, x.tolist(), y.tolist(), texts)
-    ]
-    ranks = np.arange(spec.vertex_count).reshape(spec.dims)
+        tail = (b") {", doc.vertex_labels.reshape(spec.dims), b"};\n")
+    parts += _table_text(spec.dims, b"  \\node (v", names, b") at (", x, b",", y, *tail)
     for axis, lower, upper, labels in _axis_blocks(doc):
-        ends = zip(ranks[lower].reshape(-1).tolist(), ranks[upper].reshape(-1).tolist())
         if labels is None:
-            lines += [f"  \\draw ({names[a]}) -- ({names[b]});" for a, b in ends]
-            continue
-        placement = "midway,right" if axis == spec.dim else "midway,above,sloped"
-        lines += [
-            f"  \\draw ({names[a]}) -- ({names[b]}) node[draw=none,{placement}] {{{label}}};"
-            for (a, b), label in zip(ends, labels.reshape(-1).tolist())
-        ]
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+            tail = (b");\n",)
+        else:
+            placement = b"midway,right" if axis == spec.dim else b"midway,above,sloped"
+            tail = (b") node[draw=none,%s] {" % placement, labels, b"};\n")
+        shape = names[lower].shape[:-1]
+        parts += _table_text(shape, b"  \\draw (v", names[lower], b") -- (v", names[upper], *tail)
+    parts.append(b"\\end{tikzpicture}\n")
+    return parts
 
 
 def _render_dot(doc: LabelingDocument) -> list[bytes | np.ndarray]:
@@ -609,15 +601,15 @@ def _render_parts(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]
     """The ASCII text of `render(doc, style)` as parts, a block of rows at most in each."""
     if style not in STYLES:
         raise UsageError(f"style must be one of {STYLES}, got {style!r}")
-    if style in ("tikz2d", "tikz3d"):
-        return [_render_tikz(doc, style).encode()]
-    return _render_dot(doc) if style == "dot" else _render_csv(doc)
+    if style == "csv":
+        return _render_csv(doc)
+    return _render_dot(doc) if style == "dot" else _render_tikz(doc, style)
 
 
 def render(doc: LabelingDocument, style: str) -> str:
     """Deterministic text rendering of a document in the given style.
 
-    CSV and dot are written a block of rows at a time; `gridmagic render`
+    Every style is written a block of rows at a time; `gridmagic render`
     writes those blocks as they are, and `render` joins them.
     """
     return b"".join(_render_parts(doc, style)).decode()

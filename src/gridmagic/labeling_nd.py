@@ -152,7 +152,7 @@ def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) 
     spec = GridSpec(base_f.spec.dims + (nd,))  # checks nd as extend_vertex_labeling does
     nd = spec.dims[-1]
     d = spec.dim
-    per_layer = layer_counts(spec)
+    layer = base_f.spec
 
     flat = np.empty(spec.edge_count, dtype=np.int64)
     per_axis = split_edge_labels(spec, flat)
@@ -163,12 +163,12 @@ def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) 
             backward = _coord_parity(arr.shape, axes=range(d - 2)) == 0
         else:
             backward = axis % 2 == 0
-        _write_layers(per_axis[axis - 1], arr, per_layer.edges, backward)
+        _write_layers(per_axis[axis - 1], arr, layer.edge_count, backward)
 
     # connecting edges: one layer per base coordinate x_d in [1, nd-1], above
-    # all nd * per_layer.edges in-layer labels, forward on odd coordinate sums
-    backward = _coord_parity(base_f.spec.dims) == 0
-    _write_layers(per_axis[-1], base_f.grid, per_layer.vertices, backward, nd * per_layer.edges)
+    # all nd * layer.edge_count in-layer labels, forward on odd coordinate sums
+    backward = _coord_parity(layer.dims) == 0
+    _write_layers(per_axis[-1], base_f.grid, layer.vertex_count, backward, nd * layer.edge_count)
     return EdgeLabeling(spec, flat)
 
 

@@ -487,14 +487,18 @@ def exhaustive_search(
     that no cube sum can equal (below 1 or beyond int64) gives the empty
     result without a search.
 
-    Raises GridMagicError when `target_sum` is not an int (bools and
-    floats included), and BudgetExceeded up front when the search space
-    is larger than `budget.max_assignments`.
+    `target_sum` is taken through `operator.index`, so numpy integers
+    count as ints. Raises GridMagicError when it is not an integer (bools,
+    floats and numpy floats included), and BudgetExceeded up front when
+    the search space is larger than `budget.max_assignments`.
     """
-    if target_sum is not None and (
-        isinstance(target_sum, bool) or not isinstance(target_sum, int)
-    ):
-        raise GridMagicError(f"target_sum must be an int, got {target_sum!r}")
+    if target_sum is not None:
+        try:
+            if isinstance(target_sum, bool):
+                raise TypeError
+            target_sum = operator.index(target_sum)
+        except TypeError:
+            raise GridMagicError(f"target_sum must be an int, got {target_sum!r}") from None
     _check_budget(spec, budget)
     if target_sum is not None and not 0 < target_sum <= INT64_MAX:
         # cube sums of positive labels are positive; int64 sums stay exact

@@ -609,7 +609,7 @@ def test_load_memory_stays_near_the_label_arrays():
 def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, block):
     dims, path = "7,5,3", tmp_path / "doc.json"
     doc = generate_document([7, 5, 3], "total")
-    data, renders = save(doc), {style: render(doc, style) for style in ("csv", "dot")}
+    data, renders = save(doc), {style: render(doc, style) for style in ("csv", "dot", "tikz3d")}
     with text_blocks(block):
         assert run_cli(capsys, ["generate", "--dims", dims, "--out", str(path)]) == (0, "", "")
         assert path.read_bytes() == data

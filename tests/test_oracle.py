@@ -166,10 +166,21 @@ def test_pruned_supermagic_scan_grid22():
     assert pruned.sum_histogram == {36: 576}
 
 
-@pytest.mark.parametrize("target_sum", [14.0, 14.5, True, False, "14"])
+@pytest.mark.parametrize(
+    "target_sum", [14.0, 14.5, True, False, "14", np.float64(14.0), np.True_]
+)
 def test_malformed_target_sum_is_refused(target_sum):
     with pytest.raises(GridMagicError, match="target_sum must be an int"):
         exhaustive_search(GridSpec((3, 2)), SearchBudget("vertex"), target_sum=target_sum)
+
+
+@pytest.mark.parametrize("target_sum", [np.int64(16), np.uint8(16)])
+def test_numpy_integer_target_sum_is_taken_as_an_int(target_sum):
+    spec, budget = GridSpec((3, 2)), SearchBudget("vertex")
+    result = exhaustive_search(spec, budget, target_sum)
+    assert result == exhaustive_search(spec, budget, 16)
+    assert result.found_count == 16
+    assert all(type(s) is int for s in [*result.sum_histogram, *(s for _, s in result.found)])
 
 
 @pytest.mark.parametrize("target_sum", [2**63, 10**30, -(2**63) - 1])

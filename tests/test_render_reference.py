@@ -192,11 +192,12 @@ def _document(dims, kind, palette, seed):
 @example(dims=[2, 12, 3, 10], kind="edge", palette=[-1, 2**32, -(2**32), 7], seed=1)
 @example(dims=[10, 3, 12], kind="vertex", palette=[-(10**18), 5, 2**32 - 1], seed=2)
 @example(dims=[3, 2], kind="total", palette=[0], seed=3)
-def test_csv_and_dot_match_loop_reference_for_wide_coordinates_and_int64_labels(
+@example(dims=[12, 10, 12], kind="edge", palette=[INT64_MIN, INT64_MAX, 10**18], seed=4)
+def test_csv_dot_and_tikz_match_loop_reference_for_wide_coordinates_and_int64_labels(
     dims, kind, palette, seed
 ):
     doc = _document(dims, kind, palette, seed)
-    expected = {"csv": reference_csv(doc), "dot": reference_dot(doc)}
+    expected = {style: reference(doc, style) for style in allowed_styles(len(dims))}
     for block, style in itertools.product(TEXT_BLOCKS, expected):
         with text_blocks(block):
             assert render(doc, style) == expected[style], (block, style)
