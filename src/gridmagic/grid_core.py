@@ -15,10 +15,14 @@ each axis went so callers can translate coordinates back and forth.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     CoordOutOfRange,
@@ -89,8 +93,7 @@ class GridSpec:
 
     @property
     def edge_count(self) -> int:
-        total = self.vertex_count
-        return sum((n - 1) * (total // n) for n in self.dims)
+        return sum(map(math.prod, self.edge_shapes))
 
     @property
     def cube_count(self) -> int:
@@ -104,11 +107,16 @@ class GridSpec:
         """Number of edges of a single d-cube."""
         return self.dim * 2 ** (self.dim - 1)
 
-    def prefix(self) -> GridSpec:
-        """The grid spanned by all axes but the last (requires dim >= 3)."""
-        if self.dim < 3:
-            raise DimensionTooSmall("prefix of a 2-dimensional grid is a path")
-        return GridSpec(self.dims[:-1])
+    @functools.cached_property
+    def edge_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Per axis, the shape of its edge bases: `dims` with that axis one shorter.
+
+        This is the edge layout: edges are grouped by axis ascending, and
+        within an axis their bases run row-major over its shape. Built once
+        per spec.
+        """
+        dims = self.dims
+        return tuple(dims[:a] + (n - 1,) + dims[a + 1 :] for a, n in enumerate(dims))
 
 
 def canonicalize(dims: Sequence[int]) -> tuple[GridSpec, tuple[int, ...]]:
@@ -171,16 +179,10 @@ def enumerate_vertices(spec: GridSpec) -> Iterator[VertexCoord]:
     return itertools.product(*(range(1, n + 1) for n in spec.dims))
 
 
-def _axis_edge_bases(spec: GridSpec, axis: int) -> Iterator[VertexCoord]:
-    ranges = [range(1, n + 1) for n in spec.dims]
-    ranges[axis - 1] = range(1, spec.dims[axis - 1])
-    return itertools.product(*ranges)
-
-
 def enumerate_edges(spec: GridSpec) -> Iterator[EdgeId]:
     """All edges, grouped by axis ascending, bases in row-major order."""
-    for axis in range(1, spec.dim + 1):
-        for base in _axis_edge_bases(spec, axis):
+    for axis, shape in enumerate(spec.edge_shapes, start=1):
+        for base in itertools.product(*(range(1, n + 1) for n in shape)):
             yield EdgeId(base, axis)
 
 
@@ -198,13 +200,25 @@ def _checked_edge(spec: GridSpec, e: EdgeId) -> tuple[list[int], int]:
 def edge_rank(spec: GridSpec, e: EdgeId) -> int:
     """Position of an edge in `enumerate_edges` order."""
     base, axis = _checked_edge(spec, e)
-    total = spec.vertex_count
-    rank = sum((n - 1) * (total // n) for n in spec.dims[: axis - 1])
+    shapes = spec.edge_shapes
     within = 0
-    for i, (c, n) in enumerate(zip(base, spec.dims)):
-        size = n - 1 if i == axis - 1 else n
-        within = within * size + (c - 1)
-    return rank + within
+    for c, n in zip(base, shapes[axis - 1]):
+        within = within * n + (c - 1)
+    return sum(map(math.prod, shapes[: axis - 1])) + within
+
+
+def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Labels in edge enumeration order, along the last axis, as per-axis arrays.
+
+    The axis-a array has shape ``spec.edge_shapes[a-1]``, behind any
+    leading (batch) axes of `labels`; each is a view.
+    """
+    per_axis, start, batch = [], 0, labels.shape[:-1]
+    for shape in spec.edge_shapes:
+        stop = start + math.prod(shape)
+        per_axis.append(labels[..., start:stop].reshape(*batch, *shape))
+        start = stop
+    return tuple(per_axis)
 
 
 def edge_endpoints(e: EdgeId) -> tuple[VertexCoord, VertexCoord]:

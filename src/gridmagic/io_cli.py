@@ -60,6 +60,7 @@ from .grid_core import (
     canonicalize,
     check_h_covering,
     edge_rank,
+    split_edge_labels,
     vertex_rank,
 )
 from .labeling_2d import (
@@ -67,7 +68,6 @@ from .labeling_2d import (
     VertexLabeling,
     edge_labeling_from_flat,
     frozen_labels,
-    split_edge_labels,
     vertex_labeling_from_flat,
 )
 from .labeling_nd import TotalLabeling, constructed_parts, total_labeling_from_flats
@@ -495,7 +495,7 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
 # Every style's rows are written by the digit-cell table writer above: one
 # table per row kind and edge axis, holding the vertex-name cells, the
 # label digits and the fixed punctuation. TikZ adds the cells of its node
-# coordinates, the `:g` text of each distinct float x and y.
+# coordinates, each distinct x and y written once from exact hundredths.
 
 
 def _vertex_name_cells(spec: GridSpec, sep: bytes) -> np.ndarray:
@@ -535,15 +535,15 @@ def _render_tikz(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
         raise UnsupportedDimension(f"tikz3d needs a 3-dimensional grid, got {spec.dim}")
 
     i, j, *k = np.ix_(*(np.arange(n, dtype=np.int64) for n in spec.dims))  # 0-based coordinates
+    # x and y in exact hundredths of a unit
     if spec.dim == 2:
-        x, y = 3.0 * i, 3.0 * (spec.dims[1] - 1 - j)
+        x, y = 300 * i, 300 * (spec.dims[1] - 1 - j)
     else:  # oblique projection: axis 2 drawn at a slant
-        x, y = 3.0 * i + 1.9 * j, 3.0 * (spec.dims[2] - 1 - k[0]) + 1.15 * j
-    # the `:g` text of each distinct x and y, left-aligned in cells padded with 0
-    x, y = (
-        np.array([f"{v:g}" for v in c.ravel().tolist()], "S").view(np.uint8).reshape(*c.shape, -1)
-        for c in (x, y)
-    )
+        x, y = 300 * i + 190 * j, 300 * (spec.dims[2] - 1 - k[0]) + 115 * j
+    # the cells of each distinct x and y: its units, then ".c" for its c hundredths,
+    # trailing zeros dropped, from a table with one row per c
+    cents = np.array([(b".%02d" % c).rstrip(b".0") for c in range(100)], "S3").view((np.uint8, 3))
+    x, y = (_cell_table(c.shape, c // 100, cents[c % 100]) for c in (x, y))
     names = _vertex_name_cells(spec, b"_")
     parts = [
         b"\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]\n"

@@ -18,14 +18,13 @@ it, so no layer copies labels to change between the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SpecMismatch
-from .grid_core import EdgeId, GridSpec, VertexCoord, edge_rank, vertex_rank
+from .grid_core import EdgeId, GridSpec, VertexCoord, edge_rank, split_edge_labels, vertex_rank
 
 
 def frozen_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -77,8 +76,7 @@ class EdgeLabeling:
     """Integer labels on every edge, stored densely in edge enumeration order.
 
     ``per_axis[a]`` views the labels of edges along axis a+1, indexed by the
-    0-based base coordinate; its shape is the grid shape with axis a
-    shortened by one.
+    0-based base coordinate; its shape is ``spec.edge_shapes[a]``.
     """
 
     spec: GridSpec
@@ -111,21 +109,6 @@ def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) 
 def edge_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> EdgeLabeling:
     """Rebuild an edge labeling from labels in edge enumeration order."""
     return EdgeLabeling(spec, frozen_labels(flat).reshape(-1))
-
-
-def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Labels in edge enumeration order, along the last axis, as per-axis arrays.
-
-    The axis-a array has the grid shape with axis a shortened by one,
-    behind any leading (batch) axes of `labels`.
-    """
-    per_axis, start = [], 0
-    for a in range(spec.dim):
-        shape = tuple(n - 1 if i == a else n for i, n in enumerate(spec.dims))
-        size = math.prod(shape)
-        per_axis.append(labels[..., start : start + size].reshape(*labels.shape[:-1], *shape))
-        start += size
-    return tuple(per_axis)
 
 
 def base_vertex_labeling(n1: int, n2: int) -> VertexLabeling:

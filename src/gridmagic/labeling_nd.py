@@ -22,28 +22,20 @@ total labeling whose vertex labels are exactly [1, |V|].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import SpecMismatch
-from .grid_core import GridSpec
+from .grid_core import GridSpec, split_edge_labels
 from .labeling_2d import (
     EdgeLabeling,
     VertexLabeling,
     base_edge_labeling,
     base_vertex_labeling,
     edge_labeling_from_flat,
-    split_edge_labels,
     vertex_labeling_from_flat,
 )
-
-
-class LayerCounts(NamedTuple):
-    """Vertex and edge counts of a single fixed-last-coordinate layer."""
-
-    vertices: int
-    edges: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +61,6 @@ class TotalLabeling:
     @property
     def spec(self) -> GridSpec:
         return self.vertex.spec
-
-
-def layer_counts(spec: GridSpec) -> LayerCounts:
-    """Counts for one layer of a stacked grid (spec must have dim >= 3)."""
-    base = spec.prefix()
-    return LayerCounts(base.vertex_count, base.edge_count)
 
 
 def _coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> np.ndarray:

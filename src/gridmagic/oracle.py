@@ -524,12 +524,9 @@ def confirm_construction(spec: GridSpec, budget: SearchBudget) -> bool:
     _check_budget(spec, budget)
     target = construction_sequence(spec, budget.mode)
     pools, incidence = _label_pools(spec, budget.mode)
-    if len(target) != incidence.shape[1]:
+    # at most two pools: the first one's part of the target, then the rest
+    k = len(pools[0])
+    if sorted(target[:k]) + sorted(target[k:]) != np.concatenate(pools).tolist():
         return False
-    start = 0
-    for pool in pools:
-        if sorted(target[start : start + len(pool)]) != pool.tolist():
-            return False
-        start += len(pool)
     sums = incidence @ np.array(target, dtype=np.int64)
     return bool((sums == sums[0]).all())

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMagicError, Overflow, SpecMismatch
-from .grid_core import GridSpec
-from .labeling_2d import EdgeLabeling, VertexLabeling, frozen_labels, split_edge_labels
+from .grid_core import GridSpec, split_edge_labels
+from .labeling_2d import EdgeLabeling, VertexLabeling, frozen_labels
 from .labeling_nd import TotalLabeling
 
 INT64_MAX = 2**63 - 1

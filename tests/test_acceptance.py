@@ -26,7 +26,6 @@ from gridmagic import (
     cube_edges,
     cube_vertices,
     exhaustive_search,
-    layer_counts,
     verify_edge_magic,
     verify_supermagic,
     verify_vertex_magic,
@@ -61,14 +60,14 @@ def suite_outcomes():
         partitioned = True
         if spec.dim >= 3:  # the connecting/in-layer split exists only then
             nd = spec.dims[-1]
-            counts = layer_counts(spec)
+            layer = GridSpec(spec.dims[:-1])
             in_layer = np.sort(np.concatenate([a.ravel() for a in g.per_axis[:-1]]))
             connecting = np.sort(g.per_axis[-1].ravel())
-            lo = nd * counts.edges
+            lo = nd * layer.edge_count
             partitioned = np.array_equal(
                 in_layer, np.arange(1, lo + 1)
             ) and np.array_equal(
-                connecting, np.arange(lo + 1, lo + (nd - 1) * counts.vertices + 1)
+                connecting, np.arange(lo + 1, lo + (nd - 1) * layer.vertex_count + 1)
             )
         outcomes.append((spec.dims, verified, partitioned))
     elapsed = time.perf_counter() - start

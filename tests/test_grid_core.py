@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from gridmagic import (
     vertex_rank,
     vertex_unrank,
 )
+from gridmagic.grid_core import split_edge_labels
 
 
 @st.composite
@@ -203,6 +206,35 @@ def test_edge_enumeration_count(dims, count):
 @given(small_specs())
 def test_edge_count_formula_matches_enumeration(spec):
     assert len(list(enumerate_edges(spec))) == spec.edge_count
+
+
+def test_edge_shapes_are_built_once_and_leave_the_spec_value_alone():
+    spec = GridSpec((5, 3, 2))
+    assert spec.edge_shapes == ((4, 3, 2), (5, 2, 2), (5, 3, 1))
+    assert spec.edge_shapes is spec.edge_shapes
+    other = GridSpec((5, 3, 2))
+    assert spec == other and hash(spec) == hash(other)
+    assert repr(spec) == "GridSpec(dims=(5, 3, 2))"
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs(max_d=5))
+def test_edge_layout_is_one_table_for_ranks_enumeration_and_split(spec):
+    assert sum(math.prod(shape) for shape in spec.edge_shapes) == spec.edge_count
+    flat = 3 * np.arange(spec.edge_count, dtype=np.int64) + 1  # distinct, and not the ranks
+    per_axis = split_edge_labels(spec, flat)
+    assert tuple(arr.shape for arr in per_axis) == spec.edge_shapes
+    ranks = []
+    for e in enumerate_edges(spec):
+        rank = edge_rank(spec, e)
+        assert per_axis[e.axis - 1][tuple(c - 1 for c in e.base)] == flat[rank]
+        ranks.append(rank)
+    assert ranks == list(range(spec.edge_count))
+    # leading axes of the labels are a batch
+    batch = split_edge_labels(spec, np.stack([flat, -flat]))
+    for arr, got in zip(per_axis, batch):
+        assert np.array_equal(got, np.stack([arr, -arr]))
 
 
 def test_edge_enumeration_order_and_rank():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -130,6 +132,22 @@ def test_render_tikz2d_places_labels():
 def test_render_tikz3d_places_labels():
     text = render(generate_document([5, 3, 3], "vertex"), "tikz3d")
     assert "\\node (v2_1_2) at (3,3) {27};" in text
+
+
+@pytest.mark.parametrize(
+    "dims, style, node",
+    [
+        # x past 1e5 with a tenths place, and x past 1e6: 6 significant digits round both
+        ([33335, 2, 2], "tikz3d", "\\node (v33335_2_1) at (100003.9,4.15) {"),
+        ([333335, 2], "tikz2d", "\\node (v333335_1) at (1000002,3) {"),
+    ],
+    ids=["tikz3d", "tikz2d"],
+)
+def test_tikz_coordinates_stay_exact_past_six_significant_digits(dims, style, node):
+    text = render(generate_document(dims, "vertex"), style)
+    assert node in text
+    coords = re.findall(r"\\node \S+ at \(([^)]*)\)", text)
+    assert len(set(coords)) == len(coords) == math.prod(dims)
 
 
 def test_render_dimension_mismatches():

@@ -25,7 +25,6 @@ from gridmagic import (
     extend_edge_labeling,
     extend_vertex_labeling,
     labeling_nd,
-    layer_counts,
     verify_edge_magic,
     verify_supermagic,
     verify_vertex_magic,
@@ -37,11 +36,6 @@ def stacked_specs(draw, max_d=5, max_n=4):
     d = draw(st.integers(3, max_d))
     dims = sorted((draw(st.integers(2, max_n)) for _ in range(d)), reverse=True)
     return GridSpec(tuple(dims))
-
-
-def test_layer_counts():
-    counts = layer_counts(GridSpec((5, 3, 3)))
-    assert counts == (15, 22)
 
 
 def test_extended_vertex_values_grid533():
@@ -202,13 +196,13 @@ def test_combine_shifts_each_cube_total_by_cube_edges_times_vertices():
 def test_connecting_and_inlayer_labels_partition_range(spec):
     _, g = build_labelings(spec)
     nd = spec.dims[-1]
-    counts = layer_counts(spec)
+    layer = GridSpec(spec.dims[:-1])
     connecting = np.sort(g.per_axis[-1].ravel())
     in_layer = np.sort(np.concatenate([arr.ravel() for arr in g.per_axis[:-1]]))
-    lo = nd * counts.edges
+    lo = nd * layer.edge_count
     assert np.array_equal(in_layer, np.arange(1, lo + 1))
     assert np.array_equal(
-        connecting, np.arange(lo + 1, lo + (nd - 1) * counts.vertices + 1)
+        connecting, np.arange(lo + 1, lo + (nd - 1) * layer.vertex_count + 1)
     )
 
 
@@ -218,14 +212,14 @@ def test_per_part_cube_sums(spec):
     # stronger than the total: connecting edges and each layer's edges of
     # every cube carry their own fixed sums
     d, nd = spec.dim, spec.dims[-1]
-    counts = layer_counts(spec)
-    base_sums = closed_form_sums(spec.prefix())
+    layer = GridSpec(spec.dims[:-1])
+    base_sums = closed_form_sums(layer)
     expected_connecting = (
         base_sums.c_vertex
-        + 2 ** (d - 1) * nd * counts.edges
-        + 2 ** (d - 2) * (nd - 2) * counts.vertices
+        + 2 ** (d - 1) * nd * layer.edge_count
+        + 2 ** (d - 2) * (nd - 2) * layer.vertex_count
     )
-    expected_layer = base_sums.c_edge + (d - 1) * 2 ** (d - 3) * (nd - 1) * counts.edges
+    expected_layer = base_sums.c_edge + (d - 1) * 2 ** (d - 3) * (nd - 1) * layer.edge_count
     f, g = build_labelings(spec)
     for cube in enumerate_cubes(spec):
         connecting = bottom = top = 0

@@ -26,9 +26,8 @@ from gridmagic import (
     build_labelings,
     extend_edge_labeling,
     extend_vertex_labeling,
-    layer_counts,
 )
-from gridmagic.labeling_2d import split_edge_labels
+from gridmagic.grid_core import split_edge_labels
 
 
 def reference_coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> np.ndarray:
@@ -57,11 +56,11 @@ def reference_extend_edge_labeling(
     spec = GridSpec(base_f.spec.dims + (nd,))
     nd = spec.dims[-1]
     d = spec.dim
-    per_layer = layer_counts(spec)
+    per_layer = GridSpec(spec.dims[:-1])
 
     x = np.arange(1, nd + 1, dtype=np.int64)
-    forward = (x - 1) * per_layer.edges
-    backward = (nd - x) * per_layer.edges
+    forward = (x - 1) * per_layer.edge_count
+    backward = (nd - x) * per_layer.edge_count
 
     flat = np.empty(spec.edge_count, dtype=np.int64)
     per_axis = split_edge_labels(spec, flat)
@@ -75,10 +74,10 @@ def reference_extend_edge_labeling(
 
     t = np.arange(1, nd, dtype=np.int64)
     parity = reference_coord_parity(base_f.spec.dims)
-    offsets = nd * per_layer.edges + np.where(
+    offsets = nd * per_layer.edge_count + np.where(
         parity[..., None] == 1,
-        (t - 1) * per_layer.vertices,
-        (nd - 1 - t) * per_layer.vertices,
+        (t - 1) * per_layer.vertex_count,
+        (nd - 1 - t) * per_layer.vertex_count,
     )
     np.add(base_f.grid[..., None], offsets, out=per_axis[-1])
     return EdgeLabeling(spec, flat)

@@ -32,7 +32,7 @@ from gridmagic import (
     vertex_labeling_from_flat,
 )
 from gridmagic import oracle
-from gridmagic.labeling_2d import split_edge_labels
+from gridmagic.grid_core import split_edge_labels
 from gridmagic.verifier import (
     INT64_MAX,
     MAX_REPORTED_SUMS,
