@@ -49,20 +49,14 @@ def main() -> int:
     doc = generate_document([5, 3], "vertex")
     a, b = vertex_rank(spec, (1, 1)), vertex_rank(spec, (1, 3))
     check_and_write(
-        LabelingDocument(
-            doc.format_version, doc.dims, doc.axis_permutation, doc.kind,
-            swap(doc.vertex_labels, a, b), doc.edge_labels,
-        ),
+        LabelingDocument(doc.dims, doc.kind, swap(doc.vertex_labels, a, b), doc.edge_labels),
         "grid53_vertex_swapped.json",
     )
 
     # same swap inside a total labeling
     doc = generate_document([5, 3], "total")
     check_and_write(
-        LabelingDocument(
-            doc.format_version, doc.dims, doc.axis_permutation, doc.kind,
-            swap(doc.vertex_labels, a, b), doc.edge_labels,
-        ),
+        LabelingDocument(doc.dims, doc.kind, swap(doc.vertex_labels, a, b), doc.edge_labels),
         "grid53_total_swapped.json",
     )
 
@@ -73,10 +67,7 @@ def main() -> int:
     a = order.index(EdgeId((1, 1, 1), 1))
     b = order.index(EdgeId((2, 1, 1), 1))
     check_and_write(
-        LabelingDocument(
-            doc.format_version, doc.dims, doc.axis_permutation, doc.kind,
-            doc.vertex_labels, swap(doc.edge_labels, a, b),
-        ),
+        LabelingDocument(doc.dims, doc.kind, doc.vertex_labels, swap(doc.edge_labels, a, b)),
         "grid533_edge_swapped.json",
     )
     return 0

@@ -2,18 +2,19 @@
 
 Labelings travel as a single JSON document holding the caller's axis
 order, the permutation into canonical order, and the label arrays in
-canonical rank order. In memory a document derives its canonical `spec`
-once, is the one check of its format version, dims, permutation, kind
-and part lengths (`part_sizes`), and keeps its labels as read-only int64
-arrays from `generate_document` or `load` through `save`, the verifier,
-the renderers and the label lookups. Serialization is canonical
-(sorted keys, compact separators, newline-terminated), so identical
-documents are identical bytes and everything downstream can be diffed.
-`save` writes the label arrays with numpy passes over fixed-size blocks
-of labels. `load` reads bytes in exactly `save`'s layout with an array
-parser, a block of text at a time, and any other valid JSON with the
-general `json` parser; both give the same document, or the same error,
-for the same input.
+canonical rank order. In memory a document is its dims, kind and labels:
+it derives its canonical `spec` and permutation once, is the one check
+of its dims, kind and part lengths (`part_sizes`), and keeps its labels
+as read-only int64 arrays from `generate_document` or `load` through
+`save`, the verifier, the renderers and the label lookups; `load` alone
+checks a file's format version and stored permutation. Serialization is
+canonical (sorted keys, compact separators, newline-terminated), so
+identical documents are identical bytes and everything downstream can be
+diffed. `save` writes the label arrays with numpy passes over fixed-size
+blocks of labels. `load` reads bytes in exactly `save`'s layout with an
+array parser, a block of text at a time, and any other valid JSON with
+the general `json` parser; both give the same document, or the same
+error, for the same input.
 
 Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
 3d oblique), Graphviz dot, or a flat CSV with one row per element. All
@@ -90,33 +91,27 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class LabelingDocument:
-    """On-disk form of a labeling: caller axis order plus canonical arrays.
+    """A labeling in the caller's axis order: dims, kind and canonical arrays.
 
-    `spec` is derived from `dims`, and `dims` and `axis_permutation` are
-    kept as tuples of ints. This is the one check of a document's values;
-    `load` only decodes, so it refuses what is refused here, the same way.
+    `dims` is kept as a tuple of ints, and `spec` and `axis_permutation`
+    are derived from it. This is the one check of dims, kind and lengths;
+    `load` itself checks only the file's format version and permutation.
     """
 
-    format_version: str
     dims: tuple[int, ...]  # caller order
-    axis_permutation: tuple[int, ...]  # caller axis i sits at canonical slot perm[i-1]
     kind: str
     vertex_labels: np.ndarray  # read-only int64, canonical rank order; empty for kind="edge"
     edge_labels: np.ndarray  # read-only int64, enumeration order; empty for kind="vertex"
     spec: GridSpec = field(init=False)
+    axis_permutation: tuple[int, ...] = field(init=False)  # caller axis i sits at canonical slot perm[i-1]
 
     def __post_init__(self):
-        version = self.format_version
-        if not isinstance(version, str) or version != FORMAT_VERSION:
-            raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
         try:
             spec, perm = canonicalize(self.dims)
         except GridMagicError as e:  # a non-sequence is shown as it is: list() could raise
             dims = list(self.dims) if isinstance(self.dims, (list, tuple)) else self.dims
             raise ParseError(f"bad dims {dims}: {e}") from e
         object.__setattr__(self, "spec", spec)
-        if tuple(self.axis_permutation) != perm:
-            raise ParseError(f"axis_permutation inconsistent with dims, want {list(perm)}")
         object.__setattr__(self, "dims", tuple(spec.dims[p - 1] for p in perm))
         object.__setattr__(self, "axis_permutation", perm)
         if self.kind not in KINDS:
@@ -133,8 +128,7 @@ class LabelingDocument:
         if not isinstance(other, LabelingDocument):
             return NotImplemented
         return (
-            (self.format_version, self.dims, self.axis_permutation, self.kind)
-            == (other.format_version, other.dims, other.axis_permutation, other.kind)
+            (self.dims, self.kind) == (other.dims, other.kind)
             and np.array_equal(self.vertex_labels, other.vertex_labels)
             and np.array_equal(self.edge_labels, other.edge_labels)
         )
@@ -373,7 +367,7 @@ def _save_parts(doc: LabelingDocument) -> list[bytes | np.ndarray]:
         b'{"axis_permutation":', dumps(list(doc.axis_permutation)),
         b',"dims":', dumps(list(doc.dims)),
         b',"edge_labels":', *_json_int_list(doc.edge_labels),
-        b',"format_version":', dumps(doc.format_version),
+        b',"format_version":', dumps(FORMAT_VERSION),
         b',"kind":', dumps(doc.kind),
         b',"vertex_labels":', *_json_int_list(doc.vertex_labels),
         b"}\n",
@@ -412,8 +406,8 @@ def load(data: bytes | str) -> LabelingDocument:
     of about `_PARSE_BLOCK` bytes, each parsed into its slice of the label
     array, so memory stays near the size of the labels; any other input
     goes through json.loads. Both give the same payload to the same checks,
-    so the result, or the error, does not depend on the path. The values
-    are checked by `LabelingDocument`.
+    so the result, or the error, does not depend on the path. `load` checks
+    the version and stored permutation, and `LabelingDocument` the rest.
     """
     payload = _canonical_payload(data) if isinstance(data, bytes) else None
     if payload is None:
@@ -428,15 +422,20 @@ def load(data: bytes | str) -> LabelingDocument:
     keys = ("dims", "axis_permutation", "vertex_labels", "edge_labels")
     dims, perm, vertex, edge = (_int64_array(payload[key], key) for key in keys)
     version, kind = payload["format_version"], payload["kind"]
-    return LabelingDocument(version, tuple(dims.tolist()), tuple(perm.tolist()), kind, vertex, edge)
+    if version != FORMAT_VERSION:  # a JSON value equals the str only if it is that str
+        raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
+    doc = LabelingDocument(tuple(dims.tolist()), kind, vertex, edge)
+    if tuple(perm.tolist()) != doc.axis_permutation:
+        raise ParseError(f"axis_permutation inconsistent with dims, want {list(doc.axis_permutation)}")
+    return doc
 
 
 def generate_document(dims: Sequence[int], kind: str) -> LabelingDocument:
     """Build the constructed labeling of the given kind for caller dims."""
     if kind not in KINDS:
         raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
-    spec, perm = canonicalize(dims)
-    return LabelingDocument(FORMAT_VERSION, dims, perm, kind, *constructed_parts(spec, kind))
+    spec, _ = canonicalize(dims)
+    return LabelingDocument(dims, kind, *constructed_parts(spec, kind))
 
 
 def document_labeling(doc: LabelingDocument) -> VertexLabeling | EdgeLabeling | TotalLabeling:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridmagic
 from conftest import TEXT_BLOCKS, load_script, text_blocks
@@ -29,6 +31,7 @@ from gridmagic import (
     UsageError,
     VersionMismatch,
     build_labelings,
+    canonicalize,
     cli,
     combine_supermagic,
     document_edge_label,
@@ -41,7 +44,8 @@ from gridmagic import (
     verify_supermagic,
 )
 from gridmagic import io_cli
-from gridmagic.io_cli import _canonical_payload, document_labeling
+from gridmagic.io_cli import INT64_MAX, INT64_MIN, KINDS, _canonical_payload, document_labeling
+from gridmagic.verifier import part_sizes
 
 
 def test_save_load_roundtrip_is_byte_identical():
@@ -311,7 +315,7 @@ def test_loaded_label_arrays_are_read_only_int64():
 
 def test_document_leaves_the_callers_array_writable():
     vertex, edge = np.arange(1, 7, dtype=np.int64), np.arange(7, 14, dtype=np.int64)
-    doc = LabelingDocument("1", (3, 2), (1, 2), "total", vertex, edge)
+    doc = LabelingDocument((3, 2), "total", vertex, edge)
     assert vertex.flags.writeable and edge.flags.writeable
     assert not doc.vertex_labels.flags.writeable and not doc.edge_labels.flags.writeable
     assert np.shares_memory(doc.vertex_labels, vertex)  # a view, not a copy
@@ -319,10 +323,7 @@ def test_document_leaves_the_callers_array_writable():
 
 def test_document_coerces_int_sequences():
     doc = generate_document([3, 2], "vertex")
-    rebuilt = LabelingDocument(
-        doc.format_version, doc.dims, doc.axis_permutation, doc.kind,
-        tuple(doc.vertex_labels.tolist()), (),
-    )
+    rebuilt = LabelingDocument(doc.dims, doc.kind, tuple(doc.vertex_labels.tolist()), ())
     assert rebuilt == doc
     assert not rebuilt.vertex_labels.flags.writeable
     assert save(rebuilt) == save(doc)
@@ -339,57 +340,63 @@ def test_document_coerces_int_sequences():
 )
 def test_document_refuses_labels_that_are_not_int64_integers(labels, dtype):
     with pytest.raises(SpecMismatch, match=f"got dtype {dtype}$"):
-        LabelingDocument("1", (3, 2), (1, 2), "vertex", labels, ())
+        LabelingDocument((3, 2), "vertex", labels, ())
     with pytest.raises(SpecMismatch, match=f"got dtype {dtype}$"):
-        LabelingDocument("1", (3, 2), (1, 2), "edge", (), [*labels, labels[0]])
+        LabelingDocument((3, 2), "edge", (), [*labels, labels[0]])
 
 
 @pytest.mark.parametrize(
-    "version, dims, perm, kind, n_v, n_e, error, text",
+    "load_only, version, dims, perm, kind, n_v, n_e, error, text",
     [
-        ("1", (3, 2), (1, 2), "vertex", 5, 0, ParseError, "vertex_labels length mismatch: got 5, want 6"),
-        ("1", (3, 2), (1, 2), "total", 6, 8, ParseError, "edge_labels length mismatch: got 8, want 7"),
-        ("1", (3, 2), (1, 2), "edge", 6, 7, ParseError, "vertex_labels length mismatch: got 6, want 0"),
-        ("1", (3, 2), (1, 2), "supermagic", 6, 0, ParseError, "kind must be one of"),
-        # verify_document read it as MAGIC, yet load(save(doc)) refused it
-        ("1", (3, 2), (2, 1), "vertex", 6, 0, ParseError, r"axis_permutation inconsistent with dims, want \[1, 2\]"),
-        ("1", (3,), (1,), "vertex", 3, 0, ParseError, r"bad dims \[3\]: need at least 2 axes, got 1"),
-        ("1", (3, 1), (1, 2), "vertex", 3, 0, ParseError, r"bad dims \[3, 1\]: every side length must be >= 2"),
-        ("1", (2**32, 2**31), (1, 2), "vertex", 0, 0, ParseError, r"bad dims \[4294967296, 2147483648\]: \|V\|\+\|E\|"),
-        ("2", (3, 2), (1, 2), "vertex", 6, 0, VersionMismatch, "format_version '2', supported '1'"),
+        (False, "1", (3, 2), (1, 2), "vertex", 5, 0, ParseError, "vertex_labels length mismatch: got 5, want 6"),
+        (False, "1", (3, 2), (1, 2), "total", 6, 8, ParseError, "edge_labels length mismatch: got 8, want 7"),
+        (False, "1", (3, 2), (1, 2), "edge", 6, 7, ParseError, "vertex_labels length mismatch: got 6, want 0"),
+        (False, "1", (3, 2), (1, 2), "supermagic", 6, 0, ParseError, "kind must be one of"),
+        (False, "1", (3,), (1,), "vertex", 3, 0, ParseError, r"bad dims \[3\]: need at least 2 axes, got 1"),
+        (False, "1", (3, 1), (1, 2), "vertex", 3, 0, ParseError, r"bad dims \[3, 1\]: every side length must be >= 2"),
+        (False, "1", (2**32, 2**31), (1, 2), "vertex", 0, 0, ParseError, r"bad dims \[4294967296, 2147483648\]: \|V\|\+\|E\|"),
+        # a document derives its permutation and saves FORMAT_VERSION, so only a file holds these faults
+        (True, "1", (3, 2), (2, 1), "vertex", 6, 0, ParseError, r"axis_permutation inconsistent with dims, want \[1, 2\]"),
+        (True, "2", (3, 2), (1, 2), "vertex", 6, 0, VersionMismatch, "format_version '2', supported '1'"),
     ],
 )
-def test_document_refuses_what_load_refuses(version, dims, perm, kind, n_v, n_e, error, text):
+def test_document_refuses_what_load_refuses(load_only, version, dims, perm, kind, n_v, n_e, error, text):
     vertex, edge = np.arange(1, n_v + 1), np.arange(1, n_e + 1)
-    with pytest.raises(error, match=text) as built:
-        LabelingDocument(version, dims, perm, kind, vertex, edge)
     payload = {
         "format_version": version, "dims": list(dims), "axis_permutation": list(perm),
         "kind": kind, "vertex_labels": vertex.tolist(), "edge_labels": edge.tolist(),
     }
-    with pytest.raises(error) as loaded:
+    with pytest.raises(error, match=text) as loaded:
         load(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-    assert type(loaded.value) is type(built.value)
-    assert str(loaded.value) == str(built.value)
+    if load_only:
+        doc = LabelingDocument(dims, kind, vertex, edge)
+        assert load(save(doc)) == doc
+        return
+    with pytest.raises(error) as built:
+        LabelingDocument(dims, kind, vertex, edge)
+    assert type(built.value) is type(loaded.value)
+    assert str(built.value) == str(loaded.value)
 
 
 def test_document_refuses_labels_that_are_not_one_dimensional():
     with pytest.raises(SpecMismatch, match=r"labels must be one-dimensional, got shape \(2, 3\)$"):
-        LabelingDocument("1", (3, 2), (1, 2), "vertex", np.arange(1, 7).reshape(2, 3), ())
+        LabelingDocument((3, 2), "vertex", np.arange(1, 7).reshape(2, 3), ())
 
 
 @pytest.mark.parametrize("version", ["2", "", 1, None])
-def test_document_refuses_a_format_version_load_refuses(version):
-    # saved, such a document could not be loaded again
-    with pytest.raises(VersionMismatch, match=f"format_version {version!r}, supported '1'"):
-        LabelingDocument(version, (3, 2), (1, 2), "vertex", np.arange(1, 7), ())
+def test_load_refuses_a_format_version_it_does_not_support(version):
+    payload = json.loads(save(generate_document([3, 2], "vertex")))
+    payload["format_version"] = version
+    for encode in ENCODINGS:
+        with pytest.raises(VersionMismatch, match=f"^format_version {version!r}, supported '1'$"):
+            load(encode(payload))
 
 
 @pytest.mark.parametrize(
     "dims, perm", [([3, 2], [1, 2]), (np.array([2, 3]), np.array([2, 1])), ((2, 3), [2, 1])]
 )
 def test_document_keeps_dims_and_permutation_as_int_tuples(dims, perm):
-    doc = LabelingDocument("1", dims, perm, "vertex", np.arange(1, 7), ())
+    doc = LabelingDocument(dims, "vertex", np.arange(1, 7), ())
     assert doc.dims == tuple(np.asarray(dims).tolist())
     assert doc.axis_permutation == tuple(np.asarray(perm).tolist())
     assert all(type(n) is int for n in doc.dims + doc.axis_permutation)
@@ -397,9 +404,38 @@ def test_document_keeps_dims_and_permutation_as_int_tuples(dims, perm):
 
 
 def test_document_derives_its_spec():
-    doc = LabelingDocument("1", (2, 3), (2, 1), "vertex", np.arange(1, 7), ())
-    assert doc.spec == GridSpec((3, 2))
+    doc = LabelingDocument((2, 3), "vertex", np.arange(1, 7), ())
+    assert doc.spec == GridSpec((3, 2)) and doc.axis_permutation == (2, 1)
     assert load(save(doc)) == doc
+
+
+@st.composite
+def caller_documents(draw):
+    """A document of any kind and random int64 labels over a canonical spec
+    with d = 2..5 and sides 2..6, its axes in a random caller order."""
+    spec = GridSpec(tuple(sorted(draw(st.lists(st.integers(2, 6), min_size=2, max_size=5)), reverse=True)))
+    dims = draw(st.permutations(spec.dims))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vertex, edge = (rng.integers(INT64_MIN, INT64_MAX, n, endpoint=True) for n in part_sizes(spec, kind))
+    return LabelingDocument(tuple(dims), kind, vertex, edge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(caller_documents(), st.data())
+def test_documents_round_trip_and_load_refuses_any_other_permutation(doc, data):
+    perm = canonicalize(doc.dims)[1]
+    assert doc.axis_permutation == perm
+    saved = save(doc)
+    assert load(saved) == doc
+    other = data.draw(st.permutations(range(1, len(perm) + 1)).filter(lambda p: tuple(p) != perm))
+    head = b'{"axis_permutation":[%s]' % b",".join(b"%d" % p for p in perm)
+    assert saved.startswith(head)
+    bad = b'{"axis_permutation":[%s]' % b",".join(b"%d" % p for p in other) + saved[len(head):]
+    want = re.escape(f"axis_permutation inconsistent with dims, want {list(perm)}")
+    for encoded in (bad, bad.decode()):  # the array parser, and json.loads
+        with pytest.raises(ParseError, match=f"^{want}$"):
+            load(encoded)
 
 
 # Every JSON value that is not an integer, as an element of each integer list.

@@ -364,7 +364,7 @@ def test_found_witness_round_trips_through_a_document(tmp_path, capsys):
     spec = GridSpec((3, 2))
     labels, magic_sum = full_scan((3, 2), "supermagic").found[0]
     nv = spec.vertex_count
-    doc = LabelingDocument("1", (3, 2), (1, 2), "total", labels[:nv], labels[nv:])
+    doc = LabelingDocument((3, 2), "total", labels[:nv], labels[nv:])
     path = tmp_path / "witness.json"
     path.write_bytes(save(doc))
     loaded = load(path.read_bytes())

@@ -26,7 +26,7 @@ from gridmagic import (
     generate_document,
     render,
 )
-from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS
+from gridmagic.io_cli import INT64_MAX, INT64_MIN, KINDS
 from conftest import TEXT_BLOCKS, text_blocks
 
 
@@ -173,12 +173,12 @@ int64_labels = st.one_of(
 
 def _document(dims, kind, palette, seed):
     """A document of `kind` whose labels are drawn from `palette` by `seed`."""
-    spec, perm = canonicalize(dims)
+    spec, _ = canonicalize(dims)
     draw = np.random.default_rng(seed).choice
     pool = np.array(palette, dtype=np.int64)
     vertex_labels = draw(pool, spec.vertex_count) if kind != "edge" else ()
     edge_labels = draw(pool, spec.edge_count) if kind != "vertex" else ()
-    return LabelingDocument(FORMAT_VERSION, tuple(dims), perm, kind, vertex_labels, edge_labels)
+    return LabelingDocument(tuple(dims), kind, vertex_labels, edge_labels)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PINNED_SPECS,
     brute_edge_cube_sums,
     brute_vertex_cube_sums,
     random_canonical_specs,
@@ -87,6 +90,20 @@ def test_closed_form_total_is_componentwise_consistent():
     spec = GridSpec((6, 5, 4))
     sums = closed_form_sums(spec)
     assert sums.c_total == sums.c_vertex + sums.c_edge + spec.cube_edge_count * spec.vertex_count
+
+
+def test_all_even_grids_force_the_vertex_sum():
+    # when every side is even, the cubes at the all-odd corners partition the
+    # vertices, so a magic vertex sum is |V|(|V|+1)/2 over their count
+    # prod(n_i / 2) = |V| / 2^d, that is 2^(d-1)(|V|+1)
+    specs = [
+        GridSpec(dims)
+        for d in range(2, 6)
+        for dims in itertools.combinations_with_replacement((100, 20, 10, 8, 6, 4, 2), d)
+    ]
+    assert len(specs) == 784
+    for spec in specs:
+        assert closed_form_sums(spec).c_vertex == 2 ** (spec.dim - 1) * (spec.vertex_count + 1)
 
 
 def test_closed_form_overflow_is_loud():
@@ -324,21 +341,32 @@ def test_distinct_sums_match_unique_reference():
         assert not report.magic
 
 
-@pytest.mark.parametrize("dims", [(5, 3), (4, 4, 2), (3, 3, 2, 2), (2, 2, 2)])
+@pytest.mark.parametrize(
+    "dims",
+    [(5, 3), (4, 4, 2), (3, 3, 2, 2), (2, 2, 2)]
+    + PINNED_SPECS
+    + [spec.dims for spec in random_canonical_specs()[len(PINNED_SPECS) :: 50]],
+)
 def test_complement_duality(dims):
     # l -> N+1-l keeps a bijection onto [1, N] and turns each cube sum c
-    # into k(N+1) - c, with k the number of labels per cube
+    # into k(N+1) - c, with k the number of labels per cube. A total
+    # labeling is mapped pool by pool: vertices onto [1, |V|] and edges
+    # onto [|V|+1, |V|+|E|], so its edge labels go to 2|V|+|E|+1-l.
     spec = GridSpec(dims)
     predicted = closed_form_sums(spec)
     f, g = build_labelings(spec)
-    nv, ne = spec.vertex_count, spec.edge_count
+    total = combine_supermagic(f, g)
+    nv, ne, kv, ke = spec.vertex_count, spec.edge_count, 2**spec.dim, spec.cube_edge_count
     dual_f = vertex_labeling_from_flat(spec, nv + 1 - f.flat)
     dual_g = edge_labeling_from_flat(spec, ne + 1 - g.flat)
-    rv, re_ = verify_vertex_magic(spec, dual_f), verify_edge_magic(spec, dual_g)
-    assert rv.bijective and rv.magic
-    assert rv.magic_sum == 2**spec.dim * (nv + 1) - predicted.c_vertex
-    assert re_.bijective and re_.magic
-    assert re_.magic_sum == spec.cube_edge_count * (ne + 1) - predicted.c_edge
+    dual_total = total_labeling_from_flats(spec, nv + 1 - total.vertex.flat, 2 * nv + ne + 1 - total.edge.flat)
+    for report, want in [
+        (verify_vertex_magic(spec, dual_f), kv * (nv + 1) - predicted.c_vertex),
+        (verify_edge_magic(spec, dual_g), ke * (ne + 1) - predicted.c_edge),
+        (verify_supermagic(spec, dual_total), kv * (nv + 1) + ke * (2 * nv + ne + 1) - predicted.c_total),
+    ]:
+        assert report.bijective and report.magic
+        assert report.magic_sum == want
 
 
 def test_duplicate_inside_the_range_is_not_bijective():
