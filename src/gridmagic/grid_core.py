@@ -207,14 +207,23 @@ def edge_rank(spec: GridSpec, e: EdgeId) -> int:
     return sum(map(math.prod, shapes[: axis - 1])) + within
 
 
-def split_edge_labels(spec: GridSpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+def edge_row_shapes(spec: GridSpec, rows: range) -> tuple[tuple[int, ...], ...]:
+    """`spec.edge_shapes` cut to the edges based in `rows`, a range of 0-based leading coordinates."""
+    return tuple((len(range(s[0])[rows.start : rows.stop]),) + s[1:] for s in spec.edge_shapes)
+
+
+def split_edge_labels(
+    spec: GridSpec, labels: np.ndarray, rows: range | None = None
+) -> tuple[np.ndarray, ...]:
     """Labels in edge enumeration order, along the last axis, as per-axis arrays.
 
     The axis-a array has shape ``spec.edge_shapes[a-1]``, behind any
-    leading (batch) axes of `labels`; each is a view.
+    leading (batch) axes of `labels`; each is a view. Given `rows`,
+    `labels` holds only the edges based in those leading rows, axis by
+    axis, and the shapes are `edge_row_shapes(spec, rows)`.
     """
     per_axis, start, batch = [], 0, labels.shape[:-1]
-    for shape in spec.edge_shapes:
+    for shape in spec.edge_shapes if rows is None else edge_row_shapes(spec, rows):
         stop = start + math.prod(shape)
         per_axis.append(labels[..., start:stop].reshape(*batch, *shape))
         start = stop

@@ -10,34 +10,44 @@ as read-only int64 arrays from `generate_document` or `load` through
 checks a file's format version and stored permutation. Serialization is
 canonical (sorted keys, compact separators, newline-terminated), so
 identical documents are identical bytes and everything downstream can be
-diffed. `save` writes the label arrays with numpy passes over fixed-size
-blocks of labels. `load` reads bytes in exactly `save`'s layout with an
-array parser, a block of text at a time, and any other valid JSON with
-the general `json` parser; both give the same document, or the same
-error, for the same input.
+diffed. `load` reads bytes in exactly `save`'s layout with an array
+parser, a block of text at a time, and any other valid JSON with the
+general `json` parser; both give the same document, or the same error,
+for the same input.
 
-Renderers emit TikZ pictures mimicking the usual grid figures (2d plain,
-3d oblique), Graphviz dot, or a flat CSV with one row per element. All
-four styles are written by the same numpy table writer as `save`'s label
-lists, a block of rows at a time, edges axis by axis from
-`split_edge_labels`. The CLI ties it together: generate, verify, predict,
-search, render, cover. `generate` and `render` write their output block
-by block, never joined into one document-sized string, and only once
-every block is built, so a refused command leaves no partial file.
-Exit codes: 0 ok (and magic+bijective for verify), 1 verification or
-search refusal, 2 I/O or parse failure, 64 usage.
+Text is written by one numpy table writer, a block of rows at a time.
+`save`, CSV and the command line's `generate` write a slab of leading
+rows at a time, each list's rows (each axis's, for the edge list) into
+a buffer of its own, every buffer allocated up front from the label
+counts and widths. Renderers emit TikZ pictures mimicking the usual grid
+figures (2d plain, 3d oblique), Graphviz dot, or a flat CSV with one row
+per element.
+
+The CLI ties it together: generate, verify, predict, search, render,
+cover. Neither `generate` nor `verify` holds a document's label arrays.
+`generate` builds its text from the closed forms a slab at a time
+(`labeling_rows`), so it holds the text alone; `verify` of a document in
+`save`'s layout parses the vertex list and each axis's block of the edge
+list with their own cursors, a slab at a time, so it holds a seen mask of
+one byte per label and a slab. `generate` and `render` write their output
+only once all of it is built, so a refused command leaves no partial
+file. Exit codes: 0 ok (and magic+bijective for verify), 1 verification
+or search refusal, 2 I/O or parse failure, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
+import itertools
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +71,7 @@ from .grid_core import (
     canonicalize,
     check_h_covering,
     edge_rank,
+    edge_row_shapes,
     split_edge_labels,
     vertex_rank,
 )
@@ -71,10 +82,10 @@ from .labeling_2d import (
     frozen_labels,
     vertex_labeling_from_flat,
 )
-from .labeling_nd import TotalLabeling, constructed_parts, total_labeling_from_flats
+from .labeling_nd import TotalLabeling, constructed_parts, labeling_rows, total_labeling_from_flats
 from .oracle import DEFAULT_MAX_ASSIGNMENTS, MODES, SearchBudget, exhaustive_search
 from .verifier import (
-    KINDS, MagicReport, closed_form_sums, part_sizes,
+    KINDS, MagicReport, Slab, _report, closed_form_sums, part_sizes,
     verify_edge_magic, verify_supermagic, verify_vertex_magic,
 )
 
@@ -148,7 +159,11 @@ class LabelingDocument:
 
 _INT64_DIGITS = 19  # digits of 2**63, the largest int64 magnitude
 _PARSE_BLOCK = 2**18  # bytes of a label list parsed per pass, cut at the next comma
-_WRITE_BLOCK = 2**15  # table rows written per pass, in whole steps of the leading axis
+# Table rows written per pass, and labels of each list per slab, in whole
+# steps of the leading axis. Every list of a ~3e4-label document still
+# fits in one; at 577x577 a slab is 28 rows, whose transient arrays add
+# about 1 MB to the generate and verify peaks.
+_WRITE_BLOCK = 2**14
 
 
 def _sign_and_top(values: np.ndarray) -> tuple[int, int]:
@@ -182,6 +197,20 @@ def _digit_cells(values: np.ndarray, signed: int, top: int, out: np.ndarray) -> 
         rest, quotient = quotient, rest
 
 
+def _field_widths(fields: Sequence[bytes | np.ndarray]) -> list[tuple[int, tuple[int, int] | None]]:
+    """Per field of a `_cell_table`, its width in cells and, for int64 values, their `_sign_and_top`."""
+    out = []
+    for f in fields:
+        if isinstance(f, bytes):
+            out.append((len(f), None))
+        elif f.dtype == np.int64:
+            signed, top = _sign_and_top(f)
+            out.append((signed + len(str(top)), (signed, top)))
+        else:
+            out.append((f.shape[-1], None))
+    return out
+
+
 def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarray:
     """A uint8 table with one row per index of `shape`: `fields` side by side.
 
@@ -190,16 +219,14 @@ def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarr
     broadcasts to `shape`; its digit cells are written straight into the
     table.
     """
-    cells = [np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f for f in fields]
-    digits = [_sign_and_top(c) if c.dtype == np.int64 else None for c in cells]
-    widths = [c.shape[-1] if d is None else d[0] + len(str(d[1])) for c, d in zip(cells, digits)]
-    table = np.empty((*shape, sum(widths)), np.uint8)
+    widths = _field_widths(fields)
+    table = np.empty((*shape, sum(width for width, _ in widths)), np.uint8)
     col = 0
-    for c, d, width in zip(cells, digits, widths):
-        if d is None:
-            table[..., col : col + width] = c
+    for f, (width, digits) in zip(fields, widths):
+        if digits is not None:
+            _digit_cells(f, *digits, out=table[..., col : col + width])
         else:
-            _digit_cells(c, *d, out=table[..., col : col + width])
+            table[..., col : col + width] = np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f
         col += width
     return table
 
@@ -226,19 +253,155 @@ def _table_text(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> list[np.
     return parts
 
 
-def _json_int_list(values: np.ndarray) -> list[bytes | np.ndarray]:
-    """The parts of `json.dumps(values.tolist(), separators=(",", ":")).encode()` for int64."""
-    if values.size == 0:
-        return [b"[]"]
-    parts = _table_text(values.shape, values, b",")
-    parts[-1][-1] = ord("]")
-    return [b"[", *parts]
+def _slab_ranges(spec: GridSpec) -> Iterator[range]:
+    """The leading rows in consecutive ranges of about `_WRITE_BLOCK` labels of each list."""
+    step = max(1, _WRITE_BLOCK // math.prod(spec.dims[1:]))
+    return (range(a, min(a + step, spec.dims[0])) for a in range(0, spec.dims[0], step))
+
+
+@dataclass(frozen=True)
+class _Table:
+    """One list of a document's text, a row per label of `shape`, written slab by slab.
+
+    `part` picks the labels from a slab: 0 its vertex rows, a its axis-a
+    edge rows. `fields(labels, rows)` gives the `_cell_table` fields of
+    the labels of the leading rows `rows`. `extremes` holds the least and
+    the greatest label, so that `bound` caps the text before it is made.
+    `trim` drops the separator after the list's last value.
+    """
+
+    part: int
+    shape: tuple[int, ...]
+    extremes: np.ndarray
+    fields: Callable[[np.ndarray, range], tuple]
+    trim: bool = False
+
+    @property
+    def bound(self) -> int:
+        widths = _field_widths(self.fields(self.extremes, range(self.shape[0])))
+        return math.prod(self.shape) * sum(width for width, _ in widths)
+
+
+def _slab_text(items: Sequence[bytes | _Table], slabs: Iterable[Slab]) -> list[bytes | np.ndarray]:
+    """The ASCII text of `items` as parts: bytes as they are, tables filled slab by slab.
+
+    Each table's text goes to a uint8 buffer of its bound, every buffer
+    allocated before the first slab is made, and each slab's rows of a
+    table fill its buffer on from the rows before.
+    """
+    tables = [item for item in items if isinstance(item, _Table)]
+    texts = [np.empty(table.bound, np.uint8) for table in tables]
+    ends = [0] * len(tables)
+    first = 0  # the slab's first leading row
+    for vertex, edges in slabs:
+        parts = (vertex, *(edges or ()))
+        for k, table in enumerate(tables):
+            labels = parts[table.part]
+            cells = _cell_table(labels.shape, *table.fields(labels, range(first, first + len(labels))))
+            row_text = cells[cells != 0]
+            texts[k][ends[k] : ends[k] + row_text.size] = row_text
+            ends[k] += row_text.size
+        first += len(edges[1] if vertex is None else vertex)
+    filled = iter(text[: end - table.trim] for table, text, end in zip(tables, texts, ends))
+    return [item if isinstance(item, bytes) else next(filled) for item in items]
+
+
+def _json_items(
+    dims: tuple[int, ...], kind: str, extremes: tuple[np.ndarray, np.ndarray]
+) -> list[bytes | _Table]:
+    """The items of a document's JSON text for `_slab_text`; `extremes` are the vertex and edge labels'."""
+
+    def dumps(value: object) -> bytes:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+    def listed(labels: np.ndarray, rows: range) -> tuple:
+        return labels, b","
+
+    spec, perm = canonicalize(dims)
+    items = [b'{"axis_permutation":' + dumps(list(perm)), b',"dims":' + dumps(list(dims)), b',"edge_labels":[']
+    if kind != "vertex":
+        for a, shape in enumerate(spec.edge_shapes, start=1):
+            items.append(_Table(a, shape, extremes[1], listed, trim=a == spec.dim))
+    items += [b'],"format_version":' + dumps(FORMAT_VERSION), b',"kind":' + dumps(kind), b',"vertex_labels":[']
+    if kind != "edge":
+        items.append(_Table(0, spec.dims, extremes[0], listed, trim=True))
+    items.append(b"]}\n")
+    return items
+
+
+def _name_cells(shape: tuple[int, ...], sep: bytes) -> np.ndarray:
+    """The cells of the name of every index of `shape`: its 1-based coordinates joined by `sep`.
+
+    The shape is `shape + (width,)`; a short coordinate leaves 0 cells.
+    """
+    fields = []
+    for a, n in enumerate(shape):
+        # coordinate a of every index: 1..n along axis a, the same along later axes
+        coords = np.arange(1, n + 1, dtype=np.int64).reshape((n,) + (1,) * (len(shape) - a - 1))
+        fields += [sep, coords]
+    return _cell_table(shape, *fields[1:])
+
+
+def _csv_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray]) -> list[bytes | _Table]:
+    """The items of the CSV text for `_slab_text`: a header, then a row per vertex and per edge.
+
+    A row names its element by the cells of its leading coordinate, cut
+    to the slab's rows, and the name of its other coordinates, the same
+    in every slab.
+    """
+    header = ["kind"] + [f"x{i}" for i in range(1, spec.dim + 1)] + ["axis", "label"]
+    items: list[bytes | _Table] = [",".join(header).encode() + b"\n"]
+    leading, names = _name_cells(spec.dims[:1], b""), _name_cells(spec.dims[1:], b",")
+    tables = [(0, spec.dims)] if kind != "edge" else []
+    if kind != "vertex":
+        tables += enumerate(spec.edge_shapes, start=1)
+    for a, shape in tables:
+        head, tail = (b"vertex,", b",,") if a == 0 else (b"edge,", b",%d," % a)
+
+        def row(labels: np.ndarray, rows: range, head=head, tail=tail, shape=shape) -> tuple:
+            first = leading[rows.start : rows.stop]
+            first = first.reshape((len(first),) + (1,) * (names.ndim - 1) + first.shape[1:])
+            # an edge axis's names are the vertex names cut to its shape
+            return head, first, b",", names[tuple(map(slice, shape[1:]))], tail, labels, b"\n"
+
+        items.append(_Table(a, shape, extremes[a > 0], row))
+    return items
+
+
+def _document_slabs(doc: LabelingDocument) -> Iterator[Slab]:
+    """The document's labels as slabs of `_slab_ranges`, views of its arrays."""
+    spec = doc.spec
+    vertex = None if doc.kind == "edge" else doc.vertex_labels.reshape(spec.dims)
+    edges = None if doc.kind == "vertex" else split_edge_labels(spec, doc.edge_labels)
+    for rows in _slab_ranges(spec):
+        yield (
+            None if vertex is None else vertex[rows.start : rows.stop],
+            None if edges is None else tuple(arr[rows.start : rows.stop] for arr in edges),
+        )
+
+
+def _document_extremes(doc: LabelingDocument) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest vertex label, and edge label, of a document (0 for none)."""
+    return tuple(
+        np.array([labels.min(initial=0), labels.max(initial=0)], np.int64)
+        for labels in (doc.vertex_labels, doc.edge_labels)
+    )
+
+
+def _constructed_slabs(spec: GridSpec, kind: str) -> Iterator[Slab]:
+    """The constructed `kind` labeling as slabs of `_slab_ranges`, from `labeling_rows`."""
+    nv, _ = part_sizes(spec, kind)
+    for rows in _slab_ranges(spec):
+        f, g = labeling_rows(spec, rows)
+        if kind == "total":
+            np.add(g.flat, nv, out=g.flat)
+        yield (None if kind == "edge" else f.grid), (None if kind == "vertex" else g.per_axis)
 
 
 def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
     """The values of `data[start:stop]` if it is a canonical int list body, else None.
 
-    Canonical means what `_json_int_list` writes between the brackets: values
+    Canonical means what `save` writes between the brackets: values
     joined by single commas, each `0` or `-?[1-9][0-9]*` and within int64.
     Anything else (spaces, `-0`, `01`, `1.0`, an empty value, 2**63) is
     refused, and `load` hands the whole document to json.loads. The body is
@@ -250,19 +413,20 @@ def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
     while start < stop:
         cut = data.find(b",", min(start + _PARSE_BLOCK, stop), stop)
         end = stop if cut < 0 else cut
-        count = _int64_list_piece(data, start, end, values[done:])
-        if count is None:
+        piece = _int64_list_piece(data, start, end, values[done:])
+        if piece is None:
             return None
-        done, start = done + count, end + 1
+        done, start = done + len(piece), end + 1
         if start == stop:  # a comma at the very end leaves an empty last value
             return None
     return values
 
 
-def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray) -> int | None:
-    """Parse the canonical values of non-empty `data[start:stop]` into `out`, and count them.
+def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray | None:
+    """The canonical values of non-empty `data[start:stop]`, parsed into the front of `out`.
 
-    None, with `out` in any state, if the piece is not canonical.
+    Without `out` they go to a new array. None, with `out` in any state,
+    if the piece is not canonical.
     """
     text = np.frombuffer(data, np.uint8, stop - start, start)
     # digit values after 19 zeros, so a gather at ends - k never runs off the front
@@ -289,7 +453,7 @@ def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray) -> in
         return None
     # right-aligned digit columns: column k of value i is digits[ends[i] - k]
     n_digits = n_digits.astype(np.uint8)
-    values = out[: ends.size]
+    values = np.empty(ends.size, np.int64) if out is None else out[: ends.size]
     magnitude = values.view(np.uint64)
     magnitude[...] = 0
     digit = np.empty(ends.size, np.uint8)
@@ -301,7 +465,7 @@ def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray) -> in
     if width == _INT64_DIGITS and (magnitude > np.uint64(INT64_MAX) + neg).any():
         return None
     np.negative(values, out=values, where=neg)  # 2**63 wraps to INT64_MIN, as it should
-    return ends.size
+    return values
 
 
 _CANONICAL_HEAD = re.compile(
@@ -357,32 +521,16 @@ def _json_payload(data: bytes | str) -> object:
         raise ParseError("document nests too deeply") from None
 
 
-def _save_parts(doc: LabelingDocument) -> list[bytes | np.ndarray]:
-    """The bytes of `save(doc)` as parts, a block of labels at most in each."""
-
-    def dumps(value: object) -> bytes:
-        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
-
-    return [
-        b'{"axis_permutation":', dumps(list(doc.axis_permutation)),
-        b',"dims":', dumps(list(doc.dims)),
-        b',"edge_labels":', *_json_int_list(doc.edge_labels),
-        b',"format_version":', dumps(FORMAT_VERSION),
-        b',"kind":', dumps(doc.kind),
-        b',"vertex_labels":', *_json_int_list(doc.vertex_labels),
-        b"}\n",
-    ]
-
-
 def save(doc: LabelingDocument) -> bytes:
     """Canonical byte serialization: sorted keys, compact, newline-terminated.
 
     The bytes are `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
-    plus a newline. The label arrays are written by `_json_int_list` a
-    block at a time; `gridmagic generate` writes those blocks as they are,
-    and `save` joins them.
+    plus a newline, with the label lists written by `_slab_text` a slab of
+    leading rows at a time; `gridmagic generate` writes the same text from
+    the constructed slabs.
     """
-    return b"".join(_save_parts(doc))
+    items = _json_items(doc.dims, doc.kind, _document_extremes(doc))
+    return b"".join(_slab_text(items, _document_slabs(doc)))
 
 
 def _int64_array(raw: object, key: str) -> np.ndarray:
@@ -458,6 +606,160 @@ def verify_document(doc: LabelingDocument) -> MagicReport:
     return verify_supermagic(doc.spec, labeling)
 
 
+# --- verifying a file slab by slab -------------------------------------
+#
+# `gridmagic verify` reads a document in exactly `save`'s layout without
+# holding it: one pass over the file counts the commas of both label lists
+# and finds where each axis's block of the edge list starts, and then one
+# cursor on the vertex list and one on each edge block parse the lists a
+# piece at a time, as the verifier takes them a slab of leading rows at a
+# time. Anything the cursors refuse goes to `load` and `verify_document`,
+# so reports, messages and exit codes do not depend on the path.
+
+
+class _NotCanonical(Exception):
+    """Text that is not in exactly `save`'s layout."""
+
+
+@contextlib.contextmanager
+def _document_file(path: str) -> Iterator[BinaryIO]:
+    """The document at `path` (stdin for `-`) as a seekable binary file."""
+    if path == "-":
+        yield io.BytesIO(sys.stdin.buffer.read())
+        return
+    with open(path, "rb") as handle:
+        yield handle if handle.seekable() else io.BytesIO(handle.read())
+
+
+def _read_at(handle: BinaryIO, start: int, size: int) -> bytes:
+    handle.seek(start)
+    return handle.read(size)
+
+
+class _ListCursor:
+    """The values of the canonical int list body in bytes [start, stop) of a file, in order.
+
+    The body is read a piece at a time, cut as `_int64_list_body` cuts it:
+    at the first comma at least `_PARSE_BLOCK` bytes on.
+    """
+
+    def __init__(self, handle: BinaryIO, start: int, stop: int):
+        self.handle, self.pos, self.stop = handle, start, stop
+        self.held = np.empty(0, np.int64)  # parsed, not yet taken
+
+    def take(self, count: int) -> np.ndarray:
+        """The next `count` values."""
+        taken = []
+        while count > len(self.held):
+            taken.append(self.held)
+            count -= len(self.held)
+            self.held = self._piece()
+        taken.append(self.held[:count])
+        self.held = self.held[count:]
+        return taken[0] if len(taken) == 1 else np.concatenate(taken)
+
+    def _piece(self) -> np.ndarray:
+        if self.pos >= self.stop:
+            raise _NotCanonical
+        # a canonical value and its comma take at most _INT64_DIGITS + 2 bytes
+        data = _read_at(self.handle, self.pos, min(_PARSE_BLOCK + _INT64_DIGITS + 2, self.stop - self.pos))
+        cut = data.find(b",", min(_PARSE_BLOCK, len(data)))
+        if cut < 0 and self.pos + len(data) < self.stop:
+            raise _NotCanonical
+        cut = len(data) if cut < 0 else cut
+        values = _int64_list_piece(data, 0, cut)
+        if values is None:
+            raise _NotCanonical
+        self.pos += cut + 1
+        if self.pos == self.stop:  # a comma at the very end leaves an empty last value
+            raise _NotCanonical
+        return values
+
+    @property
+    def done(self) -> bool:
+        return self.pos >= self.stop and not len(self.held)
+
+
+def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[int, int, list[int]]:
+    """Where the list body from byte `start` ends (its `]`), its value count, and its mark commas.
+
+    The k-th mark comma is the byte position of comma number `marks[k]`
+    (1-based); `marks` ascend.
+    """
+    pos, commas, found = start, 0, []
+    while True:
+        data = _read_at(handle, pos, _PARSE_BLOCK)
+        if not data:
+            raise _NotCanonical
+        end = data.find(b"]")
+        comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
+        count = np.count_nonzero(comma)
+        here = [m - commas for m in marks[len(found) :] if m - commas <= count]
+        if here:  # the positions of this chunk's commas, once
+            at = np.flatnonzero(comma)
+            found += [pos + int(at[k - 1]) for k in here]
+        commas += count
+        if end >= 0:
+            stop = pos + end
+            return stop, commas + 1 if stop > start else 0, found
+        pos += len(data)
+
+
+def _verify_canonical(handle: BinaryIO) -> tuple[tuple[int, ...], MagicReport] | None:
+    """The caller dims and the report of a document in exactly `save`'s layout, else None.
+
+    Each check `load` makes passes here or sends the document back, and
+    every list length is checked before the verifier allocates its mask.
+    """
+    try:
+        # the head of any grid GridSpec admits, at most 62 axes, fits in 4 KiB
+        head = _CANONICAL_HEAD.match(_read_at(handle, 0, 4096))
+        if head is None:
+            return None
+        perm, dims = (_int64_list_body(head.string, *head.span(k)) for k in (1, 2))
+        if perm is None or dims is None:
+            return None
+        dims = tuple(dims.tolist())
+        try:
+            spec, want = canonicalize(dims)
+        except GridMagicError:
+            return None
+        if tuple(perm.tolist()) != want:
+            return None
+        sizes = [math.prod(shape) for shape in spec.edge_shapes]
+        edge_stop, ne, splits = _list_extent(handle, head.end(), list(itertools.accumulate(sizes[:-1])))
+        middle = _CANONICAL_MIDDLE.match(_read_at(handle, edge_stop, 64))  # 54 to 56 bytes
+        if middle is None:
+            return None
+        kind = middle[1].decode()
+        vertex_start = edge_stop + middle.end()
+        vertex_stop, nv, _ = _list_extent(handle, vertex_start, ())
+        if _read_at(handle, vertex_stop, 4) not in (b"]}", b"]}\n") or (nv, ne) != part_sizes(spec, kind):
+            return None
+        vertex = _ListCursor(handle, vertex_start, vertex_stop) if nv else None
+        bounds = zip([head.end(), *(p + 1 for p in splits)], [*splits, edge_stop])
+        edges = [_ListCursor(handle, start, stop) for start, stop in bounds] if ne else []
+        report = _report(spec, kind, _cursor_slabs(spec, vertex, edges))
+        if not all(cursor.done for cursor in [vertex, *edges] if cursor is not None):
+            return None
+    except _NotCanonical:
+        return None
+    return dims, report
+
+
+def _cursor_slabs(spec: GridSpec, vertex: _ListCursor | None, edges: list[_ListCursor]) -> Iterator[Slab]:
+    """The slabs of `_slab_ranges` from the list cursors."""
+    for rows in _slab_ranges(spec):
+        shape = (len(rows), *spec.dims[1:])
+        yield (
+            None if vertex is None else vertex.take(math.prod(shape)).reshape(shape),
+            None if not edges else tuple(
+                cursor.take(math.prod(shape)).reshape(shape)
+                for cursor, shape in zip(edges, edge_row_shapes(spec, rows))
+            ),
+        )
+
+
 def _to_canonical_coord(doc: LabelingDocument, coord: Sequence[int]) -> tuple[int, ...]:
     if len(coord) != len(doc.dims):
         raise UsageError(f"coordinate {tuple(coord)} has wrong arity for dims {doc.dims}")
@@ -497,19 +799,6 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
 # coordinates, each distinct x and y written once from exact hundredths.
 
 
-def _vertex_name_cells(spec: GridSpec, sep: bytes) -> np.ndarray:
-    """The cells of every vertex's name: its 1-based coordinates joined by `sep`.
-
-    The shape is `spec.dims + (width,)`; a short coordinate leaves 0 cells.
-    """
-    fields = []
-    for a, n in enumerate(spec.dims):
-        # coordinate a of every vertex: 1..n along axis a, the same along later axes
-        coords = np.arange(1, n + 1, dtype=np.int64).reshape((n,) + (1,) * (spec.dim - a - 1))
-        fields += [sep, coords]
-    return _cell_table(spec.dims, *fields[1:])
-
-
 def _axis_blocks(doc: LabelingDocument) -> Iterator[tuple[int, tuple, tuple, np.ndarray | None]]:
     """Per axis, ascending and 1-based: its edges' lower and upper endpoints, and labels.
 
@@ -543,7 +832,7 @@ def _render_tikz(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
     # trailing zeros dropped, from a table with one row per c
     cents = np.array([(b".%02d" % c).rstrip(b".0") for c in range(100)], "S3").view((np.uint8, 3))
     x, y = (_cell_table(c.shape, c // 100, cents[c % 100]) for c in (x, y))
-    names = _vertex_name_cells(spec, b"_")
+    names = _name_cells(spec.dims, b"_")
     parts = [
         b"\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]\n"
     ]
@@ -566,7 +855,7 @@ def _render_tikz(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
 
 def _render_dot(doc: LabelingDocument) -> list[bytes | np.ndarray]:
     spec = doc.spec
-    names = _vertex_name_cells(spec, b",")
+    names = _name_cells(spec.dims, b",")
     parts = [b"graph gridmagic {\n  node [shape=circle];\n"]
     if doc.kind == "edge":
         tail = (b'";\n',)
@@ -581,27 +870,12 @@ def _render_dot(doc: LabelingDocument) -> list[bytes | np.ndarray]:
     return parts
 
 
-def _render_csv(doc: LabelingDocument) -> list[bytes | np.ndarray]:
-    spec = doc.spec
-    header = ["kind"] + [f"x{i}" for i in range(1, spec.dim + 1)] + ["axis", "label"]
-    parts = [",".join(header).encode() + b"\n"]
-    names = _vertex_name_cells(spec, b",")
-    if doc.kind != "edge":
-        labels = doc.vertex_labels.reshape(spec.dims)
-        parts += _table_text(spec.dims, b"vertex,", names, b",,", labels, b"\n")
-    for axis, lower, _, labels in _axis_blocks(doc):
-        if labels is not None:
-            fields = (b"edge,", names[lower], b",%d," % axis, labels, b"\n")
-            parts += _table_text(labels.shape, *fields)
-    return parts
-
-
 def _render_parts(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
     """The ASCII text of `render(doc, style)` as parts, a block of rows at most in each."""
     if style not in STYLES:
         raise UsageError(f"style must be one of {STYLES}, got {style!r}")
     if style == "csv":
-        return _render_csv(doc)
+        return _slab_text(_csv_items(doc.spec, doc.kind, _document_extremes(doc)), _document_slabs(doc))
     return _render_dot(doc) if style == "dot" else _render_tikz(doc, style)
 
 
@@ -690,26 +964,41 @@ def _write_parts(path: str, parts: list[bytes | np.ndarray]) -> None:
     """Write ASCII parts to the file at `path`, or to stdout for `-`, one after another.
 
     Callers build every part first, so a refusal while building (say, a
-    `MemoryError`) leaves no truncated file behind.
+    `MemoryError`) leaves no truncated file behind. Stdout takes the text
+    decoded a MiB at a time, so that it never holds a second copy.
     """
     if path == "-":
         for part in parts:
-            sys.stdout.write(str(part, "ascii"))
+            for start in range(0, len(part), 2**20):
+                sys.stdout.write(str(part[start : start + 2**20], "ascii"))
     else:
         with open(path, "wb") as handle:
             handle.writelines(parts)
 
 
 def _cmd_generate(args) -> int:
-    doc = generate_document(_parse_dims(args.dims), args.kind)
-    _write_parts(args.out, _save_parts(doc) if args.format == "json" else _render_csv(doc))
+    spec, perm = canonicalize(_parse_dims(args.dims))
+    dims = tuple(spec.dims[p - 1] for p in perm)
+    nv, ne = part_sizes(spec, args.kind)
+    # a constructed part is a bijection onto its range
+    extremes = np.array([1, nv], np.int64), np.array([nv + 1, nv + ne], np.int64)
+    if args.format == "json":
+        items = _json_items(dims, args.kind, extremes)
+    else:
+        items = _csv_items(spec, args.kind, extremes)
+    _write_parts(args.out, _slab_text(items, _constructed_slabs(spec, args.kind)))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    doc = _read_document(args.file)
-    report = verify_document(doc)
-    _print_report(report, doc.dims)
+    with _document_file(args.file) as handle:
+        checked = _verify_canonical(handle)
+        if checked is None:  # any other input: the whole document, as `load` reads it
+            handle.seek(0)
+            doc = load(handle.read())
+            checked = doc.dims, verify_document(doc)
+    dims, report = checked
+    _print_report(report, dims)
     return EXIT_OK if report.magic and report.bijective else EXIT_FAIL
 
 

@@ -14,17 +14,30 @@ rank order, edge labels in edge enumeration order. Verification touches
 every label anyway; `flat` is that buffer, and the grid-shaped and
 per-axis arrays that the vectorized cube-sum sweep consumes are views of
 it, so no layer copies labels to change between the two.
+
+Both formulas also give any range of leading rows alone, as `VertexRows`
+and `EdgeRows`: the same arrays cut to those rows, which is how the
+command line builds a document that it never holds whole.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SpecMismatch
-from .grid_core import EdgeId, GridSpec, VertexCoord, edge_rank, split_edge_labels, vertex_rank
+from .errors import CoordOutOfRange, SpecMismatch
+from .grid_core import (
+    EdgeId,
+    GridSpec,
+    VertexCoord,
+    edge_rank,
+    edge_row_shapes,
+    split_edge_labels,
+    vertex_rank,
+)
 
 
 def frozen_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -67,6 +80,11 @@ class VertexLabeling:
         """Labels in vertex rank order (row-major)."""
         return self.grid.reshape(-1)
 
+    @property
+    def rows(self) -> range:
+        """The leading rows it labels: all of them."""
+        return range(self.spec.dims[0])
+
     def label(self, v: VertexCoord) -> int:
         return int(self.flat[vertex_rank(self.spec, v)])
 
@@ -94,8 +112,57 @@ class EdgeLabeling:
     def per_axis(self) -> tuple[np.ndarray, ...]:
         return split_edge_labels(self.spec, self.flat)
 
+    @property
+    def rows(self) -> range:
+        """The leading rows whose edges it labels: all of them."""
+        return range(self.spec.dims[0])
+
     def label(self, e: EdgeId) -> int:
         return int(self.flat[edge_rank(self.spec, e)])
+
+
+@dataclass(frozen=True, eq=False)
+class VertexRows:
+    """The vertex labels of leading rows `rows` of the grid `spec`.
+
+    `grid` has shape ``(len(rows), *spec.dims[1:])``: those rows of a
+    vertex labeling's grid.
+    """
+
+    spec: GridSpec
+    rows: range
+    grid: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeRows:
+    """The labels of the edges based in leading rows `rows` of the grid `spec`.
+
+    `flat` holds them axis by axis, each axis's rows as in enumeration order.
+    """
+
+    spec: GridSpec
+    rows: range
+    flat: np.ndarray
+
+    @property
+    def per_axis(self) -> tuple[np.ndarray, ...]:
+        return split_edge_labels(self.spec, self.flat, self.rows)
+
+
+def edge_buffer(spec: GridSpec, rows: range) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """An unfilled int64 buffer for the edges based in `rows`, and its per-axis views."""
+    flat = np.empty(sum(map(math.prod, edge_row_shapes(spec, rows))), dtype=np.int64)
+    return flat, split_edge_labels(spec, flat, rows)
+
+
+def _checked_rows(spec: GridSpec, rows: range | None) -> range:
+    """`rows` (all of them for None), if it is a range of consecutive leading rows of `spec`."""
+    if rows is None:
+        return range(spec.dims[0])
+    if not isinstance(rows, range) or rows.step != 1 or not 0 <= rows.start <= rows.stop <= spec.dims[0]:
+        raise CoordOutOfRange(f"{rows!r} is not a range of leading rows of the {spec.dims} grid")
+    return rows
 
 
 def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> VertexLabeling:
@@ -111,32 +178,43 @@ def edge_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) ->
     return EdgeLabeling(spec, frozen_labels(flat).reshape(-1))
 
 
-def base_vertex_labeling(n1: int, n2: int) -> VertexLabeling:
-    """Magic vertex labeling of the n1 x n2 grid (n1 >= n2 >= 2)."""
+def base_vertex_labeling(n1: int, n2: int, rows: range | None = None) -> VertexLabeling | VertexRows:
+    """Magic vertex labeling of the n1 x n2 grid (n1 >= n2 >= 2).
+
+    Given `rows`, a range of 0-based leading coordinates, it builds those
+    rows alone and returns them as `VertexRows`.
+    """
     spec = GridSpec((n1, n2))
+    built = _checked_rows(spec, rows)
     bump = 1 if n1 % 2 == 0 and n2 % 2 == 1 else 0
-    i = np.arange(1, n1 + 1, dtype=np.int64)[:, None]
+    i = np.arange(built.start + 1, built.stop + 1, dtype=np.int64)[:, None]
     j = np.arange(1, n2 + 1, dtype=np.int64)
     up, down, rev = (i - 1) * n2, (n1 - i) * n2 + bump, n2 + 1 - j
-    # one strided block per (i, j) parity class; [0::2] picks odd i or j
-    grid = np.empty((n1, n2), dtype=np.int64)
-    np.add(up[0::2], j[0::2], out=grid[0::2, 0::2])
-    np.add(up[1::2], rev[1::2], out=grid[1::2, 1::2])
-    np.add(down[0::2], j[1::2], out=grid[0::2, 1::2])
-    np.add(down[1::2], rev[0::2], out=grid[1::2, 0::2])
-    return VertexLabeling(spec, grid)
+    # one strided block per (i, j) parity class; odd i sit at even rows of
+    # the block when it starts at an even row, and [0::2] picks odd j
+    odd, even = slice(built.start % 2, None, 2), slice(1 - built.start % 2, None, 2)
+    grid = np.empty((len(built), n2), dtype=np.int64)
+    np.add(up[odd], j[0::2], out=grid[odd, 0::2])
+    np.add(up[even], rev[1::2], out=grid[even, 1::2])
+    np.add(down[odd], j[1::2], out=grid[odd, 1::2])
+    np.add(down[even], rev[0::2], out=grid[even, 0::2])
+    return VertexLabeling(spec, grid) if rows is None else VertexRows(spec, rows, grid)
 
 
-def base_edge_labeling(n1: int, n2: int) -> EdgeLabeling:
-    """Magic edge labeling of the n1 x n2 grid (n1 >= n2 >= 2)."""
+def base_edge_labeling(n1: int, n2: int, rows: range | None = None) -> EdgeLabeling | EdgeRows:
+    """Magic edge labeling of the n1 x n2 grid (n1 >= n2 >= 2).
+
+    Given `rows`, it builds the edges based in those leading rows alone
+    and returns them as `EdgeRows`.
+    """
     spec = GridSpec((n1, n2))
+    built = _checked_rows(spec, rows)
     stripe = 2 * n2 - 1
-    i = np.arange(1, n1 + 1, dtype=np.int64)[:, None]
+    i = np.arange(built.start + 1, built.stop + 1, dtype=np.int64)[:, None]
     j = np.arange(1, n2 + 1, dtype=np.int64)
-    flat = np.empty(spec.edge_count, dtype=np.int64)
-    along_1, along_2 = split_edge_labels(spec, flat)
+    flat, (along_1, along_2) = edge_buffer(spec, built)
     # axis-1 edges: base (i, j) with i <= n1-1, label (n1-i)*stripe + 1 - j
-    np.subtract((n1 - i[:-1]) * stripe + 1, j, out=along_1)
+    np.subtract((n1 - i[: len(along_1)]) * stripe + 1, j, out=along_1)
     # axis-2 edges: base (i, j) with j <= n2-1, label (i-1)*stripe + j
     np.add((i - 1) * stripe, j[:-1], out=along_2)
-    return EdgeLabeling(spec, flat)
+    return EdgeLabeling(spec, flat) if rows is None else EdgeRows(spec, rows, flat)

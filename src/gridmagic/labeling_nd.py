@@ -16,7 +16,10 @@ short.
 Each lift preserves the magic property, so iterating from the
 two-dimensional base case yields magic labelings for every dimension;
 `combine_supermagic` then merges a vertex and an edge labeling into one
-total labeling whose vertex labels are exactly [1, |V|].
+total labeling whose vertex labels are exactly [1, |V|]. A lift also
+takes the rows of a labeling (`VertexRows`, `EdgeRows`) and lifts them
+alone, so `labeling_rows` builds any range of leading rows from the
+closed forms, and `build_labelings` is that range over every row.
 """
 
 from __future__ import annotations
@@ -27,12 +30,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SpecMismatch
-from .grid_core import GridSpec, split_edge_labels
+from .grid_core import GridSpec
 from .labeling_2d import (
     EdgeLabeling,
+    EdgeRows,
     VertexLabeling,
+    VertexRows,
     base_edge_labeling,
     base_vertex_labeling,
+    edge_buffer,
     edge_labeling_from_flat,
     vertex_labeling_from_flat,
 )
@@ -63,17 +69,21 @@ class TotalLabeling:
         return self.vertex.spec
 
 
-def _coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> np.ndarray:
+def _coord_parity(
+    shape: tuple[int, ...], axes: Iterable[int] | None = None, first_row: int = 0
+) -> np.ndarray:
     """Parity (0 or 1, uint8) of the 1-based coordinate sum over `axes` (default: all).
 
     The result broadcasts against `shape`: it has length 1 on every axis
-    left out of the sum.
+    left out of the sum. The leading axis starts at row `first_row`
+    (0-based), so that rows cut from a grid keep the grid's parity.
     """
     out = np.zeros((1,) * len(shape), dtype=np.uint8)
     for a in range(len(shape)) if axes is None else axes:
         view = [1] * len(shape)
         view[a] = shape[a]
-        out = out ^ (np.arange(1, shape[a] + 1) % 2).astype(np.uint8).reshape(view)
+        first = 1 + (first_row if a == 0 else 0)
+        out = out ^ (np.arange(first, first + shape[a]) % 2).astype(np.uint8).reshape(view)
     return out
 
 
@@ -110,63 +120,85 @@ def _write_layers(
         np.add((base + first)[..., None], delta[..., None] * t, out=out)
 
 
-def extend_vertex_labeling(base: VertexLabeling, nd: int) -> VertexLabeling:
+def extend_vertex_labeling(
+    base: VertexLabeling | VertexRows, nd: int
+) -> VertexLabeling | VertexRows:
     """Lift a magic vertex labeling by one dimension (nd layers).
 
     `GridSpec` checks `nd` as a new last side, so it must be an integer
-    from 2 up to the base's last side.
+    from 2 up to the base's last side. Given `VertexRows` of the base, it
+    lifts those leading rows alone and returns the same rows of the lift.
     """
     spec = GridSpec(base.spec.dims + (nd,))
-    grid = np.empty(spec.dims, dtype=np.int64)
+    grid = np.empty(base.grid.shape + (spec.dims[-1],), dtype=np.int64)
     # layers count forward on even coordinate sums, backward on odd ones
-    _write_layers(grid, base.grid, base.spec.vertex_count, _coord_parity(base.spec.dims))
-    return VertexLabeling(spec, grid)
+    parity = _coord_parity(base.grid.shape, first_row=base.rows.start)
+    _write_layers(grid, base.grid, base.spec.vertex_count, parity)
+    if isinstance(base, VertexLabeling):
+        return VertexLabeling(spec, grid)
+    return VertexRows(spec, base.rows, grid)
 
 
-def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) -> EdgeLabeling:
+def extend_edge_labeling(
+    base_f: VertexLabeling | VertexRows, base_g: EdgeLabeling | EdgeRows, nd: int
+) -> EdgeLabeling | EdgeRows:
     """Lift a magic edge labeling by one dimension.
 
     Needs the matching vertex labeling of the layer grid: connecting-edge
     labels are built from it. In-layer labels keep the base label plus a
     multiple of the layer edge count; connecting labels sit in the block
-    above nd * layer_edges.
+    above nd * layer_edges. Given the `VertexRows` and `EdgeRows` of the
+    same leading rows, it lifts those rows alone and returns `EdgeRows`.
     """
-    if base_f.spec != base_g.spec:
+    if (base_f.spec, base_f.rows) != (base_g.spec, base_g.rows):
         raise SpecMismatch(
-            f"vertex labeling over {base_f.spec.dims} but edge labeling over {base_g.spec.dims}"
+            f"vertex labeling of rows {base_f.rows} over {base_f.spec.dims} "
+            f"but edge labeling of rows {base_g.rows} over {base_g.spec.dims}"
         )
     spec = GridSpec(base_f.spec.dims + (nd,))  # checks nd as extend_vertex_labeling does
     nd = spec.dims[-1]
     d = spec.dim
-    layer = base_f.spec
+    layer, first_row = base_f.spec, base_f.rows.start
 
-    flat = np.empty(spec.edge_count, dtype=np.int64)
-    per_axis = split_edge_labels(spec, flat)
+    flat, per_axis = edge_buffer(spec, base_f.rows)
     for axis, arr in enumerate(base_g.per_axis, start=1):
         if d % 2 == 0 and axis == d - 1:
             # even target dimension: the last in-layer axis counts forward on
             # odd coordinate sums over the base vertex's first d-2 axes
-            backward = _coord_parity(arr.shape, axes=range(d - 2)) == 0
+            backward = _coord_parity(arr.shape, range(d - 2), first_row) == 0
         else:
             backward = axis % 2 == 0
         _write_layers(per_axis[axis - 1], arr, layer.edge_count, backward)
 
     # connecting edges: one layer per base coordinate x_d in [1, nd-1], above
     # all nd * layer.edge_count in-layer labels, forward on odd coordinate sums
-    backward = _coord_parity(layer.dims) == 0
+    backward = _coord_parity(base_f.grid.shape, first_row=first_row) == 0
     _write_layers(per_axis[-1], base_f.grid, layer.vertex_count, backward, nd * layer.edge_count)
-    return EdgeLabeling(spec, flat)
+    if isinstance(base_g, EdgeLabeling):
+        return EdgeLabeling(spec, flat)
+    return EdgeRows(spec, base_g.rows, flat)
 
 
-def build_labelings(spec: GridSpec) -> tuple[VertexLabeling, EdgeLabeling]:
-    """Magic vertex and edge labelings for any canonical spec."""
-    f = base_vertex_labeling(spec.dims[0], spec.dims[1])
-    g = base_edge_labeling(spec.dims[0], spec.dims[1])
-    for k in range(3, spec.dim + 1):
-        nd = spec.dims[k - 1]
+def labeling_rows(spec: GridSpec, rows: range) -> tuple[VertexRows, EdgeRows]:
+    """The constructed vertex and edge labels of leading rows `rows`, from the closed forms.
+
+    The 2-d base formulas give those rows of the first two axes; each lift
+    then adds its layers with the whole layer grid's counts as steps, and
+    with the parity of the leading coordinate counted from `rows.start`.
+    """
+    n1, n2 = spec.dims[:2]
+    f = base_vertex_labeling(n1, n2, rows)
+    g = base_edge_labeling(n1, n2, rows)
+    for nd in spec.dims[2:]:
         g = extend_edge_labeling(f, g, nd)
         f = extend_vertex_labeling(f, nd)
     return f, g
+
+
+def build_labelings(spec: GridSpec) -> tuple[VertexLabeling, EdgeLabeling]:
+    """Magic vertex and edge labelings for any canonical spec: `labeling_rows` of every row."""
+    f, g = labeling_rows(spec, range(spec.dims[0]))
+    return VertexLabeling(spec, f.grid), EdgeLabeling(spec, g.flat)
 
 
 def total_labeling_from_flats(

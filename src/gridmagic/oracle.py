@@ -55,7 +55,7 @@ import numpy as np
 from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
 from .labeling_nd import constructed_parts
-from .verifier import INT64_MAX, _parts, _report, part_sizes, verify_batch
+from .verifier import INT64_MAX, _parts, _report, _slab, part_sizes, verify_batch
 
 MODES = ("vertex", "edge", "supermagic")
 # the verifier's name for each mode's labelings
@@ -149,7 +149,7 @@ def _cube_edge_ranks(spec: GridSpec) -> list[tuple[int, ...]]:
 
 def _disagreement(spec: GridSpec, mode: str, labels: np.ndarray, magic_sum: int) -> GridMagicError:
     """The error for a labeling the scan found magic but the batch check did not."""
-    report = _report(spec, _KIND[mode], *_parts(spec, _KIND[mode], labels))
+    report = _report(spec, _KIND[mode], [_slab(spec, *_parts(spec, _KIND[mode], labels))])
     return GridMagicError(
         f"oracle/verifier disagreement on a {mode} labeling: "
         f"scan sum {magic_sum}, verifier {report}"

@@ -13,19 +13,27 @@ edge array along the other d-1 axes sums the d * 2^(d-1) edges; adding
 the axis arrays as soon as their shapes agree lets later passes serve
 several axes, (d-1)(d+2)/2 passes in all.
 
-Every check runs through one core, `_scan`, over an optional vertex part
-(..., |V|) and an optional edge part (..., |E|); `part_sizes` is the one
-table of each kind's parts and their lengths. The kernels pair over
-the trailing `spec.dim` axes only, so the leading axes are a batch: a
-single labeling has none, and `verify_batch` checks m labelings, one per
-row, with one call per kernel. One min and one max per part bound every
-cube sum (when max|label| times the labels per cube could pass 2^63 - 1,
-the kernels run unchanged on arrays of Python ints, so sums never wrap)
-and show whether every label lies in its part's range: [1, |V|] and
-[1, |E|], or [|V|+1, |V|+|E|] behind a vertex part. Labels outside it go
-to a spare slot, and one scatter of every row into a seen-mask decides
-bijectivity: a row is a bijection when all its other slots are set.
-`verify_*` reduce the sums to a report, `verify_batch` to per-row extremes.
+Every check runs through one core, `_scan`, which takes the labels a slab
+of leading rows at a time: the vertex rows and each axis's edge rows,
+either part left out for a kind that lacks it (`part_sizes` is the one
+table of each kind's parts and their lengths). A unit cube spans two
+consecutive leading rows, so the kernels sum the cubes inside each slab
+and, joined to the last row held back from the slab before, those on
+its seam. `verify_*` pass their whole arrays as one slab; `gridmagic
+verify` passes a document's lists as it parses them, and never holds
+them. The kernels pair over the trailing `spec.dim` axes only, so axes
+in front of the rows are a batch: a single labeling has none, and
+`verify_batch` checks m labelings, one per row, with one call per
+kernel. One min and one max per slab bound its cube sums (when max|label|
+times the labels per cube could pass 2^63 - 1, the kernels run unchanged
+on arrays of Python ints, so sums never wrap) and show whether every
+label lies in its part's range: [1, |V|] and [1, |E|], or
+[|V|+1, |V|+|E|] behind a vertex part. Labels outside it go to a spare
+slot, and one scatter per slab into a seen-mask of |V|+|E|+1 bytes per
+row decides bijectivity: a row is a bijection when all its other slots
+are set. `verify_*` reduce each slab's sums to their extremes, and sort
+out the distinct sums only once two differ; `verify_batch` reduces them
+to per-row extremes.
 
 `closed_form_sums` computes the magic sums the constructions are expected
 to attain, by pure arithmetic over the same layer recursion the builders
@@ -34,7 +42,9 @@ use; the verifier reports observed against predicted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -139,45 +149,116 @@ def cube_edge_sums(per_axis: tuple[np.ndarray, ...], spec: GridSpec) -> np.ndarr
     return out
 
 
-def _exact(arrays: tuple[np.ndarray | None, ...], sum_bound: int) -> tuple[np.ndarray | None, ...]:
-    """The label arrays, as arrays of Python ints if a cube sum could pass int64."""
-    if sum_bound <= INT64_MAX:
-        return arrays
-    return tuple(None if arr is None else arr.astype(object) for arr in arrays)
+# One slab of labels: the vertex rows (*batch, rows, *dims[1:]) and each
+# axis's edge rows (*batch, rows, ...), None for a part the kind lacks.
+Slab = tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]
+
+
+def _each(fn, *slabs: Slab) -> Slab:
+    """`fn` of each array of the slabs, taken part by part and axis by axis; None stays None."""
+    vertices, edges = zip(*slabs)
+    return (
+        None if vertices[0] is None else fn(*vertices),
+        None if edges[0] is None else tuple(map(fn, *edges)),
+    )
+
+
+def _mark(seen: np.ndarray, labels: np.ndarray, start: int, end: int, axis: int) -> int:
+    """Set ``seen[r, label]`` for the labels of batch row r in [start, end], slot 0 for the rest.
+
+    `axis` counts the batch axes in front of each row of `labels`. Returns
+    the largest magnitude among the labels, `start` and `end`.
+    """
+    labels = labels.reshape(len(seen), math.prod(labels.shape[axis:]))
+    # the range ends as initial values also give an empty batch extremes
+    lo, hi = int(labels.min(initial=start)), int(labels.max(initial=end))
+    if lo < start or hi > end:
+        labels = np.where((labels >= start) & (labels <= end), labels, 0)
+    if len(seen) > 1:
+        labels = labels + np.arange(0, seen.size, seen.shape[1])[:, None]
+    seen.reshape(-1)[labels] = True
+    return max(-lo, hi)
+
+
+def _cube_sums(spec: GridSpec, slab: Slab, axis: int, exact: bool) -> np.ndarray | None:
+    """The sums of the cubes whose every label is in `slab`, None if there are none.
+
+    Leading rows run along `axis`. A cube on corner row r needs vertex
+    rows r and r+1, axis-1 edge row r and the other axes' edge rows r and
+    r+1. `exact` runs the kernels on Python ints.
+    """
+    vertex, edges = slab
+    counts = [] if vertex is None else [vertex.shape[axis] - 1]
+    if edges is not None:
+        counts += [edges[0].shape[axis]] + [arr.shape[axis] - 1 for arr in edges[1:]]
+    cubes = min(counts)
+    if cubes <= 0:
+        return None
+    head = (slice(None),) * axis
+    vertex = None if vertex is None else vertex[head + (slice(0, cubes + 1),)]
+    if edges is not None:
+        edges = edges[0][head + (slice(0, cubes),)], *(arr[head + (slice(0, cubes + 1),)] for arr in edges[1:])
+    if exact:
+        vertex, edges = _each(lambda arr: arr.astype(object), (vertex, edges))
+    sums = None if vertex is None else cube_vertex_sums(vertex, spec)
+    if edges is not None:
+        edge_sums = cube_edge_sums(edges, spec)
+        sums = edge_sums if sums is None else np.add(sums, edge_sums, out=sums)
+    return sums
 
 
 def _scan(
-    spec: GridSpec, vertex: np.ndarray | None, edge: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cube sums (..., n_1 - 1, ..., n_d - 1) and bijectivity (...) of the given parts."""
-    batch = (edge if vertex is None else vertex).shape[:-1]
-    parts = [part.reshape(-1, part.shape[-1]) for part in (vertex, edge) if part is not None]
-    # seen[r, label] for the labels of row r, slot 0 for those out of range
-    seen = np.zeros((len(parts[0]), 1 + sum(labels.shape[1] for labels in parts)), dtype=bool)
-    magnitude, start = 0, 1
-    for labels in parts:
-        end = start + labels.shape[1] - 1
-        # the range ends as initial values also give an empty batch extremes
-        lo, hi = int(labels.min(initial=start)), int(labels.max(initial=end))
-        magnitude = max(magnitude, -lo, hi)
-        if lo < start or hi > end:
-            labels = np.where((labels >= start) & (labels <= end), labels, 0)
-        if len(labels) > 1:
-            labels = labels + np.arange(0, seen.size, seen.shape[1])[:, None]
-        seen.reshape(-1)[labels] = True
-        start = end + 1
-    bijective = seen[:, 1:].all(axis=1)
-    del seen, labels  # the mask and any label copy, freed before the kernels run
+    spec: GridSpec, kind: str, slabs: Iterable[Slab], reduce, batch: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Bijectivity (`batch`-shaped) of the `kind` labels in `slabs`; cube sums go to `reduce`.
 
-    per_cube = (0 if vertex is None else 2**spec.dim) + (0 if edge is None else spec.cube_edge_count)
-    vertex, edge = _exact((vertex, edge), magnitude * per_cube)
-    sums = None
-    if vertex is not None:
-        sums = cube_vertex_sums(vertex.reshape(*batch, *spec.dims), spec)
-    if edge is not None:
-        edge_sums = cube_edge_sums(split_edge_labels(spec, edge), spec)
-        sums = edge_sums if sums is None else np.add(sums, edge_sums, out=sums)
-    return sums, bijective.reshape(batch)
+    `slabs` gives the leading rows in order, a slab at a time. `reduce`
+    gets the sums of the cubes inside each slab, and of those on the seam
+    with the last row held back from the slab before. The seen mask is
+    freed once the last slab is marked, before its kernels run. The
+    kernels run on Python ints when the labels they add could give a cube
+    sum past int64.
+    """
+    nv, ne = part_sizes(spec, kind)
+    per_cube = (2**spec.dim if nv else 0) + (spec.cube_edge_count if ne else 0)
+    axis = len(batch)
+    head = (slice(None),) * axis  # every batch row
+    # seen[r, label] for the labels of row r, slot 0 for those out of range
+    seen = np.zeros((math.prod(batch), 1 + nv + ne), dtype=bool)
+    held, held_magnitude, done = None, 0, 0
+    for slab in slabs:
+        vertex, edges = slab
+        magnitude = 0 if vertex is None else _mark(seen, vertex, 1, nv, axis)
+        for arr in edges or ():
+            magnitude = max(magnitude, _mark(seen, arr, nv + 1, nv + ne, axis))
+        rows = (edges[1] if vertex is None else vertex).shape[axis]
+        done += rows
+        if done == spec.dims[0]:
+            bijective = seen[:, 1:].all(axis=1).reshape(batch)
+            del seen  # the mask, freed before the last kernels run
+        if not rows:
+            continue
+        if held is not None:
+            # the held rows and the slab's first: the cubes on the seam
+            seam = _each(lambda last, arr: np.concatenate((last, arr[head + (slice(0, 1),)]), axis), held, slab)
+            reduce(_cube_sums(spec, seam, axis, max(magnitude, held_magnitude) * per_cube > INT64_MAX))
+        sums = _cube_sums(spec, slab, axis, magnitude * per_cube > INT64_MAX)
+        if sums is not None:
+            reduce(sums)
+        held = _each(lambda arr: arr[head + (slice(rows - 1, None),)].copy(), slab)
+        held_magnitude = magnitude
+    if done != spec.dims[0]:
+        raise SpecMismatch(f"slabs of {done} leading rows for the {spec.dims} grid")
+    return bijective
+
+
+def _slab(spec: GridSpec, vertex: np.ndarray | None, edge: np.ndarray | None) -> Slab:
+    """Flat parts (..., |V|) and (..., |E|), or None, as one slab of every leading row."""
+    batch = (edge if vertex is None else vertex).shape[:-1]
+    return (
+        None if vertex is None else vertex.reshape(*batch, *spec.dims),
+        None if edge is None else split_edge_labels(spec, edge),
+    )
 
 
 def part_sizes(spec: GridSpec, kind: str) -> tuple[int, int]:
@@ -197,23 +278,54 @@ def _parts(spec: GridSpec, kind: str, rows: np.ndarray) -> tuple[np.ndarray | No
     return (rows[..., :nv] if nv else None), (rows[..., nv:] if ne else None)
 
 
-def _report(
-    spec: GridSpec, kind: str, vertex: np.ndarray | None, edge: np.ndarray | None
-) -> MagicReport:
-    """The report on one labeling of `kind`, given by its parts as for `_scan`."""
-    sums, bijective = _scan(spec, vertex, edge)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending.
+
+    A sort and one comparison: `np.unique` hashes int64 in numpy 2, and took
+    ~70x as long on a million random sums (numpy 2.4.6).
+    """
+    ordered = np.sort(values, axis=None)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+class _SumRange:
+    """The extremes of the cube sums given to `add`, and their distinct values once two differ."""
+
+    def __init__(self):
+        self.low = self.high = None
+        self.distinct: list[np.ndarray] = []  # sorted distinct sums, per slab
+
+    def add(self, sums: np.ndarray) -> None:
+        lo, hi = int(sums.min()), int(sums.max())
+        if self.low is None:
+            self.low, self.high = lo, hi
+        else:
+            if not self.distinct and (lo, hi) != (self.low, self.high):
+                self.distinct.append(np.array([self.low]))  # the one sum of every earlier slab
+            self.low, self.high = min(self.low, lo), max(self.high, hi)
+        if self.distinct or lo != hi:
+            self.distinct.append(_distinct(sums))
+
+    def values(self) -> np.ndarray | list[int]:
+        """Every distinct sum, ascending."""
+        if not self.distinct:
+            return [self.low]
+        return self.distinct[0] if len(self.distinct) == 1 else _distinct(np.concatenate(self.distinct))
+
+
+def _report(spec: GridSpec, kind: str, slabs: Iterable[Slab]) -> MagicReport:
+    """The report on one labeling of `kind`, given a slab of leading rows at a time."""
+    sums = _SumRange()
+    bijective = _scan(spec, kind, slabs, sums.add)
     predicted = getattr(closed_form_sums(spec), f"c_{kind}")
-    ordered = np.sort(sums, axis=None)
-    magic = bool(ordered[0] == ordered[-1])
-    # positions in sorted order where each distinct value after the first begins
-    starts = [] if magic else np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    values = (ordered[0], *ordered[starts[: MAX_REPORTED_SUMS - 1]])
-    magic_sum = int(ordered[0]) if magic else None
+    values = sums.values()
+    magic = len(values) == 1
+    magic_sum = sums.low if magic else None
     return MagicReport(
         kind=kind,
         bijective=bool(bijective),
-        cube_sum_values=tuple(int(v) for v in values),
-        distinct_count=1 + len(starts),
+        cube_sum_values=tuple(int(v) for v in values[:MAX_REPORTED_SUMS]),
+        distinct_count=len(values),
         magic=magic,
         magic_sum=magic_sum,
         predicted_sum=predicted,
@@ -225,14 +337,14 @@ def verify_vertex_magic(spec: GridSpec, f: VertexLabeling) -> MagicReport:
     """Scan all cubes of a vertex labeling; report sums and bijectivity."""
     if f.spec != spec:
         raise SpecMismatch(f"labeling over {f.spec.dims}, expected {spec.dims}")
-    return _report(spec, "vertex", f.flat, None)
+    return _report(spec, "vertex", [(f.grid, None)])
 
 
 def verify_edge_magic(spec: GridSpec, g: EdgeLabeling) -> MagicReport:
     """Scan all cubes of an edge labeling; report sums and bijectivity."""
     if g.spec != spec:
         raise SpecMismatch(f"labeling over {g.spec.dims}, expected {spec.dims}")
-    return _report(spec, "edge", None, g.flat)
+    return _report(spec, "edge", [(None, g.per_axis)])
 
 
 def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
@@ -244,7 +356,7 @@ def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
     """
     if total.spec != spec:
         raise SpecMismatch(f"labeling over {total.spec.dims}, expected {spec.dims}")
-    return _report(spec, "total", total.vertex.flat, total.edge.flat)
+    return _report(spec, "total", [(total.vertex.grid, total.edge.per_axis)])
 
 
 def verify_batch(
@@ -264,8 +376,9 @@ def verify_batch(
     vertex, edge = _parts(spec, kind, rows)
     if rows.ndim != 2:
         raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
-    sums, bijective = _scan(spec, vertex, edge)
+    found = []
+    bijective = _scan(spec, kind, [_slab(spec, vertex, edge)], found.append, rows.shape[:1])
     # numpy reduces short C-ordered rows slowly; column order is faster,
     # copy included
-    sums = np.asfortranarray(sums.reshape(len(rows), spec.cube_count))
+    sums = np.asfortranarray(found[0].reshape(len(rows), spec.cube_count))
     return sums.min(axis=1), sums.max(axis=1), bijective

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmagic
-from conftest import TEXT_BLOCKS, load_script, text_blocks
+from conftest import PINNED_SPECS, TEXT_BLOCKS, load_script, text_blocks
 from gridmagic import (
     CoordOutOfRange,
     EdgeId,
@@ -43,7 +43,7 @@ from gridmagic import (
     verify_document,
     verify_supermagic,
 )
-from gridmagic import io_cli
+from gridmagic import io_cli, verifier
 from gridmagic.io_cli import INT64_MAX, INT64_MIN, KINDS, _canonical_payload, document_labeling
 from gridmagic.verifier import part_sizes
 
@@ -674,15 +674,15 @@ def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, block)
 
 
 def test_cli_refusal_while_building_output_writes_nothing(tmp_path, capsys, monkeypatch):
-    lists, json_int_list = [], io_cli._json_int_list
+    tables, cell_table = [], io_cli._cell_table
 
-    def refuse_the_second_list(values):
-        lists.append(values)
-        if len(lists) % 2 == 0:  # the vertex labels, after the edge labels' blocks
+    def refuse_the_last_list(shape, *fields):
+        tables.append(shape)
+        if len(tables) % 3 == 0:  # the vertex labels, after both edge axes' rows
             raise MemoryError
-        return json_int_list(values)
+        return cell_table(shape, *fields)
 
-    monkeypatch.setattr(io_cli, "_json_int_list", refuse_the_second_list)
+    monkeypatch.setattr(io_cli, "_cell_table", refuse_the_last_list)
     path = tmp_path / "doc.json"
     for out in (str(path), "-"):
         code, stdout, err = run_cli(capsys, ["generate", "--dims", "5,3", "--out", out])
@@ -739,3 +739,76 @@ def test_cli_generate_csv_format(capsys):
     code, out, _ = run_cli(capsys, ["generate", "--dims", "3,2", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[0] == "kind,x1,x2,axis,label"
+
+
+# --- slab by slab ------------------------------------------------------
+
+
+def slab_block(spec: GridSpec, rows: int) -> int:
+    """The `_WRITE_BLOCK` that makes slabs of `rows` leading rows of `spec`."""
+    return rows * math.prod(spec.dims[1:])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_slab_reports_equal_whole_reports(monkeypatch, rows):
+    from conftest import random_canonical_specs
+
+    for spec in random_canonical_specs():
+        monkeypatch.setattr(io_cli, "_WRITE_BLOCK", slab_block(spec, rows))
+        kinds = KINDS if spec.dims in PINNED_SPECS else ("total",)
+        for kind in kinds:
+            doc = generate_document(spec.dims, kind)
+            whole = verify_document(doc)
+            assert verifier._report(spec, kind, io_cli._document_slabs(doc)) == whole
+            assert verifier._report(spec, kind, io_cli._constructed_slabs(spec, kind)) == whole
+
+
+VERIFIED_FILES = sorted(Path("tests/fixtures").glob("*.json"))
+VERIFIED_DOCS = [((3, 5, 3), "total"), ((2, 3, 2, 4), "edge"), ((12, 10, 8, 7), "vertex"), ((7, 9), "total")]
+
+
+def verify_file(capsys, path, whole=False):
+    with pytest.MonkeyPatch.context() as patch:
+        if whole:
+            patch.setattr(io_cli, "_verify_canonical", lambda handle: None)
+        return run_cli(capsys, ["verify", str(path)])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("block", TEXT_BLOCKS)
+def test_verify_files_match_load_and_verify_document(tmp_path, capsys, monkeypatch, rows, block):
+    paths = list(VERIFIED_FILES)
+    for dims, kind in VERIFIED_DOCS:
+        paths.append(tmp_path / f"{kind}-{len(paths)}.json")
+        paths[-1].write_bytes(save(generate_document(dims, kind)))
+    for path in paths:
+        expected = verify_file(capsys, path, whole=True)
+        spec, _ = canonicalize(json.loads(path.read_bytes())["dims"])
+        monkeypatch.setattr(io_cli, "_WRITE_BLOCK", slab_block(spec, rows))
+        with text_blocks(block):
+            assert verify_file(capsys, path) == expected, path
+
+
+def test_verify_reads_canonical_documents_without_loading_them(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "doc.json"
+    data = save(generate_document((6, 9, 4), "total"))
+    path.write_bytes(data)
+
+    def refuse(*args):
+        raise AssertionError("the document was read whole")
+
+    monkeypatch.setattr(io_cli, "load", refuse)
+    monkeypatch.setattr(io_cli, "verify_document", refuse)
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert (code, out.splitlines()[-1], err) == (0, "MAGIC sum=6766", "")
+    assert run_cli(capsys, ["verify", "-"], stdin=data, monkeypatch=monkeypatch) == (code, out, err)
+
+
+def test_verify_reads_a_pipe(tmp_path, capsys):
+    data = save(generate_document((5, 3), "total"))
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    code, out, _ = run_cli(capsys, ["verify", f"/dev/fd/{read}"])
+    os.close(read)
+    assert (code, out.splitlines()[-1]) == (0, "MAGIC sum=138")

@@ -14,16 +14,22 @@ of several faults is reported first is not part of the format.
 
 The array codec parses and writes in blocks, so each comparison also runs
 with block sizes small enough to put block boundaries between list items.
+`gridmagic verify` reads canonical documents through list cursors, and
+must print and exit exactly as `load` followed by `verify_document` does,
+on every document and every one-byte mutation of one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
-from conftest import TEXT_BLOCKS, text_blocks
+from conftest import PINNED_SPECS, TEXT_BLOCKS, text_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +39,13 @@ from gridmagic import (
     ParseError,
     VersionMismatch,
     canonicalize,
+    cli,
+    generate_document,
     load,
+    render,
     save,
 )
+from gridmagic import io_cli
 from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS, _canonical_payload
 
 
@@ -216,18 +226,72 @@ def test_block_boundaries_match_reference(body):
 MUTATION_BYTES = list(b'0123456789,-[]{}".e+ \n') + [0xFF]
 
 
-@settings(max_examples=600, deadline=None)
-@given(encoded_documents(), st.data())
-def test_one_byte_mutations_match_reference(text, data):
+def _mutated(text: bytes, data) -> bytes:
+    """`text` with one byte deleted, inserted or replaced, as `data` draws it."""
     at = data.draw(st.integers(0, len(text)), label="at")
     byte = bytes([data.draw(st.sampled_from(MUTATION_BYTES), label="byte")])
     edit = data.draw(st.sampled_from(["delete", "insert", "replace"]), label="edit")
     if edit == "insert":
-        mutated = text[:at] + byte + text[at:]
-    else:
-        mutated = text[:at] + (byte if edit == "replace" else b"") + text[at + 1 :]
+        return text[:at] + byte + text[at:]
+    return text[:at] + (byte if edit == "replace" else b"") + text[at + 1 :]
+
+
+@settings(max_examples=600, deadline=None)
+@given(encoded_documents(), st.data())
+def test_one_byte_mutations_match_reference(text, data):
+    mutated = _mutated(text, data)
     expected = outcome(reference_load, mutated)
     for block in TEXT_BLOCKS:
         with text_blocks(block):
             assert outcome(load, mutated) == expected, block
 
+
+
+def cli_verify(data: bytes, whole: bool = False) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `gridmagic verify -` on `data`.
+
+    With `whole`, every input goes to `load` and `verify_document`, as it
+    did before canonical documents were read by list cursors.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        if whole:
+            patch.setattr(io_cli, "_verify_canonical", lambda handle: None)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli(["verify", "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoded_documents(), st.data())
+def test_verify_of_one_byte_mutations_matches_load_and_verify_document(text, data):
+    mutated = _mutated(text, data)
+    expected = cli_verify(mutated, whole=True)
+    for block in TEXT_BLOCKS:
+        with text_blocks(block):
+            assert cli_verify(mutated) == expected, block
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoded_documents())
+def test_verify_matches_load_and_verify_document(text):
+    expected = cli_verify(text, whole=True)
+    for block in TEXT_BLOCKS:
+        with text_blocks(block):
+            assert cli_verify(text) == expected, block
+
+
+@pytest.mark.parametrize("dims", PINNED_SPECS)
+def test_generate_matches_reference_in_reversed_caller_order(dims):
+    caller = ",".join(map(str, dims[::-1]))
+    for kind in KINDS:
+        doc = generate_document(dims[::-1], kind)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli(["generate", "--dims", caller, "--kind", kind]) == 0
+        assert out.getvalue() == reference_save(doc).decode()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli(["generate", "--dims", caller, "--kind", kind, "--format", "csv"]) == 0
+        assert out.getvalue() == render(doc, "csv")

@@ -6,7 +6,8 @@ new side, with int64 coordinate parities and full-size `np.where` offsets
 where the direction switches on parity. The lift now writes short new sides
 one layer at a time and long ones as a broadcast; both orders, and the
 parity-switched in-layer axis of even target dimensions, must give exactly
-the old labels.
+the old labels. `labeling_rows` builds any range of leading rows alone,
+and must give the same rows as the whole build.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from conftest import random_canonical_specs
+from conftest import PINNED_SPECS, random_canonical_specs
 from gridmagic import (
+    CoordOutOfRange,
     EdgeLabeling,
     GridSpec,
+    SpecMismatch,
     VertexLabeling,
     base_edge_labeling,
     base_vertex_labeling,
@@ -28,6 +31,8 @@ from gridmagic import (
     extend_vertex_labeling,
 )
 from gridmagic.grid_core import split_edge_labels
+from gridmagic.labeling_2d import VertexRows
+from gridmagic.labeling_nd import labeling_rows
 
 
 def reference_coord_parity(shape: tuple[int, ...], axes: Iterable[int] | None = None) -> np.ndarray:
@@ -123,3 +128,58 @@ def test_single_lifts_match_reference(base_dims, nd):
     got = extend_vertex_labeling(f, nd), extend_edge_labeling(f, g, nd)
     want = reference_extend_vertex_labeling(f, nd), reference_extend_edge_labeling(f, g, nd)
     _assert_same_labels(got, want)
+
+
+def _row_ranges(n1: int) -> list[range]:
+    """Single rows (the first, an odd one, the last), ranges from odd starts, and the last rows."""
+    ranges = [range(0, 1), range(1, 2), range(n1 - 1, n1), range(1, n1), range(n1 // 2, n1)]
+    if n1 > 3:
+        ranges += [range(1, 4), range(3, n1 - 1)]
+    return [r for r in ranges if len(r)]
+
+
+def _assert_rows_match(spec: GridSpec, f, g) -> None:
+    for rows in _row_ranges(spec.dims[0]):
+        got_f, got_g = labeling_rows(spec, rows)
+        assert (got_f.rows, got_g.rows) == (rows, rows)
+        assert np.array_equal(got_f.grid, f.grid[rows.start : rows.stop])
+        assert len(got_g.per_axis) == spec.dim
+        for got, want in zip(got_g.per_axis, g.per_axis):
+            assert np.array_equal(got, want[rows.start : rows.stop]), rows
+
+
+def test_suite_rows_match_whole_builds():
+    for spec in random_canonical_specs():
+        _assert_rows_match(spec, *build_labelings(spec))
+
+
+@pytest.mark.parametrize("dims", PINNED_SPECS + [(4,) * 9])
+def test_pinned_rows_match_reference(dims):
+    spec = GridSpec(dims)
+    _assert_rows_match(spec, *reference_build_labelings(spec))
+
+
+def test_rows_of_a_labeling_lift_to_the_same_rows():
+    f, g = build_labelings(GridSpec((6, 5, 3)))
+    whole_f, whole_g = extend_vertex_labeling(f, 3), extend_edge_labeling(f, g, 3)
+    rows = range(1, 4)
+    part_f, part_g = labeling_rows(GridSpec((6, 5, 3)), rows)
+    lifted_f, lifted_g = extend_vertex_labeling(part_f, 3), extend_edge_labeling(part_f, part_g, 3)
+    assert isinstance(whole_f, VertexLabeling) and isinstance(lifted_f, VertexRows)
+    assert np.array_equal(lifted_f.grid, whole_f.grid[1:4])
+    for got, want in zip(lifted_g.per_axis, whole_g.per_axis):
+        assert np.array_equal(got, want[1:4])
+
+
+@pytest.mark.parametrize("rows", [range(0, 7), range(-1, 2), range(3, 2), range(0, 4, 2), [0, 1]])
+def test_rows_outside_the_leading_axis_are_refused(rows):
+    with pytest.raises(CoordOutOfRange):
+        base_vertex_labeling(6, 5, rows)
+
+
+def test_lifts_refuse_rows_that_differ():
+    spec = GridSpec((6, 5, 3))
+    f, _ = labeling_rows(spec, range(0, 2))
+    _, g = labeling_rows(spec, range(1, 3))
+    with pytest.raises(SpecMismatch):
+        extend_edge_labeling(f, g, 2)

@@ -7,7 +7,8 @@ kernels and the sorted-sums report. `reference_verify_batch` checked
 bijectivity by sorting the vertex and the edge part of each row, and
 `reference_disagreement` rebuilt a labeling container to get its report.
 Reports, batch outputs and the oracle's disagreement text must stay
-exactly theirs.
+exactly theirs, also when the core takes the labels a slab of leading
+rows at a time, with faults placed on the seams between slabs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from gridmagic import (
     verify_vertex_magic,
     vertex_labeling_from_flat,
 )
-from gridmagic import oracle
+from gridmagic import oracle, verifier
 from gridmagic.grid_core import split_edge_labels
 from gridmagic.verifier import (
     INT64_MAX,
@@ -287,3 +288,76 @@ def test_tally_disagreement_text_matches_reference():
     with pytest.raises(GridMagicError) as info:
         tally.keep(rows, np.array([10, 10, 10]))
     assert str(info.value) == str(reference_disagreement(spec, "vertex", rows[1].tolist(), 10))
+
+
+def slabs_of(spec, vertex, edge, rows):
+    """Flat parts (None for a lacking one) as slabs of `rows` leading rows, the last maybe shorter."""
+    grid = None if vertex is None else vertex.reshape(spec.dims)
+    per_axis = None if edge is None else split_edge_labels(spec, edge)
+    for a in range(0, spec.dims[0], rows):
+        yield (
+            None if grid is None else grid[a : a + rows],
+            None if per_axis is None else tuple(arr[a : a + rows] for arr in per_axis),
+        )
+
+
+def assert_slab_reports_match(spec, vertex, edge, rows):
+    """Reports from slabs of `rows` leading rows equal the reference's whole-array reports."""
+    f, g = vertex_labeling_from_flat(spec, vertex), edge_labeling_from_flat(spec, edge)
+    total = total_labeling_from_flats(spec, vertex, edge)
+    report = verifier._report
+    assert report(spec, "vertex", slabs_of(spec, vertex, None, rows)) == reference_verify_vertex_magic(spec, f)
+    assert report(spec, "edge", slabs_of(spec, None, edge, rows)) == reference_verify_edge_magic(spec, g)
+    assert report(spec, "total", slabs_of(spec, vertex, edge, rows)) == reference_verify_supermagic(spec, total)
+
+
+SEAM_SPECS = [(7, 5), (6, 4, 3), (5, 4, 3, 2), (4, 4, 4, 4), (3, 2, 2, 2, 2)]
+
+
+def _seam_corruptions(spec, rows, vertex, edge):
+    """(vertex, edge) pairs with faults placed on or across the seams of slabs of `rows` rows."""
+    nv, n1 = spec.vertex_count, spec.dims[0]
+    row_v = nv // n1  # vertex labels per leading row
+    seam = min(rows, n1 - 1)  # the first row of the second slab
+    axis2 = spec.edge_shapes[0]  # axis-1 edge block, then the axis-2 block
+    start2 = int(np.prod(axis2))
+    row_e2 = int(np.prod(spec.edge_shapes[1][1:]))
+    out = []
+    # a transposition across the seam, of vertex labels and of axis-2 edge labels
+    v, e = vertex.copy(), edge.copy()
+    v[[seam * row_v - 1, seam * row_v]] = v[[seam * row_v, seam * row_v - 1]]
+    e[[start2 + seam * row_e2 - 1, start2 + seam * row_e2 + 1]] = e[[start2 + seam * row_e2 + 1, start2 + seam * row_e2 - 1]]
+    out.append((v, e))
+    # duplicates in the first and the last slab
+    v, e = vertex.copy(), edge.copy()
+    v[0], e[-1] = v[-1], e[0]
+    out.append((v, e))
+    # out-of-range labels beside the seam
+    v, e = vertex.copy(), edge.copy()
+    v[seam * row_v], e[start2 + seam * row_e2] = 0, nv + len(edge) + 1
+    v[-1] = -5
+    out.append((v, e))
+    # int64 extremes in different slabs: Python-int sums for those slabs and their seams
+    v, e = vertex.copy(), edge.copy()
+    v[seam * row_v] = INT64_MAX
+    e[0], e[-1] = -(2**63), INT64_MAX
+    out.append((v, e))
+    return out
+
+
+@pytest.mark.parametrize("dims", SEAM_SPECS)
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_slab_reports_match_reference_on_faults_at_seams(dims, rows):
+    spec = GridSpec(dims)
+    f, g = build_labelings(spec)
+    vertex, edge = f.flat, g.flat + spec.vertex_count
+    assert_slab_reports_match(spec, vertex, edge, rows)
+    for v, e in _seam_corruptions(spec, rows, vertex, edge):
+        assert_slab_reports_match(spec, v, e, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_candidates(low=-(2**63), high=2**63 - 1), st.integers(1, 3))
+def test_slab_reports_match_reference_over_the_whole_int64_range(candidate, rows):
+    spec, f, g = candidate
+    assert_slab_reports_match(spec, f.flat, g.flat, rows)
