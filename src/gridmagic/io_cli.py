@@ -10,10 +10,10 @@ as read-only int64 arrays from `generate_document` or `load` through
 checks a file's format version and stored permutation. Serialization is
 canonical (sorted keys, compact separators, newline-terminated), so
 identical documents are identical bytes and everything downstream can be
-diffed. `load` reads bytes in exactly `save`'s layout with an array
-parser, a block of text at a time, and any other valid JSON with the
-general `json` parser; both give the same document, or the same error,
-for the same input.
+diffed. One reader recognizes bytes in exactly `save`'s layout for
+`load`, `verify` and `render`, and its list cursors parse a block of text
+at a time; any other valid JSON goes to the general `json` parser. Both
+give the same document, or the same error, for the same input.
 
 Text is written by one numpy table writer, a block of rows at a time.
 `save`, CSV and the command line's `generate` write a slab of leading
@@ -398,30 +398,6 @@ def _constructed_slabs(spec: GridSpec, kind: str) -> Iterator[Slab]:
         yield (None if kind == "edge" else f.grid), (None if kind == "vertex" else g.per_axis)
 
 
-def _int64_list_body(data: bytes, start: int, stop: int) -> np.ndarray | None:
-    """The values of `data[start:stop]` if it is a canonical int list body, else None.
-
-    Canonical means what `save` writes between the brackets: values
-    joined by single commas, each `0` or `-?[1-9][0-9]*` and within int64.
-    Anything else (spaces, `-0`, `01`, `1.0`, an empty value, 2**63) is
-    refused, and `load` hands the whole document to json.loads. The body is
-    cut at commas into pieces of about `_PARSE_BLOCK` bytes, and each piece
-    is parsed into its own slice of the result.
-    """
-    values = np.empty(data.count(b",", start, stop) + 1 if start < stop else 0, np.int64)
-    done = 0
-    while start < stop:
-        cut = data.find(b",", min(start + _PARSE_BLOCK, stop), stop)
-        end = stop if cut < 0 else cut
-        piece = _int64_list_piece(data, start, end, values[done:])
-        if piece is None:
-            return None
-        done, start = done + len(piece), end + 1
-        if start == stop:  # a comma at the very end leaves an empty last value
-            return None
-    return values
-
-
 def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray | None:
     """The canonical values of non-empty `data[start:stop]`, parsed into the front of `out`.
 
@@ -433,16 +409,13 @@ def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None
     padded = np.zeros(_INT64_DIGITS + text.size, np.uint8)
     digits = padded[_INT64_DIGITS:]
     np.subtract(text, ord("0"), out=digits)  # wraps: every other byte reads >= 10
-    comma = text == ord(",")
-    minus = text == ord("-")
-    n_minus = np.count_nonzero(minus)
+    ends = np.append(np.flatnonzero(text == ord(",")), text.size)  # a value ends at its comma
+    n_minus = np.count_nonzero(text == ord("-"))
     # only digits, commas and minus signs, and the last value ends in a digit
-    if np.count_nonzero(digits < 10) + np.count_nonzero(comma) + n_minus != text.size or digits[-1] >= 10:
+    if np.count_nonzero(digits < 10) + ends.size - 1 + n_minus != text.size or digits[-1] >= 10:
         return None
-    commas = np.flatnonzero(comma)
-    starts = np.concatenate(([0], commas + 1))
-    ends = np.append(commas, text.size)
-    neg = minus[starts]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    neg = text[starts] == ord("-")
     first = starts + neg
     n_digits = ends - first
     # every minus opens a value, and every value has a digit
@@ -468,6 +441,17 @@ def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None
     return values
 
 
+# --- reading a document in save's layout ------------------------------
+#
+# One reader recognizes `save`'s layout, for `load`, `gridmagic verify` and
+# `gridmagic render`. One pass over the file counts the commas of both
+# label lists and finds where each axis's block of the edge list starts;
+# then list cursors parse the lists a piece at a time. `load` has them fill
+# the label arrays, and `verify` takes their values a slab of leading rows
+# at a time, so it never holds the arrays. Anything the reader refuses goes
+# to json.loads, so documents, reports, messages and exit codes do not
+# depend on the path.
+
 _CANONICAL_HEAD = re.compile(
     rb'\{"axis_permutation":\[([-,0-9]*)\],"dims":\[([-,0-9]*)\],"edge_labels":\['
 )
@@ -477,35 +461,146 @@ _CANONICAL_MIDDLE = re.compile(
 )
 
 
-def _canonical_payload(data: bytes) -> dict | None:
-    """The payload of bytes laid out exactly as `save` writes them, else None.
+class _NotCanonical(Exception):
+    """Text that is not in exactly `save`'s layout."""
 
-    The two label lists are found with `bytes.find` and read by
-    `_int64_list_body`; the payload holds int64 arrays where json.loads
-    would give lists of ints.
+
+def _read_at(handle: BinaryIO, start: int, size: int) -> bytes:
+    handle.seek(start)
+    return handle.read(size)
+
+
+class _ListCursor:
+    """The values of the canonical int list body in bytes [start, stop) of a file, in order.
+
+    The body is read a piece at a time, cut at the first comma at least
+    `_PARSE_BLOCK` bytes on.
     """
-    head = _CANONICAL_HEAD.match(data)
+
+    def __init__(self, handle: BinaryIO, start: int, stop: int):
+        self.handle, self.pos, self.stop = handle, start, stop
+        self.held = np.empty(0, np.int64)  # parsed, not yet taken
+
+    def take(self, count: int) -> np.ndarray:
+        """The next `count` values."""
+        taken = []
+        while count > len(self.held):
+            taken.append(self.held)
+            count -= len(self.held)
+            self.held = self._piece()
+        taken.append(self.held[:count])
+        self.held = self.held[count:]
+        return taken[0] if len(taken) == 1 else np.concatenate(taken)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Parse the rest of the list into the 1-d `out`, which holds exactly that many values."""
+        done = 0
+        while done < len(out):
+            done += len(self._piece(out[done:]))
+
+    def _piece(self, out: np.ndarray | None = None) -> np.ndarray:
+        if self.pos >= self.stop:
+            raise _NotCanonical
+        # a canonical value and its comma take at most _INT64_DIGITS + 2 bytes
+        data = _read_at(self.handle, self.pos, min(_PARSE_BLOCK + _INT64_DIGITS + 2, self.stop - self.pos))
+        cut = data.find(b",", min(_PARSE_BLOCK, len(data)))
+        if cut < 0 and self.pos + len(data) < self.stop:
+            raise _NotCanonical
+        cut = len(data) if cut < 0 else cut
+        values = _int64_list_piece(data, 0, cut, out)
+        if values is None:
+            raise _NotCanonical
+        self.pos += cut + 1
+        if self.pos == self.stop:  # a comma at the very end leaves an empty last value
+            raise _NotCanonical
+        return values
+
+
+def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[int, int, list[int]]:
+    """Where the list body from byte `start` ends (its `]`), its value count, and its mark commas.
+
+    The k-th mark comma is the byte position of comma number `marks[k]`
+    (1-based); `marks` ascend.
+    """
+    pos, commas, found = start, 0, []
+    while True:
+        data = _read_at(handle, pos, _PARSE_BLOCK)
+        if not data:
+            raise _NotCanonical
+        end = data.find(b"]")
+        comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
+        count = np.count_nonzero(comma)
+        here = [m - commas for m in marks[len(found) :] if m - commas <= count]
+        if here:  # the positions of this chunk's commas, once
+            at = np.flatnonzero(comma)
+            found += [pos + int(at[k - 1]) for k in here]
+        commas += count
+        if end >= 0:
+            stop = pos + end
+            return stop, commas + 1 if stop > start else 0, found
+        pos += len(data)
+
+
+def _canonical_lists(
+    handle: BinaryIO,
+) -> tuple[tuple[int, ...], GridSpec, str, _ListCursor | None, list[_ListCursor]]:
+    """The caller dims, spec and kind of a document in exactly `save`'s layout, and its list cursors.
+
+    The cursors are one on the vertex list (None if it is empty) and one on
+    each axis's block of the edge list (none if it is empty). Raises
+    `_NotCanonical` for anything else, and so does a cursor that meets a
+    value `save` would not write. Each check `load` makes passes here or
+    sends the document back, and every list length is checked before a
+    caller allocates for it.
+    """
+    # the head of any grid GridSpec admits, at most 62 axes, fits in 4 KiB
+    head = _CANONICAL_HEAD.match(_read_at(handle, 0, 4096))
     if head is None:
-        return None
-    edge_stop = data.find(b"]", head.end())
-    middle = _CANONICAL_MIDDLE.match(data, edge_stop) if edge_stop >= 0 else None
+        raise _NotCanonical
+    # an empty list is no piece; `LabelingDocument` refuses empty dims
+    perm, dims = (_int64_list_piece(head.string, *head.span(k)) if head[k] else None for k in (1, 2))
+    if perm is None or dims is None:
+        raise _NotCanonical
+    dims = tuple(dims.tolist())
+    try:
+        spec, want = canonicalize(dims)
+    except GridMagicError:
+        raise _NotCanonical from None
+    if tuple(perm.tolist()) != want:
+        raise _NotCanonical
+    sizes = [math.prod(shape) for shape in spec.edge_shapes]
+    edge_stop, ne, splits = _list_extent(handle, head.end(), list(itertools.accumulate(sizes[:-1])))
+    middle = _CANONICAL_MIDDLE.match(_read_at(handle, edge_stop, 64))  # 54 to 56 bytes
     if middle is None:
+        raise _NotCanonical
+    kind = middle[1].decode()
+    vertex_start = edge_stop + middle.end()
+    vertex_stop, nv, _ = _list_extent(handle, vertex_start, ())
+    if _read_at(handle, vertex_stop, 4) not in (b"]}", b"]}\n") or (nv, ne) != part_sizes(spec, kind):
+        raise _NotCanonical
+    vertex = _ListCursor(handle, vertex_start, vertex_stop) if nv else None
+    bounds = zip([head.end(), *(p + 1 for p in splits)], [*splits, edge_stop])
+    edges = [_ListCursor(handle, start, stop) for start, stop in bounds] if ne else []
+    return dims, spec, kind, vertex, edges
+
+
+def _load_canonical(handle: BinaryIO) -> LabelingDocument | None:
+    """The document in exactly `save`'s layout in `handle`, else None.
+
+    A cursor parses each list straight into the document's label array.
+    The axis blocks of the edge list follow one another in the text as in
+    the array, so one cursor spans them all.
+    """
+    try:
+        dims, spec, kind, vertex, edges = _canonical_lists(handle)
+        vertex_labels, edge_labels = (np.empty(n, np.int64) for n in part_sizes(spec, kind))
+        if vertex is not None:
+            vertex.fill(vertex_labels)
+        if edges:
+            _ListCursor(handle, edges[0].pos, edges[-1].stop).fill(edge_labels)
+    except _NotCanonical:
         return None
-    vertex_stop = data.find(b"]", middle.end())
-    if vertex_stop < 0 or data[vertex_stop:] not in (b"]}", b"]}\n"):
-        return None
-    payload = {"format_version": FORMAT_VERSION, "kind": middle[1].decode()}
-    bodies = {
-        "axis_permutation": head.span(1),
-        "dims": head.span(2),
-        "edge_labels": (head.end(), edge_stop),
-        "vertex_labels": (middle.end(), vertex_stop),
-    }
-    for key, (start, stop) in bodies.items():
-        payload[key] = _int64_list_body(data, start, stop)
-        if payload[key] is None:
-            return None
-    return payload
+    return LabelingDocument(dims, kind, vertex_labels, edge_labels)
 
 
 def _json_payload(data: bytes | str) -> object:
@@ -534,8 +629,6 @@ def save(doc: LabelingDocument) -> bytes:
 
 
 def _int64_array(raw: object, key: str) -> np.ndarray:
-    if isinstance(raw, np.ndarray):  # from `_canonical_payload`, already int64
-        return raw
     # JSON numbers decode to exact ints; True and False have type bool. The
     # type test comes first because np.array would turn true into 1 and 1.5
     # into 1 without complaint.
@@ -550,16 +643,19 @@ def _int64_array(raw: object, key: str) -> np.ndarray:
 def load(data: bytes | str) -> LabelingDocument:
     """Parse a document produced by `save`.
 
-    Bytes in exactly `save`'s layout are read with array passes over blocks
-    of about `_PARSE_BLOCK` bytes, each parsed into its slice of the label
-    array, so memory stays near the size of the labels; any other input
-    goes through json.loads. Both give the same payload to the same checks,
-    so the result, or the error, does not depend on the path. `load` checks
-    the version and stored permutation, and `LabelingDocument` the rest.
+    Bytes in exactly `save`'s layout are read by the list cursors that
+    `gridmagic verify` uses, each parsing blocks of about `_PARSE_BLOCK`
+    bytes into its slice of the label arrays, so memory stays near the size
+    of the labels; any other input goes through json.loads. The cursors
+    refuse whatever json.loads would read differently or `load` would
+    refuse, so the result, or the error, does not depend on the path.
+    `load` checks the version and stored permutation, and
+    `LabelingDocument` the rest.
     """
-    payload = _canonical_payload(data) if isinstance(data, bytes) else None
-    if payload is None:
-        payload = _json_payload(data)
+    doc = _load_canonical(io.BytesIO(data)) if isinstance(data, bytes) else None
+    if doc is not None:
+        return doc
+    payload = _json_payload(data)
     if not isinstance(payload, dict):
         raise ParseError("document root must be an object")
     expected = {"format_version", "dims", "axis_permutation", "kind", "vertex_labels", "edge_labels"}
@@ -607,18 +703,6 @@ def verify_document(doc: LabelingDocument) -> MagicReport:
 
 
 # --- verifying a file slab by slab -------------------------------------
-#
-# `gridmagic verify` reads a document in exactly `save`'s layout without
-# holding it: one pass over the file counts the commas of both label lists
-# and finds where each axis's block of the edge list starts, and then one
-# cursor on the vertex list and one on each edge block parse the lists a
-# piece at a time, as the verifier takes them a slab of leading rows at a
-# time. Anything the cursors refuse goes to `load` and `verify_document`,
-# so reports, messages and exit codes do not depend on the path.
-
-
-class _NotCanonical(Exception):
-    """Text that is not in exactly `save`'s layout."""
 
 
 @contextlib.contextmanager
@@ -631,117 +715,16 @@ def _document_file(path: str) -> Iterator[BinaryIO]:
         yield handle if handle.seekable() else io.BytesIO(handle.read())
 
 
-def _read_at(handle: BinaryIO, start: int, size: int) -> bytes:
-    handle.seek(start)
-    return handle.read(size)
-
-
-class _ListCursor:
-    """The values of the canonical int list body in bytes [start, stop) of a file, in order.
-
-    The body is read a piece at a time, cut as `_int64_list_body` cuts it:
-    at the first comma at least `_PARSE_BLOCK` bytes on.
-    """
-
-    def __init__(self, handle: BinaryIO, start: int, stop: int):
-        self.handle, self.pos, self.stop = handle, start, stop
-        self.held = np.empty(0, np.int64)  # parsed, not yet taken
-
-    def take(self, count: int) -> np.ndarray:
-        """The next `count` values."""
-        taken = []
-        while count > len(self.held):
-            taken.append(self.held)
-            count -= len(self.held)
-            self.held = self._piece()
-        taken.append(self.held[:count])
-        self.held = self.held[count:]
-        return taken[0] if len(taken) == 1 else np.concatenate(taken)
-
-    def _piece(self) -> np.ndarray:
-        if self.pos >= self.stop:
-            raise _NotCanonical
-        # a canonical value and its comma take at most _INT64_DIGITS + 2 bytes
-        data = _read_at(self.handle, self.pos, min(_PARSE_BLOCK + _INT64_DIGITS + 2, self.stop - self.pos))
-        cut = data.find(b",", min(_PARSE_BLOCK, len(data)))
-        if cut < 0 and self.pos + len(data) < self.stop:
-            raise _NotCanonical
-        cut = len(data) if cut < 0 else cut
-        values = _int64_list_piece(data, 0, cut)
-        if values is None:
-            raise _NotCanonical
-        self.pos += cut + 1
-        if self.pos == self.stop:  # a comma at the very end leaves an empty last value
-            raise _NotCanonical
-        return values
-
-    @property
-    def done(self) -> bool:
-        return self.pos >= self.stop and not len(self.held)
-
-
-def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[int, int, list[int]]:
-    """Where the list body from byte `start` ends (its `]`), its value count, and its mark commas.
-
-    The k-th mark comma is the byte position of comma number `marks[k]`
-    (1-based); `marks` ascend.
-    """
-    pos, commas, found = start, 0, []
-    while True:
-        data = _read_at(handle, pos, _PARSE_BLOCK)
-        if not data:
-            raise _NotCanonical
-        end = data.find(b"]")
-        comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
-        count = np.count_nonzero(comma)
-        here = [m - commas for m in marks[len(found) :] if m - commas <= count]
-        if here:  # the positions of this chunk's commas, once
-            at = np.flatnonzero(comma)
-            found += [pos + int(at[k - 1]) for k in here]
-        commas += count
-        if end >= 0:
-            stop = pos + end
-            return stop, commas + 1 if stop > start else 0, found
-        pos += len(data)
-
-
 def _verify_canonical(handle: BinaryIO) -> tuple[tuple[int, ...], MagicReport] | None:
     """The caller dims and the report of a document in exactly `save`'s layout, else None.
 
-    Each check `load` makes passes here or sends the document back, and
-    every list length is checked before the verifier allocates its mask.
+    The verifier takes the list cursors' values a slab of leading rows at a
+    time, so it holds a seen mask and a slab, never the label arrays. The
+    slabs take each list whole, as the reader counted it.
     """
     try:
-        # the head of any grid GridSpec admits, at most 62 axes, fits in 4 KiB
-        head = _CANONICAL_HEAD.match(_read_at(handle, 0, 4096))
-        if head is None:
-            return None
-        perm, dims = (_int64_list_body(head.string, *head.span(k)) for k in (1, 2))
-        if perm is None or dims is None:
-            return None
-        dims = tuple(dims.tolist())
-        try:
-            spec, want = canonicalize(dims)
-        except GridMagicError:
-            return None
-        if tuple(perm.tolist()) != want:
-            return None
-        sizes = [math.prod(shape) for shape in spec.edge_shapes]
-        edge_stop, ne, splits = _list_extent(handle, head.end(), list(itertools.accumulate(sizes[:-1])))
-        middle = _CANONICAL_MIDDLE.match(_read_at(handle, edge_stop, 64))  # 54 to 56 bytes
-        if middle is None:
-            return None
-        kind = middle[1].decode()
-        vertex_start = edge_stop + middle.end()
-        vertex_stop, nv, _ = _list_extent(handle, vertex_start, ())
-        if _read_at(handle, vertex_stop, 4) not in (b"]}", b"]}\n") or (nv, ne) != part_sizes(spec, kind):
-            return None
-        vertex = _ListCursor(handle, vertex_start, vertex_stop) if nv else None
-        bounds = zip([head.end(), *(p + 1 for p in splits)], [*splits, edge_stop])
-        edges = [_ListCursor(handle, start, stop) for start, stop in bounds] if ne else []
+        dims, spec, kind, vertex, edges = _canonical_lists(handle)
         report = _report(spec, kind, _cursor_slabs(spec, vertex, edges))
-        if not all(cursor.done for cursor in [vertex, *edges] if cursor is not None):
-            return None
     except _NotCanonical:
         return None
     return dims, report
@@ -935,15 +918,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_document(path: str) -> LabelingDocument:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    return load(data)
-
-
 def _print_report(report: MagicReport, dims: tuple[int, ...]) -> None:
     def low(x) -> str:
         return "none" if x is None else str(x).lower()
@@ -1025,7 +999,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    doc = _read_document(args.file)
+    with _document_file(args.file) as handle:
+        doc = load(handle.read())
     _write_parts("-", _render_parts(doc, args.style))
     return EXIT_OK
 

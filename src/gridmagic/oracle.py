@@ -71,8 +71,8 @@ FOUND_CAP = 1000
 # descended in chunks of at most _BLOCK_ROWS rows, which bounds the memory
 # of its stack, and the cube sums of a chunk are taken in blocks of about
 # _CHUNK_SUMS (a full-scan row gives cubes * 720 of them), which keeps a
-# block's float64 sums near 128 KB.
-_CHUNK_SUMS = 2**14
+# block's float64 sums near 512 KB.
+_CHUNK_SUMS = 2**16
 _SUFFIX_LEN = 6
 _BLOCK_ROWS = 2048
 

@@ -301,7 +301,10 @@ class _SumRange:
             self.low, self.high = lo, hi
         else:
             if not self.distinct and (lo, hi) != (self.low, self.high):
-                self.distinct.append(np.array([self.low]))  # the one sum of every earlier slab
+                # the one sum of every earlier slab; numpy would hold a sum
+                # past int64 as uint64, which joins int64 sums as float64
+                exact = -INT64_MAX - 1 <= self.low <= INT64_MAX
+                self.distinct.append(np.array([self.low], dtype=np.int64 if exact else object))
             self.low, self.high = min(self.low, lo), max(self.high, hi)
         if self.distinct or lo != hi:
             self.distinct.append(_distinct(sums))

@@ -46,7 +46,7 @@ from gridmagic import (
     save,
 )
 from gridmagic import io_cli
-from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS, _canonical_payload
+from gridmagic.io_cli import FORMAT_VERSION, INT64_MAX, INT64_MIN, KINDS, _load_canonical
 
 
 def reference_save(doc: LabelingDocument) -> bytes:
@@ -166,8 +166,10 @@ def encoded_documents(draw):
 def test_save_and_load_match_reference(data):
     for block in TEXT_BLOCKS:
         with text_blocks(block):
-            assert _canonical_payload(data) is not None  # save's layout takes the array path
             expected = outcome(reference_load, data)
+            # save's layout of a valid document takes the array path; a list of
+            # the wrong length goes to json.loads, which refuses it
+            assert (_load_canonical(io.BytesIO(data)) is not None) == isinstance(expected, LabelingDocument)
             assert outcome(load, data) == expected
             assert outcome(load, data.decode()) == outcome(reference_load, data.decode())
             if isinstance(expected, LabelingDocument):

@@ -13,14 +13,20 @@ import pytest
 from conftest import load_script
 from gridmagic import (
     BudgetExceeded,
+    EdgeId,
     GridMagicError,
     GridSpec,
     LabelingDocument,
     SearchBudget,
     cli,
     confirm_construction,
+    edge_endpoints,
     edge_labeling_from_flat,
+    edge_rank,
+    enumerate_edges,
+    enumerate_vertices,
     exhaustive_search,
+    extend_vertex_labeling,
     load,
     required_assignments,
     save,
@@ -28,6 +34,7 @@ from gridmagic import (
     verify_edge_magic,
     verify_vertex_magic,
     vertex_labeling_from_flat,
+    vertex_rank,
 )
 from gridmagic import oracle
 from gridmagic.oracle import construction_sequence
@@ -322,6 +329,74 @@ def test_found_set_is_closed_under_complement_duality(dims, mode):
         for labels, c in found
     }
     assert duals == found
+
+
+def grid_automorphisms(dims: tuple[int, ...]):
+    """Each automorphism of the grid as a map of vertex coordinates.
+
+    Axes of equal sides are permuted, and any set of axes is reflected.
+    """
+    for order in itertools.permutations(range(len(dims))):
+        if any(dims[i] != dims[j] for i, j in enumerate(order)):
+            continue
+        for flips in itertools.product((False, True), repeat=len(dims)):
+
+            def image(v, order=order, flips=flips):
+                return tuple(n + 1 - v[j] if flip else v[j] for n, j, flip in zip(dims, order, flips))
+
+            yield image
+
+
+def relabelled_positions(spec: GridSpec, mode: str, image) -> list[int]:
+    """Per position of a `found` labeling, the position whose label it takes under `image`.
+
+    Vertices come in rank order; an edge maps through its reflected
+    endpoints to the edge between them, and supermagic labelings hold the
+    vertex labels first.
+    """
+    vertices = [vertex_rank(spec, image(v)) for v in enumerate_vertices(spec)]
+    edges = []
+    for edge in enumerate_edges(spec):
+        ends = sorted(map(image, edge_endpoints(edge)))
+        axis = 1 + next(a for a, (x, y) in enumerate(zip(*ends)) if x != y)
+        edges.append(edge_rank(spec, EdgeId(ends[0], axis)))
+    nv = spec.vertex_count
+    return {"vertex": vertices, "edge": edges, "supermagic": vertices + [nv + r for r in edges]}[mode]
+
+
+@pytest.mark.parametrize(
+    "dims, mode",
+    [((3, 2), "vertex"), ((3, 3), "vertex"), ((3, 2), "edge")]
+    + [((2, 2), mode) for mode in ("vertex", "edge", "supermagic")],
+)
+def test_found_set_is_closed_under_grid_automorphisms(dims, mode):
+    # found holds every magic labeling here; an automorphism maps cubes onto
+    # cubes, so it keeps a labeling magic at the same sum
+    spec = GridSpec(dims)
+    result = full_scan(dims, mode)
+    assert len(result.found) == result.found_count <= oracle.FOUND_CAP
+    found = set(result.found)
+    maps = [relabelled_positions(spec, mode, image) for image in grid_automorphisms(dims)]
+    assert len(maps) == 2 ** len(dims) * (2 if len(set(dims)) < len(dims) else 1)
+    for positions in maps:
+        assert {(tuple(labels[p] for p in positions), c) for labels, c in found} == found
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (3, 3)])
+def test_lifting_keeps_every_magic_base_magic(dims):
+    # layer t holds base + |V|*t or base + |V|*(nd-1-t) by coordinate parity,
+    # and a base cube has as many even vertices as odd ones, so a cube across
+    # two layers sums to 2c + 4*|V|*(nd-1) for every magic base, not only the
+    # constructed one
+    spec = GridSpec(dims)
+    found = full_scan(dims, "vertex").found
+    assert len(found) == {(3, 2): 112, (3, 3): 376}[dims]
+    for nd in range(2, dims[-1] + 1):
+        for labels, c in found:
+            lifted = extend_vertex_labeling(vertex_labeling_from_flat(spec, labels), nd)
+            report = verify_vertex_magic(lifted.spec, lifted)
+            assert report.bijective and report.magic
+            assert report.magic_sum == 2 * c + 4 * spec.vertex_count * (nd - 1)
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from gridmagic import (
 from gridmagic.verifier import (
     INT64_MAX,
     MAX_REPORTED_SUMS,
+    _SumRange,
     cube_edge_sums,
     cube_vertex_sums,
     verify_batch,
@@ -526,3 +527,13 @@ def test_verify_batch_refuses_rows_that_are_not_int64_integers():
         verify_batch(spec, "vertex", np.array([[1.5, 6, 4, 3, 5, 2]]))
     with pytest.raises(SpecMismatch, match="got dtype uint64$"):
         verify_batch(spec, "vertex", np.full((1, 6), 2**63, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("first", [2**63 + 8, -(2**63) - 8])
+def test_distinct_sums_of_slabs_stay_exact_past_int64(first):
+    # a first slab of one sum past int64, then int64 sums: float64 would
+    # round the first to +-2**63
+    sums = _SumRange()
+    sums.add(np.array([first, first], dtype=object))
+    sums.add(np.array([9, -9], dtype=np.int64))
+    assert [int(v) for v in sums.values()] == sorted([first, -9, 9])
