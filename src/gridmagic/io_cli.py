@@ -15,11 +15,11 @@ diffed. One reader recognizes bytes in exactly `save`'s layout for
 at a time; any other valid JSON goes to the general `json` parser. Both
 give the same document, or the same error, for the same input.
 
-Text is written by one numpy table writer, a block of rows at a time.
-`save`, CSV and the command line's `generate` write a slab of leading
-rows at a time, each list's rows (each axis's, for the edge list) into
-a buffer of its own, every buffer allocated up front from the label
-counts and widths. Renderers emit TikZ pictures mimicking the usual grid
+Text is written by one numpy table writer a slab of leading rows at a
+time: `save`, the command line's `generate` and every render style put
+each table's rows (the vertex rows, and each axis's edge rows) into a
+buffer of its own, every buffer allocated up front from the label counts
+and widths. Renderers emit TikZ pictures mimicking the usual grid
 figures (2d plain, 3d oblique), Graphviz dot, or a flat CSV with one row
 per element.
 
@@ -231,28 +231,6 @@ def _cell_table(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> np.ndarr
     return table
 
 
-def _table_text(shape: tuple[int, ...], *fields: bytes | np.ndarray) -> list[np.ndarray]:
-    """The text of `_cell_table(shape, *fields)`, row after row, without its 0 cells.
-
-    The table is built a block of `_WRITE_BLOCK` rows at a time, in whole
-    steps along the leading axis of `shape`. The text comes back as one
-    1-d uint8 array per block, which `bytes.join` and binary writes take
-    as they are.
-    """
-    step = max(1, _WRITE_BLOCK // max(1, math.prod(shape[1:])))
-    full = []
-    for f in fields:
-        if not isinstance(f, bytes):  # seen at the table's shape, a block is a leading-axis slice
-            f = np.broadcast_to(f, shape if f.dtype == np.int64 else shape + f.shape[-1:])
-        full.append(f)
-    parts = []
-    for lo in range(0, shape[0], step):
-        block = [f if isinstance(f, bytes) else f[lo : lo + step] for f in full]
-        table = _cell_table((min(step, shape[0] - lo), *shape[1:]), *block)
-        parts.append(table[table != 0])
-    return parts
-
-
 def _slab_ranges(spec: GridSpec) -> Iterator[range]:
     """The leading rows in consecutive ranges of about `_WRITE_BLOCK` labels of each list."""
     step = max(1, _WRITE_BLOCK // math.prod(spec.dims[1:]))
@@ -265,9 +243,10 @@ class _Table:
 
     `part` picks the labels from a slab: 0 its vertex rows, a its axis-a
     edge rows. `fields(labels, rows)` gives the `_cell_table` fields of
-    the labels of the leading rows `rows`. `extremes` holds the least and
-    the greatest label, so that `bound` caps the text before it is made.
-    `trim` drops the separator after the list's last value.
+    the table's leading rows `rows` and their labels, None for a part the
+    document's kind lacks. `extremes` holds the least and the greatest
+    label, so that `bound` caps the text before it is made. `trim` drops
+    the separator after the list's last value.
     """
 
     part: int
@@ -287,21 +266,24 @@ def _slab_text(items: Sequence[bytes | _Table], slabs: Iterable[Slab]) -> list[b
 
     Each table's text goes to a uint8 buffer of its bound, every buffer
     allocated before the first slab is made, and each slab's rows of a
-    table fill its buffer on from the rows before.
+    table fill its buffer on from the rows before. A table's rows in a
+    slab come from its own shape, so a figure draws the vertices or edges
+    of a document that has no labels for them.
     """
     tables = [item for item in items if isinstance(item, _Table)]
     texts = [np.empty(table.bound, np.uint8) for table in tables]
     ends = [0] * len(tables)
     first = 0  # the slab's first leading row
     for vertex, edges in slabs:
-        parts = (vertex, *(edges or ()))
+        count = len(edges[1] if vertex is None else vertex)
         for k, table in enumerate(tables):
-            labels = parts[table.part]
-            cells = _cell_table(labels.shape, *table.fields(labels, range(first, first + len(labels))))
+            rows = range(table.shape[0])[first : first + count]
+            labels = vertex if table.part == 0 else None if edges is None else edges[table.part - 1]
+            cells = _cell_table((len(rows), *table.shape[1:]), *table.fields(labels, rows))
             row_text = cells[cells != 0]
             texts[k][ends[k] : ends[k] + row_text.size] = row_text
             ends[k] += row_text.size
-        first += len(edges[1] if vertex is None else vertex)
+        first += count
     filled = iter(text[: end - table.trim] for table, text, end in zip(tables, texts, ends))
     return [item if isinstance(item, bytes) else next(filled) for item in items]
 
@@ -774,99 +756,100 @@ def document_edge_label(doc: LabelingDocument, base: Sequence[int], axis: int) -
 
 # --- renderers ---------------------------------------------------------
 #
-# Every renderer walks vertices in rank order and edges in enumeration
-# order, so labels pair up with the document arrays position by position.
-# Every style's rows are written by the digit-cell table writer above: one
-# table per row kind and edge axis, holding the vertex-name cells, the
-# label digits and the fixed punctuation. TikZ adds the cells of its node
-# coordinates, each distinct x and y written once from exact hundredths.
+# Every style is a list of items for `_slab_text`, so the one table writer
+# above writes all four a slab of leading rows at a time: a header, a table
+# of vertex rows in rank order, a table of edge rows per axis in enumeration
+# order, and a footer. A row holds the name cells of its vertex or of its
+# edge's endpoints, the label digits and the fixed punctuation. Dot and TikZ
+# draw every vertex and edge, labeled or not; TikZ adds the cells of its
+# node coordinates, each distinct x and y of a slab written once from exact
+# hundredths.
 
 
-def _axis_blocks(doc: LabelingDocument) -> Iterator[tuple[int, tuple, tuple, np.ndarray | None]]:
-    """Per axis, ascending and 1-based: its edges' lower and upper endpoints, and labels.
+def _endpoints(names: np.ndarray, a: int, rows: range) -> tuple[np.ndarray, ...]:
+    """The name cells of the lower and the upper endpoints of the axis-`a` edges based in `rows`.
 
-    The endpoints index a `doc.spec.dims`-shaped array, and either one
-    gives the axis's edges in enumeration order. The labels are the axis's
-    view from `split_edge_labels`, of the same shape; None for a vertex
-    document.
+    `names` is `_name_cells` of the grid's dims; an upper endpoint is its
+    lower one a step on along axis `a`.
     """
-    spec = doc.spec
-    per_axis = [None] * spec.dim if doc.kind == "vertex" else split_edge_labels(spec, doc.edge_labels)
-    for a, (n, labels) in enumerate(zip(spec.dims, per_axis)):
-        lower = (slice(None),) * a + (slice(0, n - 1),)
-        upper = (slice(None),) * a + (slice(1, n),)
-        yield a + 1, lower, upper, labels
+    before = (slice(None),) * (a - 1)
+    return tuple(names[before + (cut,)][rows.start : rows.stop] for cut in (slice(-1), slice(1, None)))
 
 
-def _render_tikz(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
-    spec = doc.spec
-    if style == "tikz2d" and spec.dim != 2:
-        raise UnsupportedDimension(f"tikz2d needs a 2-dimensional grid, got {spec.dim}")
-    if style == "tikz3d" and spec.dim != 3:
-        raise UnsupportedDimension(f"tikz3d needs a 3-dimensional grid, got {spec.dim}")
+def _dot_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray]) -> list[bytes | _Table]:
+    """The items of the dot text for `_slab_text`: a header, a row per vertex and per edge, a footer."""
+    names = _name_cells(spec.dims, b",")
 
-    i, j, *k = np.ix_(*(np.arange(n, dtype=np.int64) for n in spec.dims))  # 0-based coordinates
-    # x and y in exact hundredths of a unit
-    if spec.dim == 2:
-        x, y = 300 * i, 300 * (spec.dims[1] - 1 - j)
-    else:  # oblique projection: axis 2 drawn at a slant
-        x, y = 300 * i + 190 * j, 300 * (spec.dims[2] - 1 - k[0]) + 115 * j
+    def tail(labels: np.ndarray | None, bare: bool) -> tuple:
+        return (b'";\n',) if bare else (b'" [label="', labels, b'"];\n')
+
+    def vertex(labels: np.ndarray | None, rows: range) -> tuple:
+        return b'  "', names[rows.start : rows.stop], *tail(labels, kind == "edge")
+
+    items = [b"graph gridmagic {\n  node [shape=circle];\n", _Table(0, spec.dims, extremes[0], vertex)]
+    for a, shape in enumerate(spec.edge_shapes, start=1):
+
+        def edge(labels: np.ndarray | None, rows: range, a=a) -> tuple:
+            lower, upper = _endpoints(names, a, rows)
+            return b'  "', lower, b'" -- "', upper, *tail(labels, kind == "vertex")
+
+        items.append(_Table(a, shape, extremes[1], edge))
+    return items + [b"}\n"]
+
+
+def _tikz_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray]) -> list[bytes | _Table]:
+    """The items of a TikZ picture for `_slab_text`: a header, a row per vertex and per edge, a footer.
+
+    The node coordinates are computed for each slab's rows.
+    """
+    names = _name_cells(spec.dims, b"_")
     # the cells of each distinct x and y: its units, then ".c" for its c hundredths,
     # trailing zeros dropped, from a table with one row per c
     cents = np.array([(b".%02d" % c).rstrip(b".0") for c in range(100)], "S3").view((np.uint8, 3))
-    x, y = (_cell_table(c.shape, c // 100, cents[c % 100]) for c in (x, y))
-    names = _name_cells(spec.dims, b"_")
-    parts = [
-        b"\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]\n"
+
+    def vertex(labels: np.ndarray | None, rows: range) -> tuple:
+        i, j, *k = np.ix_(rows, *map(range, spec.dims[1:]))  # 0-based coordinates
+        # x and y in exact hundredths of a unit
+        if spec.dim == 2:
+            x, y = 300 * i, 300 * (spec.dims[1] - 1 - j)
+        else:  # oblique projection: axis 2 drawn at a slant
+            x, y = 300 * i + 190 * j, 300 * (spec.dims[2] - 1 - k[0]) + 115 * j
+        x, y = (_cell_table(c.shape, c // 100, cents[c % 100]) for c in (x, y))
+        tail = (b") {};\n",) if kind == "edge" else (b") {", labels, b"};\n")
+        return b"  \\node (v", names[rows.start : rows.stop], b") at (", x, b",", y, *tail
+
+    items = [
+        b"\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]\n",
+        _Table(0, spec.dims, extremes[0], vertex),
     ]
-    if doc.kind == "edge":
-        tail = (b") {};\n",)
-    else:
-        tail = (b") {", doc.vertex_labels.reshape(spec.dims), b"};\n")
-    parts += _table_text(spec.dims, b"  \\node (v", names, b") at (", x, b",", y, *tail)
-    for axis, lower, upper, labels in _axis_blocks(doc):
-        if labels is None:
-            tail = (b");\n",)
-        else:
-            placement = b"midway,right" if axis == spec.dim else b"midway,above,sloped"
-            tail = (b") node[draw=none,%s] {" % placement, labels, b"};\n")
-        shape = names[lower].shape[:-1]
-        parts += _table_text(shape, b"  \\draw (v", names[lower], b") -- (v", names[upper], *tail)
-    parts.append(b"\\end{tikzpicture}\n")
-    return parts
+    for a, shape in enumerate(spec.edge_shapes, start=1):
+        placement = b"midway,right" if a == spec.dim else b"midway,above,sloped"
 
+        def edge(labels: np.ndarray | None, rows: range, a=a, placement=placement) -> tuple:
+            lower, upper = _endpoints(names, a, rows)
+            tail = (b");\n",) if kind == "vertex" else (b") node[draw=none,%s] {" % placement, labels, b"};\n")
+            return b"  \\draw (v", lower, b") -- (v", upper, *tail
 
-def _render_dot(doc: LabelingDocument) -> list[bytes | np.ndarray]:
-    spec = doc.spec
-    names = _name_cells(spec.dims, b",")
-    parts = [b"graph gridmagic {\n  node [shape=circle];\n"]
-    if doc.kind == "edge":
-        tail = (b'";\n',)
-    else:
-        tail = (b'" [label="', doc.vertex_labels.reshape(spec.dims), b'"];\n')
-    parts += _table_text(spec.dims, b'  "', names, *tail)
-    for _, lower, upper, labels in _axis_blocks(doc):
-        tail = (b'";\n',) if labels is None else (b'" [label="', labels, b'"];\n')
-        shape = names[lower].shape[:-1]
-        parts += _table_text(shape, b'  "', names[lower], b'" -- "', names[upper], *tail)
-    parts.append(b"}\n")
-    return parts
+        items.append(_Table(a, shape, extremes[1], edge))
+    return items + [b"\\end{tikzpicture}\n"]
 
 
 def _render_parts(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]:
-    """The ASCII text of `render(doc, style)` as parts, a block of rows at most in each."""
+    """The ASCII text of `render(doc, style)` as parts, each table's written by `_slab_text`."""
     if style not in STYLES:
         raise UsageError(f"style must be one of {STYLES}, got {style!r}")
-    if style == "csv":
-        return _slab_text(_csv_items(doc.spec, doc.kind, _document_extremes(doc)), _document_slabs(doc))
-    return _render_dot(doc) if style == "dot" else _render_tikz(doc, style)
+    if style.startswith("tikz") and doc.spec.dim != int(style[4]):
+        raise UnsupportedDimension(f"{style} needs a {style[4]}-dimensional grid, got {doc.spec.dim}")
+    style_items = {"csv": _csv_items, "dot": _dot_items, "tikz2d": _tikz_items, "tikz3d": _tikz_items}[style]
+    return _slab_text(style_items(doc.spec, doc.kind, _document_extremes(doc)), _document_slabs(doc))
 
 
 def render(doc: LabelingDocument, style: str) -> str:
     """Deterministic text rendering of a document in the given style.
 
-    Every style is written a block of rows at a time; `gridmagic render`
-    writes those blocks as they are, and `render` joins them.
+    Every style is written slab by slab by `_slab_text`, a buffer per
+    table; `gridmagic render` writes the buffers as they are, and `render`
+    joins them.
     """
     return b"".join(_render_parts(doc, style)).decode()
 

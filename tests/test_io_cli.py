@@ -663,6 +663,22 @@ def test_load_memory_stays_near_the_label_arrays():
     assert peak <= label_bytes + 2_601_392
 
 
+@pytest.mark.parametrize("style", ["dot", "tikz2d"])
+def test_render_memory_stays_near_the_text(style):
+    # `_slab_text` fills a buffer per table, allocated at the table's bound
+    # before the first slab. At 577x577 the text is 37.8 MB for dot and
+    # 63.7 MB for tikz2d, and the peaks 43.7 and 73.9 MB (numpy 2.4.6,
+    # Python 3.11.7), so a looser bound shows here.
+    doc = generate_document((577, 577), "total")
+    tracemalloc.start()
+    try:
+        parts = io_cli._render_parts(doc, style)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * sum(len(part) for part in parts)
+
+
 @pytest.mark.parametrize("block", TEXT_BLOCKS)
 def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, block):
     dims, path = "7,5,3", tmp_path / "doc.json"
@@ -678,20 +694,31 @@ def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, block)
 
 
 def test_cli_refusal_while_building_output_writes_nothing(tmp_path, capsys, monkeypatch):
-    tables, cell_table = [], io_cli._cell_table
+    # each command refuses at the last table it builds, in the last of its
+    # slabs of one or two leading rows, once the rest of its text is built
+    tables, last, cell_table = [], 0, io_cli._cell_table  # refuse table number `last`, 0 for none
 
-    def refuse_the_last_list(shape, *fields):
+    def refusing(shape, *fields):
         tables.append(shape)
-        if len(tables) % 3 == 0:  # the vertex labels, after both edge axes' rows
+        if len(tables) == last:
             raise MemoryError
         return cell_table(shape, *fields)
 
-    monkeypatch.setattr(io_cli, "_cell_table", refuse_the_last_list)
-    path = tmp_path / "doc.json"
-    for out in (str(path), "-"):
-        code, stdout, err = run_cli(capsys, ["generate", "--dims", "5,3", "--out", out])
-        assert (code, stdout, err) == (1, "", "refused: out of memory\n")
-    assert not path.exists()
+    path, doc2, doc3 = tmp_path / "out.json", tmp_path / "doc2.json", tmp_path / "doc3.json"
+    doc2.write_bytes(save(generate_document((5, 3), "total")))
+    doc3.write_bytes(save(generate_document((5, 3, 2), "total")))
+    commands = [["generate", "--dims", "5,3", "--out", str(path)], ["generate", "--dims", "5,3"]]
+    commands += [["render", str(doc2), "--style", style] for style in ("csv", "dot", "tikz2d")]
+    commands += [["render", str(doc3), "--style", "tikz3d"]]
+    monkeypatch.setattr(io_cli, "_WRITE_BLOCK", 6)
+    monkeypatch.setattr(io_cli, "_cell_table", refusing)
+    for argv in commands:
+        last, tables[:] = 0, []
+        assert run_cli(capsys, argv)[0] == 0
+        path.unlink(missing_ok=True)
+        last, tables[:] = len(tables), []
+        assert run_cli(capsys, argv) == (1, "", "refused: out of memory\n"), argv
+        assert not path.exists()
 
 
 def test_cli_render_and_cover(tmp_path, capsys):
