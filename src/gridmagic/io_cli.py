@@ -375,9 +375,8 @@ def _constructed_slabs(spec: GridSpec, kind: str) -> Iterator[Slab]:
     nv, _ = part_sizes(spec, kind)
     for rows in _slab_ranges(spec):
         f, g = labeling_rows(spec, rows)
-        if kind == "total":
-            np.add(g.flat, nv, out=g.flat)
-        yield (None if kind == "edge" else f.grid), (None if kind == "vertex" else g.per_axis)
+        edges = split_edge_labels(spec, g.flat + nv, rows) if kind == "total" else g.per_axis
+        yield (None if kind == "edge" else f.grid), (None if kind == "vertex" else edges)
 
 
 def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray | None:

@@ -15,9 +15,11 @@ every label anyway; `flat` is that buffer, and the grid-shaped and
 per-axis arrays that the vectorized cube-sum sweep consumes are views of
 it, so no layer copies labels to change between the two.
 
-Both formulas also give any range of leading rows alone, as `VertexRows`
-and `EdgeRows`: the same arrays cut to those rows, which is how the
-command line builds a document that it never holds whole.
+A labeling holds the labels of a range of leading rows, `rows`: every
+row unless a builder is given fewer. Both formulas give any such range
+alone, the same arrays cut to those rows, which is how the command line
+builds a document that it never holds whole. Lookups (`label`) and the
+verifiers need every row.
 """
 
 from __future__ import annotations
@@ -55,107 +57,6 @@ def frozen_labels(labels: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class VertexLabeling:
-    """Integer labels on every vertex, stored densely in rank order.
-
-    Constructors in this package produce bijections onto [1, |V|]; the type
-    itself admits arbitrary candidates so the verifier has something to
-    reject.
-    """
-
-    spec: GridSpec
-    grid: np.ndarray  # shape == spec.dims
-
-    def __post_init__(self):
-        arr = frozen_labels(self.grid)
-        if arr.shape != self.spec.dims:
-            raise SpecMismatch(
-                f"label array of shape {arr.shape} for a {self.spec.dims} grid"
-            )
-        object.__setattr__(self, "grid", arr)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Labels in vertex rank order (row-major)."""
-        return self.grid.reshape(-1)
-
-    @property
-    def rows(self) -> range:
-        """The leading rows it labels: all of them."""
-        return range(self.spec.dims[0])
-
-    def label(self, v: VertexCoord) -> int:
-        return int(self.flat[vertex_rank(self.spec, v)])
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeLabeling:
-    """Integer labels on every edge, stored densely in edge enumeration order.
-
-    ``per_axis[a]`` views the labels of edges along axis a+1, indexed by the
-    0-based base coordinate; its shape is ``spec.edge_shapes[a]``.
-    """
-
-    spec: GridSpec
-    flat: np.ndarray  # shape == (spec.edge_count,)
-
-    def __post_init__(self):
-        arr = frozen_labels(self.flat)
-        if arr.shape != (self.spec.edge_count,):
-            raise SpecMismatch(
-                f"label array of shape {arr.shape} for a grid with {self.spec.edge_count} edges"
-            )
-        object.__setattr__(self, "flat", arr)
-
-    @property
-    def per_axis(self) -> tuple[np.ndarray, ...]:
-        return split_edge_labels(self.spec, self.flat)
-
-    @property
-    def rows(self) -> range:
-        """The leading rows whose edges it labels: all of them."""
-        return range(self.spec.dims[0])
-
-    def label(self, e: EdgeId) -> int:
-        return int(self.flat[edge_rank(self.spec, e)])
-
-
-@dataclass(frozen=True, eq=False)
-class VertexRows:
-    """The vertex labels of leading rows `rows` of the grid `spec`.
-
-    `grid` has shape ``(len(rows), *spec.dims[1:])``: those rows of a
-    vertex labeling's grid.
-    """
-
-    spec: GridSpec
-    rows: range
-    grid: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeRows:
-    """The labels of the edges based in leading rows `rows` of the grid `spec`.
-
-    `flat` holds them axis by axis, each axis's rows as in enumeration order.
-    """
-
-    spec: GridSpec
-    rows: range
-    flat: np.ndarray
-
-    @property
-    def per_axis(self) -> tuple[np.ndarray, ...]:
-        return split_edge_labels(self.spec, self.flat, self.rows)
-
-
-def edge_buffer(spec: GridSpec, rows: range) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """An unfilled int64 buffer for the edges based in `rows`, and its per-axis views."""
-    flat = np.empty(sum(map(math.prod, edge_row_shapes(spec, rows))), dtype=np.int64)
-    return flat, split_edge_labels(spec, flat, rows)
-
-
 def _checked_rows(spec: GridSpec, rows: range | None) -> range:
     """`rows` (all of them for None), if it is a range of consecutive leading rows of `spec`."""
     if rows is None:
@@ -163,6 +64,92 @@ def _checked_rows(spec: GridSpec, rows: range | None) -> range:
     if not isinstance(rows, range) or rows.step != 1 or not 0 <= rows.start <= rows.stop <= spec.dims[0]:
         raise CoordOutOfRange(f"{rows!r} is not a range of leading rows of the {spec.dims} grid")
     return rows
+
+
+def _edge_row_count(spec: GridSpec, rows: range) -> int:
+    """The number of edges based in leading rows `rows` of `spec`."""
+    return sum(map(math.prod, edge_row_shapes(spec, rows)))
+
+
+@dataclass(frozen=True, eq=False)
+class VertexLabeling:
+    """Integer labels on the vertices of leading rows `rows`, stored densely in rank order.
+
+    `rows` is a range of 0-based leading coordinates, every row for None.
+    Constructors in this package produce bijections onto [1, |V|]; the type
+    itself admits arbitrary candidates so the verifier has something to
+    reject.
+    """
+
+    spec: GridSpec
+    grid: np.ndarray  # shape == (len(rows), *spec.dims[1:])
+    rows: range | None = None
+
+    def __post_init__(self):
+        rows = _checked_rows(self.spec, self.rows)
+        arr = frozen_labels(self.grid)
+        if arr.shape != (len(rows), *self.spec.dims[1:]):
+            raise SpecMismatch(
+                f"label array of shape {arr.shape} for rows {rows} of a {self.spec.dims} grid"
+            )
+        object.__setattr__(self, "grid", arr)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Labels in vertex rank order (row-major)."""
+        return self.grid.reshape(-1)
+
+    def label(self, v: VertexCoord) -> int:
+        return int(whole(self).flat[vertex_rank(self.spec, v)])
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeLabeling:
+    """Integer labels on the edges based in leading rows `rows`, densely in enumeration order.
+
+    `rows` is as for `VertexLabeling`; `flat` holds the labels axis by
+    axis, each axis's rows as in edge enumeration order. ``per_axis[a]``
+    views the labels of edges along axis a+1, indexed by the 0-based base
+    coordinate; its shape is ``edge_row_shapes(spec, rows)[a]``.
+    """
+
+    spec: GridSpec
+    flat: np.ndarray  # shape == (edges based in rows,)
+    rows: range | None = None
+
+    def __post_init__(self):
+        rows = _checked_rows(self.spec, self.rows)
+        arr, count = frozen_labels(self.flat), _edge_row_count(self.spec, rows)
+        if arr.shape != (count,):
+            raise SpecMismatch(
+                f"label array of shape {arr.shape} for the {count} edges "
+                f"of rows {rows} of a {self.spec.dims} grid"
+            )
+        object.__setattr__(self, "flat", arr)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def per_axis(self) -> tuple[np.ndarray, ...]:
+        return split_edge_labels(self.spec, self.flat, self.rows)
+
+    def label(self, e: EdgeId) -> int:
+        return int(whole(self).flat[edge_rank(self.spec, e)])
+
+
+def whole(labeling: VertexLabeling | EdgeLabeling) -> VertexLabeling | EdgeLabeling:
+    """`labeling`, if it labels every row of its grid; SpecMismatch for only some rows."""
+    if len(labeling.rows) != labeling.spec.dims[0]:
+        raise SpecMismatch(
+            f"labeling of rows {labeling.rows} of the {labeling.spec.dims} grid, not of every row"
+        )
+    return labeling
+
+
+def edge_buffer(spec: GridSpec, rows: range) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """An unfilled int64 buffer for the edges based in `rows`, and its per-axis views."""
+    flat = np.empty(_edge_row_count(spec, rows), dtype=np.int64)
+    return flat, split_edge_labels(spec, flat, rows)
 
 
 def vertex_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) -> VertexLabeling:
@@ -178,11 +165,11 @@ def edge_labeling_from_flat(spec: GridSpec, flat: Sequence[int] | np.ndarray) ->
     return EdgeLabeling(spec, frozen_labels(flat).reshape(-1))
 
 
-def base_vertex_labeling(n1: int, n2: int, rows: range | None = None) -> VertexLabeling | VertexRows:
+def base_vertex_labeling(n1: int, n2: int, rows: range | None = None) -> VertexLabeling:
     """Magic vertex labeling of the n1 x n2 grid (n1 >= n2 >= 2).
 
     Given `rows`, a range of 0-based leading coordinates, it builds those
-    rows alone and returns them as `VertexRows`.
+    rows alone.
     """
     spec = GridSpec((n1, n2))
     built = _checked_rows(spec, rows)
@@ -198,14 +185,13 @@ def base_vertex_labeling(n1: int, n2: int, rows: range | None = None) -> VertexL
     np.add(up[even], rev[1::2], out=grid[even, 1::2])
     np.add(down[odd], j[1::2], out=grid[odd, 1::2])
     np.add(down[even], rev[0::2], out=grid[even, 0::2])
-    return VertexLabeling(spec, grid) if rows is None else VertexRows(spec, rows, grid)
+    return VertexLabeling(spec, grid, built)
 
 
-def base_edge_labeling(n1: int, n2: int, rows: range | None = None) -> EdgeLabeling | EdgeRows:
+def base_edge_labeling(n1: int, n2: int, rows: range | None = None) -> EdgeLabeling:
     """Magic edge labeling of the n1 x n2 grid (n1 >= n2 >= 2).
 
-    Given `rows`, it builds the edges based in those leading rows alone
-    and returns them as `EdgeRows`.
+    Given `rows`, it builds the edges based in those leading rows alone.
     """
     spec = GridSpec((n1, n2))
     built = _checked_rows(spec, rows)
@@ -217,4 +203,4 @@ def base_edge_labeling(n1: int, n2: int, rows: range | None = None) -> EdgeLabel
     np.subtract((n1 - i[: len(along_1)]) * stripe + 1, j, out=along_1)
     # axis-2 edges: base (i, j) with j <= n2-1, label (i-1)*stripe + j
     np.add((i - 1) * stripe, j[:-1], out=along_2)
-    return EdgeLabeling(spec, flat) if rows is None else EdgeRows(spec, rows, flat)
+    return EdgeLabeling(spec, flat, built)

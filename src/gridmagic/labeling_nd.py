@@ -16,10 +16,11 @@ short.
 Each lift preserves the magic property, so iterating from the
 two-dimensional base case yields magic labelings for every dimension;
 `combine_supermagic` then merges a vertex and an edge labeling into one
-total labeling whose vertex labels are exactly [1, |V|]. A lift also
-takes the rows of a labeling (`VertexRows`, `EdgeRows`) and lifts them
-alone, so `labeling_rows` builds any range of leading rows from the
-closed forms, and `build_labelings` is that range over every row.
+total labeling whose vertex labels are exactly [1, |V|]. A lift keeps
+the leading rows its base holds and lifts them alone, so `labeling_rows`
+builds any range of leading rows from the closed forms, and
+`build_labelings` is that range over every row. A total labeling's two
+parts hold the same rows.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from .errors import SpecMismatch
 from .grid_core import GridSpec
 from .labeling_2d import (
     EdgeLabeling,
-    EdgeRows,
     VertexLabeling,
-    VertexRows,
     base_edge_labeling,
     base_vertex_labeling,
     edge_buffer,
@@ -58,10 +57,10 @@ class TotalLabeling:
     edge: EdgeLabeling
 
     def __post_init__(self):
-        if self.vertex.spec != self.edge.spec:
+        if (self.vertex.spec, self.vertex.rows) != (self.edge.spec, self.edge.rows):
             raise SpecMismatch(
-                f"vertex labeling over {self.vertex.spec.dims} "
-                f"but edge labeling over {self.edge.spec.dims}"
+                f"vertex labeling of rows {self.vertex.rows} over {self.vertex.spec.dims} "
+                f"but edge labeling of rows {self.edge.rows} over {self.edge.spec.dims}"
             )
 
     @property
@@ -120,35 +119,29 @@ def _write_layers(
         np.add((base + first)[..., None], delta[..., None] * t, out=out)
 
 
-def extend_vertex_labeling(
-    base: VertexLabeling | VertexRows, nd: int
-) -> VertexLabeling | VertexRows:
+def extend_vertex_labeling(base: VertexLabeling, nd: int) -> VertexLabeling:
     """Lift a magic vertex labeling by one dimension (nd layers).
 
     `GridSpec` checks `nd` as a new last side, so it must be an integer
-    from 2 up to the base's last side. Given `VertexRows` of the base, it
-    lifts those leading rows alone and returns the same rows of the lift.
+    from 2 up to the base's last side. The lift holds the base's leading
+    rows.
     """
     spec = GridSpec(base.spec.dims + (nd,))
     grid = np.empty(base.grid.shape + (spec.dims[-1],), dtype=np.int64)
     # layers count forward on even coordinate sums, backward on odd ones
     parity = _coord_parity(base.grid.shape, first_row=base.rows.start)
     _write_layers(grid, base.grid, base.spec.vertex_count, parity)
-    if isinstance(base, VertexLabeling):
-        return VertexLabeling(spec, grid)
-    return VertexRows(spec, base.rows, grid)
+    return VertexLabeling(spec, grid, base.rows)
 
 
-def extend_edge_labeling(
-    base_f: VertexLabeling | VertexRows, base_g: EdgeLabeling | EdgeRows, nd: int
-) -> EdgeLabeling | EdgeRows:
+def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) -> EdgeLabeling:
     """Lift a magic edge labeling by one dimension.
 
     Needs the matching vertex labeling of the layer grid: connecting-edge
     labels are built from it. In-layer labels keep the base label plus a
     multiple of the layer edge count; connecting labels sit in the block
-    above nd * layer_edges. Given the `VertexRows` and `EdgeRows` of the
-    same leading rows, it lifts those rows alone and returns `EdgeRows`.
+    above nd * layer_edges. The two bases hold the same leading rows, and
+    so does the lift.
     """
     if (base_f.spec, base_f.rows) != (base_g.spec, base_g.rows):
         raise SpecMismatch(
@@ -174,12 +167,10 @@ def extend_edge_labeling(
     # all nd * layer.edge_count in-layer labels, forward on odd coordinate sums
     backward = _coord_parity(base_f.grid.shape, first_row=first_row) == 0
     _write_layers(per_axis[-1], base_f.grid, layer.vertex_count, backward, nd * layer.edge_count)
-    if isinstance(base_g, EdgeLabeling):
-        return EdgeLabeling(spec, flat)
-    return EdgeRows(spec, base_g.rows, flat)
+    return EdgeLabeling(spec, flat, base_g.rows)
 
 
-def labeling_rows(spec: GridSpec, rows: range) -> tuple[VertexRows, EdgeRows]:
+def labeling_rows(spec: GridSpec, rows: range) -> tuple[VertexLabeling, EdgeLabeling]:
     """The constructed vertex and edge labels of leading rows `rows`, from the closed forms.
 
     The 2-d base formulas give those rows of the first two axes; each lift
@@ -197,8 +188,7 @@ def labeling_rows(spec: GridSpec, rows: range) -> tuple[VertexRows, EdgeRows]:
 
 def build_labelings(spec: GridSpec) -> tuple[VertexLabeling, EdgeLabeling]:
     """Magic vertex and edge labelings for any canonical spec: `labeling_rows` of every row."""
-    f, g = labeling_rows(spec, range(spec.dims[0]))
-    return VertexLabeling(spec, f.grid), EdgeLabeling(spec, g.flat)
+    return labeling_rows(spec, range(spec.dims[0]))
 
 
 def total_labeling_from_flats(
@@ -214,7 +204,7 @@ def total_labeling_from_flats(
 
 def combine_supermagic(f: VertexLabeling, g: EdgeLabeling) -> TotalLabeling:
     """Merge vertex and edge labelings, shifting edge labels above |V|."""
-    return TotalLabeling(f, EdgeLabeling(g.spec, g.flat + f.spec.vertex_count))
+    return TotalLabeling(f, EdgeLabeling(g.spec, g.flat + f.spec.vertex_count, g.rows))
 
 
 def constructed_parts(spec: GridSpec, kind: str) -> tuple[np.ndarray, np.ndarray]:

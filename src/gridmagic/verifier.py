@@ -33,7 +33,8 @@ slot, and one scatter per slab into a seen-mask of |V|+|E|+1 bytes per
 row decides bijectivity: a row is a bijection when all its other slots
 are set. `verify_*` reduce each slab's sums to their extremes, and sort
 out the distinct sums only once two differ; `verify_batch` reduces them
-to per-row extremes.
+to per-row extremes. `verify_*` refuse a labeling of only some leading
+rows with SpecMismatch.
 
 `closed_form_sums` computes the magic sums the constructions are expected
 to attain, by pure arithmetic over the same layer recursion the builders
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import GridMagicError, Overflow, SpecMismatch
 from .grid_core import GridSpec, split_edge_labels
-from .labeling_2d import EdgeLabeling, VertexLabeling, frozen_labels
+from .labeling_2d import EdgeLabeling, VertexLabeling, frozen_labels, whole
 from .labeling_nd import TotalLabeling
 
 INT64_MAX = 2**63 - 1
@@ -340,14 +341,14 @@ def verify_vertex_magic(spec: GridSpec, f: VertexLabeling) -> MagicReport:
     """Scan all cubes of a vertex labeling; report sums and bijectivity."""
     if f.spec != spec:
         raise SpecMismatch(f"labeling over {f.spec.dims}, expected {spec.dims}")
-    return _report(spec, "vertex", [(f.grid, None)])
+    return _report(spec, "vertex", [(whole(f).grid, None)])
 
 
 def verify_edge_magic(spec: GridSpec, g: EdgeLabeling) -> MagicReport:
     """Scan all cubes of an edge labeling; report sums and bijectivity."""
     if g.spec != spec:
         raise SpecMismatch(f"labeling over {g.spec.dims}, expected {spec.dims}")
-    return _report(spec, "edge", [(None, g.per_axis)])
+    return _report(spec, "edge", [(None, whole(g).per_axis)])
 
 
 def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
@@ -359,7 +360,7 @@ def verify_supermagic(spec: GridSpec, total: TotalLabeling) -> MagicReport:
     """
     if total.spec != spec:
         raise SpecMismatch(f"labeling over {total.spec.dims}, expected {spec.dims}")
-    return _report(spec, "total", [(total.vertex.grid, total.edge.per_axis)])
+    return _report(spec, "total", [(whole(total.vertex).grid, total.edge.per_axis)])
 
 
 def verify_batch(

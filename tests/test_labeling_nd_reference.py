@@ -31,7 +31,6 @@ from gridmagic import (
     extend_vertex_labeling,
 )
 from gridmagic.grid_core import split_edge_labels
-from gridmagic.labeling_2d import VertexRows
 from gridmagic.labeling_nd import labeling_rows
 
 
@@ -165,7 +164,7 @@ def test_rows_of_a_labeling_lift_to_the_same_rows():
     rows = range(1, 4)
     part_f, part_g = labeling_rows(GridSpec((6, 5, 3)), rows)
     lifted_f, lifted_g = extend_vertex_labeling(part_f, 3), extend_edge_labeling(part_f, part_g, 3)
-    assert isinstance(whole_f, VertexLabeling) and isinstance(lifted_f, VertexRows)
+    assert lifted_f.rows == rows and whole_f.rows == range(6)
     assert np.array_equal(lifted_f.grid, whole_f.grid[1:4])
     for got, want in zip(lifted_g.per_axis, whole_g.per_axis):
         assert np.array_equal(got, want[1:4])
@@ -173,8 +172,30 @@ def test_rows_of_a_labeling_lift_to_the_same_rows():
 
 @pytest.mark.parametrize("rows", [range(0, 7), range(-1, 2), range(3, 2), range(0, 4, 2), [0, 1]])
 def test_rows_outside_the_leading_axis_are_refused(rows):
-    with pytest.raises(CoordOutOfRange):
-        base_vertex_labeling(6, 5, rows)
+    f, g = build_labelings(GridSpec((6, 5)))
+    for build in (
+        lambda: base_vertex_labeling(6, 5, rows),
+        lambda: base_edge_labeling(6, 5, rows),
+        lambda: VertexLabeling(f.spec, f.grid, rows),
+        lambda: EdgeLabeling(g.spec, g.flat, rows),
+    ):
+        with pytest.raises(CoordOutOfRange):
+            build()
+
+
+def test_arrays_that_do_not_fit_their_rows_are_refused():
+    spec = GridSpec((6, 5))
+    f, g = build_labelings(spec)
+    part_f, part_g = labeling_rows(spec, range(1, 3))
+    for build in (
+        lambda: VertexLabeling(spec, f.grid, range(1, 3)),
+        lambda: VertexLabeling(spec, part_f.grid),
+        lambda: EdgeLabeling(spec, g.flat, range(1, 3)),
+        lambda: EdgeLabeling(spec, part_g.flat),
+        lambda: EdgeLabeling(spec, part_g.flat[1:], range(1, 3)),
+    ):
+        with pytest.raises(SpecMismatch):
+            build()
 
 
 def test_lifts_refuse_rows_that_differ():

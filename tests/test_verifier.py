@@ -17,11 +17,13 @@ from conftest import (
     triangular,
 )
 from gridmagic import (
+    EdgeId,
     GridMagicError,
     GridSpec,
     Overflow,
     PredictedSums,
     SpecMismatch,
+    TotalLabeling,
     VertexLabeling,
     build_labelings,
     closed_form_sums,
@@ -33,6 +35,7 @@ from gridmagic import (
     verify_vertex_magic,
     vertex_labeling_from_flat,
 )
+from gridmagic.labeling_nd import labeling_rows
 from gridmagic.verifier import (
     INT64_MAX,
     MAX_REPORTED_SUMS,
@@ -251,6 +254,29 @@ def test_spec_mismatch_is_rejected():
         verify_edge_magic(GridSpec((4, 2)), g)
     with pytest.raises(SpecMismatch):
         VertexLabeling(GridSpec((4, 2)), f.grid)
+
+
+_PARTS_6_5 = (build_labelings(GridSpec((6, 5))), labeling_rows(GridSpec((6, 5)), range(0, 3)))
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda whole, part: verify_vertex_magic(GridSpec((6, 5)), part[0]),
+        lambda whole, part: verify_edge_magic(GridSpec((6, 5)), part[1]),
+        lambda whole, part: verify_supermagic(GridSpec((6, 5)), combine_supermagic(*part)),
+        # a whole vertex part beside the edges of rows 0..2 once verified as
+        # MAGIC with sum 284
+        lambda whole, part: TotalLabeling(whole[0], combine_supermagic(*part).edge),
+        lambda whole, part: TotalLabeling(part[0], whole[1]),
+        lambda whole, part: part[0].label((1, 1)),
+        lambda whole, part: part[1].label(EdgeId((1, 1), 2)),
+    ],
+    ids=["vertex", "edge", "total", "whole_vertex", "whole_edge", "vertex_label", "edge_label"],
+)
+def test_labelings_of_some_rows_are_refused(refused):
+    with pytest.raises(SpecMismatch):
+        refused(*_PARTS_6_5)
 
 
 def test_reports_are_deterministic():
