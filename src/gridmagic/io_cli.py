@@ -38,6 +38,7 @@ or search refusal, 2 I/O or parse failure, 64 usage.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import functools
 import io
@@ -512,9 +513,13 @@ def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[in
         comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
         count = np.count_nonzero(comma)
         here = [m - commas for m in marks[len(found) :] if m - commas <= count]
-        if here:  # the positions of this chunk's commas, once
-            at = np.flatnonzero(comma)
-            found += [pos + int(at[k - 1]) for k in here]
+        if here:  # each mark found among the commas of the 4 KiB block that holds it
+            full = comma[: len(comma) // 4096 * 4096].reshape(-1, 4096)
+            reached = [0, *np.cumsum(full.sum(axis=1, dtype=np.uint16)).tolist()]
+            for k in here:
+                b = bisect.bisect_left(reached, k) - 1  # the block that holds comma k
+                at = np.flatnonzero(comma[b * 4096 : (b + 1) * 4096])[k - 1 - reached[b]]
+                found.append(pos + b * 4096 + int(at))
         commas += count
         if end >= 0:
             stop = pos + end

@@ -27,10 +27,11 @@ front, so float64 holds it exactly in any summation order. Labelings are
 built only for the first FOUND_CAP magic ones, which `found` keeps as
 tuples of ints.
 
-The verifier only re-checks what the scan found, with one verifier call
-per scan: each labeling kept in `found` must be a bijection whose cube
-sums all equal the scan's sum, or the search raises; it never decides
-what the scan counts. The oracle shares no arithmetic with the
+The verifier only re-checks what the scan found: at the end of a scan
+`_checked` hands every labeling kept in `found` to one `verify_batch`
+call, and each must be a bijection whose cube sums all equal the scan's
+sum, or the search raises for the first that is not; the verifier never
+decides what the scan counts. The oracle shares no arithmetic with the
 closed-form predictions or the constructive labelings. The scan counts a
 labeling exactly when it is a bijection onto the mode's pools whose
 incidence cube sums agree, so `confirm_construction` applies that test to
@@ -156,40 +157,21 @@ def _disagreement(spec: GridSpec, mode: str, labels: np.ndarray, magic_sum: int)
     )
 
 
-class _Tally:
-    """Histogram plus capped found list of (labeling, magic sum) pairs.
+def _checked(
+    spec: GridSpec, mode: str, labels: np.ndarray, sums: np.ndarray
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (labeling, magic sum) pairs of the (m, n) `labels` and int64 `sums`, re-checked.
 
-    Every found labeling is re-checked independently: the rows handed to
-    `keep` go to `verify_batch` together, and each must be a bijection
-    whose cube sums all equal the sum the scan recorded. A kept labeling
-    is a tuple of Python ints in rank order.
+    The rows go to `verify_batch` together, and each must be a bijection
+    whose cube sums all equal its entry of `sums`; the first that is not
+    raises the `_disagreement` error. A labeling is returned as a tuple of
+    Python ints in rank order.
     """
-
-    def __init__(self, spec: GridSpec, mode: str):
-        self.spec = spec
-        self.mode = mode
-        self.histogram: dict[int, int] = {}
-        self.found: list[tuple[tuple[int, ...], int]] = []
-
-    def count(self, sums: np.ndarray) -> None:
-        """Add magic labelings with the int64 `sums` to the histogram."""
-        if not len(sums):
-            return
-        low = int(sums.min())
-        counts = np.bincount(sums - low)
-        for offset in np.flatnonzero(counts).tolist():
-            magic_sum = low + offset
-            self.histogram[magic_sum] = self.histogram.get(magic_sum, 0) + int(counts[offset])
-
-    def keep(self, labels: np.ndarray, sums: np.ndarray) -> None:
-        """Re-check the (m, n) labelings `labels` and add them to `found`."""
-        if not len(labels):
-            return
-        lo, hi, bijective = verify_batch(self.spec, _KIND[self.mode], labels)
-        bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
-        if len(bad):
-            raise _disagreement(self.spec, self.mode, labels[bad[0]], int(sums[bad[0]]))
-        self.found += zip(map(tuple, labels.tolist()), sums.tolist())
+    lo, hi, bijective = verify_batch(spec, _KIND[mode], labels)
+    bad = np.flatnonzero(~bijective | (lo != sums) | (hi != sums))
+    if len(bad):
+        raise _disagreement(spec, mode, labels[bad[0]], int(sums[bad[0]]))
+    return tuple(zip(map(tuple, labels.tolist()), sums.tolist()))
 
 
 def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarray]:
@@ -427,8 +409,9 @@ def _scan(spec: GridSpec, mode: str, target_sum: int | None) -> SearchResult:
     """Examine every assignment of the mode, or every one at `target_sum`, sums first.
 
     One float64 product per block of frontier rows gives the cube sums of
-    all their labelings; labelings are built only for the magic ones that
-    go into `found`. With a target every row reaching the product is
+    all their labelings, and the histogram counts the magic ones per block;
+    labelings are built only for the first FOUND_CAP, which `_checked`
+    re-checks into `found`. With a target every row reaching the product is
     already magic at that sum (k = 0), and the same test counts it.
     """
     pools, incidence = _label_pools(spec, mode)
@@ -440,9 +423,7 @@ def _scan(spec: GridSpec, mode: str, target_sum: int | None) -> SearchResult:
     weights = _suffix_weights(incidence, k)
     size = max(1, _CHUNK_SUMS // weights.shape[1])
     cubes = len(incidence)
-    tally = _Tally(spec, mode)
-    examined = 0
-    room = FOUND_CAP
+    examined, histogram, room = 0, {}, FOUND_CAP
     kept = []  # (rows, suffix permutations, sums) of the labelings for `found`
     for rows in _frontier(pools, k, plans, cubes):
         for start in range(0, len(rows), size):
@@ -450,16 +431,23 @@ def _scan(spec: GridSpec, mode: str, target_sum: int | None) -> SearchResult:
             sums = (block @ weights).reshape(len(block), cubes, -1)
             examined += sums[:, 0].size
             magic = (sums[:, 1:] == sums[:, :1]).all(axis=1)
-            tally.count(sums[:, 0][magic].astype(np.int64))
-            if room and magic.any():
+            if not magic.any():
+                continue
+            magic_sums = sums[:, 0][magic].astype(np.int64)
+            low = int(magic_sums.min())
+            counts = np.bincount(magic_sums - low)
+            for offset in np.flatnonzero(counts).tolist():
+                histogram[low + offset] = histogram.get(low + offset, 0) + int(counts[offset])
+            if room:
                 # flat indices run row-major, so the kept labelings stay in order
                 picks, perms = np.divmod(np.flatnonzero(magic)[:room], magic.shape[1])
                 kept.append((block[picks], perms, sums[picks, 0, perms]))
                 room -= len(picks)
+    found = ()
     if kept:
         picked, perms, magic_sums = (np.concatenate(part) for part in zip(*kept))
-        tally.keep(_labelings(picked, k, perms), magic_sums.astype(np.int64))
-    return SearchResult(examined=examined, found=tuple(tally.found), sum_histogram=tally.histogram)
+        found = _checked(spec, mode, _labelings(picked, k, perms), magic_sums.astype(np.int64))
+    return SearchResult(examined=examined, found=found, sum_histogram=histogram)
 
 
 def _check_budget(spec: GridSpec, budget: SearchBudget) -> None:

@@ -16,7 +16,9 @@ The array codec parses and writes in blocks, so each comparison also runs
 with block sizes small enough to put block boundaries between list items.
 `gridmagic verify` reads canonical documents through list cursors, and
 must print and exit exactly as `load` followed by `verify_document` does,
-on every document and every one-byte mutation of one.
+on every document and every one-byte mutation of one. `reference_list_extent`
+is the list extent as it was before the mark search looked only in the
+4 KiB block that holds each mark.
 """
 
 from __future__ import annotations
@@ -297,3 +299,58 @@ def test_generate_matches_reference_in_reversed_caller_order(dims):
         with contextlib.redirect_stdout(out):
             assert cli(["generate", "--dims", caller, "--kind", kind, "--format", "csv"]) == 0
         assert out.getvalue() == render(doc, "csv")
+
+
+def reference_list_extent(handle, start, marks):
+    """`_list_extent` as it was: every comma position of a chunk that holds a mark."""
+    pos, commas, found = start, 0, []
+    while True:
+        handle.seek(pos)
+        data = handle.read(io_cli._PARSE_BLOCK)
+        if not data:
+            raise io_cli._NotCanonical
+        end = data.find(b"]")
+        comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
+        count = np.count_nonzero(comma)
+        here = [m - commas for m in marks[len(found) :] if m - commas <= count]
+        if here:
+            at = np.flatnonzero(comma)
+            found += [pos + int(at[k - 1]) for k in here]
+        commas += count
+        if end >= 0:
+            stop = pos + end
+            return stop, commas + 1 if stop > start else 0, found
+        pos += len(data)
+
+
+# Mark commas, as offsets from the start of a list body, where the mark
+# search changes 4 KiB block or 256 KiB chunk.
+CHUNK = 2**18
+MARK_OFFSETS = {
+    "first byte of a block": [3 * 4096],
+    "last byte of a block": [5 * 4096 - 1],
+    "last byte of the chunk": [CHUNK - 1],
+    "two in one block": [7 * 4096 + 10, 7 * 4096 + 11, 7 * 4096 + 4000],
+    "first byte of the next chunk": [CHUNK],
+    "last byte before the bracket": [CHUNK + 9999],
+    "all of them": [0, 4096, 3 * 4096, 5 * 4096 - 1, 7 * 4096 + 10, 7 * 4096 + 11, CHUNK - 1,
+                    CHUNK, CHUNK + 4095, CHUNK + 9999],
+}
+
+
+@pytest.mark.parametrize("offsets", MARK_OFFSETS.values(), ids=MARK_OFFSETS)
+@pytest.mark.parametrize("spacing", [3, 4096])
+def test_mark_commas_at_block_edges_match_reference(offsets, spacing):
+    # a body of CHUNK + 10000 digits after a 6-byte head, with a comma at
+    # every `spacing`-th byte (from byte 1) and at each mark offset
+    body = np.full(CHUNK + 10000, ord("7"), np.uint8)
+    body[1::spacing] = ord(",")
+    body[offsets] = ord(",")
+    text = b'{"a":[' + body.tobytes() + b"]}"
+    start = 6
+    where = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+    marks = [int(np.searchsorted(where, start + offset)) + 1 for offset in offsets]
+    stop, count, found = io_cli._list_extent(io.BytesIO(text), start, marks)
+    assert found == where[np.array(marks) - 1].tolist() == [start + o for o in offsets]
+    assert (stop, count, found) == reference_list_extent(io.BytesIO(text), start, marks)
+    assert (stop, count) == (len(text) - 2, len(where) + 1)

@@ -540,34 +540,30 @@ def test_verifier_catches_a_scan_that_forgets_part_of_a_cube(
     ],
 )
 def test_tally_refuses_a_row_that_is_not_a_bijection(mode, head, row, magic_sum):
-    tally = oracle._Tally(GridSpec((2, 2)), mode)
     with pytest.raises(GridMagicError, match=f"^oracle/verifier disagreement on a {mode} "):
-        tally.keep(np.array([head + row]), np.array([magic_sum]))
+        oracle._checked(GridSpec((2, 2)), mode, np.array([head + row]), np.array([magic_sum]))
 
 
 def test_tally_reports_the_first_failing_row():
     # row 0 is a magic bijection of Grid(2,2); row 1 repeats a label, and
     # row 2 repeats one too and sums to 11
     spec = GridSpec((2, 2))
-    tally = oracle._Tally(spec, "vertex")
     rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
     with pytest.raises(GridMagicError) as info:
-        tally.keep(rows, np.array([10, 10, 10]))
+        oracle._checked(spec, "vertex", rows, np.array([10, 10, 10]))
     report = verify_vertex_magic(spec, vertex_labeling_from_flat(spec, rows[1]))
     assert str(info.value) == (
         f"oracle/verifier disagreement on a vertex labeling: scan sum 10, verifier {report}"
     )
-    assert tally.found == []
 
 
 @pytest.mark.parametrize("magic_sum", [10, 18])
 def test_tally_refuses_a_bijection_whose_cube_sums_differ(magic_sum):
     # labels 1..6 in rank order give Grid(3,2) the cube sums 10 and 18, so
     # keeping it at either one matches the minimum or the maximum, not both
-    tally = oracle._Tally(GridSpec((3, 2)), "vertex")
     rows = np.array([(1, 2, 3, 4, 5, 6)])
     with pytest.raises(GridMagicError, match=f"vertex labeling: scan sum {magic_sum}, verifier"):
-        tally.keep(rows, np.array([magic_sum]))
+        oracle._checked(GridSpec((3, 2)), "vertex", rows, np.array([magic_sum]))
 
 
 @pytest.mark.parametrize(

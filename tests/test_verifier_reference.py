@@ -283,10 +283,9 @@ def test_disagreement_text_matches_reference(dims, mode):
 def test_tally_disagreement_text_matches_reference():
     # row 1 is the first that fails: a repeated label in Grid(2,2)
     spec = GridSpec((2, 2))
-    tally = oracle._Tally(spec, "vertex")
     rows = np.array([(1, 2, 3, 4), (1, 2, 2, 5), (4, 3, 2, 2)])
     with pytest.raises(GridMagicError) as info:
-        tally.keep(rows, np.array([10, 10, 10]))
+        oracle._checked(spec, "vertex", rows, np.array([10, 10, 10]))
     assert str(info.value) == str(reference_disagreement(spec, "vertex", rows[1].tolist(), 10))
 
 
