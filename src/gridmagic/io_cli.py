@@ -85,10 +85,7 @@ from .labeling_2d import (
 )
 from .labeling_nd import TotalLabeling, constructed_parts, labeling_rows, total_labeling_from_flats
 from .oracle import DEFAULT_MAX_ASSIGNMENTS, MODES, SearchBudget, exhaustive_search
-from .verifier import (
-    KINDS, MagicReport, Slab, _report, closed_form_sums, part_sizes,
-    verify_edge_magic, verify_supermagic, verify_vertex_magic,
-)
+from .verifier import KINDS, MagicReport, Slab, _report, closed_form_sums, part_sizes
 
 FORMAT_VERSION = "1"
 STYLES = ("tikz2d", "tikz3d", "dot", "csv")
@@ -632,15 +629,16 @@ def load(data: bytes | str) -> LabelingDocument:
     Bytes in exactly `save`'s layout are read by the list cursors that
     `gridmagic verify` uses, each parsing blocks of about `_PARSE_BLOCK`
     bytes into its slice of the label arrays, so memory stays near the size
-    of the labels; any other input goes through json.loads. The cursors
+    of the labels; any other input goes to `_json_document`. The cursors
     refuse whatever json.loads would read differently or `load` would
     refuse, so the result, or the error, does not depend on the path.
-    `load` checks the version and stored permutation, and
-    `LabelingDocument` the rest.
     """
     doc = _load_canonical(io.BytesIO(data)) if isinstance(data, bytes) else None
-    if doc is not None:
-        return doc
+    return _json_document(data) if doc is None else doc
+
+
+def _json_document(data: bytes | str) -> LabelingDocument:
+    """Any JSON document, read whole; it checks version and permutation, `LabelingDocument` the rest."""
     payload = _json_payload(data)
     if not isinstance(payload, dict):
         raise ParseError("document root must be an object")
@@ -679,13 +677,8 @@ def document_labeling(doc: LabelingDocument) -> VertexLabeling | EdgeLabeling | 
 
 
 def verify_document(doc: LabelingDocument) -> MagicReport:
-    """Run the verifier matching the document's kind."""
-    labeling = document_labeling(doc)
-    if doc.kind == "vertex":
-        return verify_vertex_magic(doc.spec, labeling)
-    if doc.kind == "edge":
-        return verify_edge_magic(doc.spec, labeling)
-    return verify_supermagic(doc.spec, labeling)
+    """The verifier's report on the document's labeling, a slab of `_slab_ranges` at a time."""
+    return _report(doc.spec, doc.kind, _document_slabs(doc))
 
 
 # --- verifying a file slab by slab -------------------------------------
@@ -699,21 +692,6 @@ def _document_file(path: str) -> Iterator[BinaryIO]:
         return
     with open(path, "rb") as handle:
         yield handle if handle.seekable() else io.BytesIO(handle.read())
-
-
-def _verify_canonical(handle: BinaryIO) -> tuple[tuple[int, ...], MagicReport] | None:
-    """The caller dims and the report of a document in exactly `save`'s layout, else None.
-
-    The verifier takes the list cursors' values a slab of leading rows at a
-    time, so it holds a seen mask and a slab, never the label arrays. The
-    slabs take each list whole, as the reader counted it.
-    """
-    try:
-        dims, spec, kind, vertex, edges = _canonical_lists(handle)
-        report = _report(spec, kind, _cursor_slabs(spec, vertex, edges))
-    except _NotCanonical:
-        return None
-    return dims, report
 
 
 def _cursor_slabs(spec: GridSpec, vertex: _ListCursor | None, edges: list[_ListCursor]) -> Iterator[Slab]:
@@ -953,12 +931,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     with _document_file(args.file) as handle:
-        checked = _verify_canonical(handle)
-        if checked is None:  # any other input: the whole document, as `load` reads it
+        try:
+            dims, spec, kind, vertex, edges = _canonical_lists(handle)
+            report = _report(spec, kind, _cursor_slabs(spec, vertex, edges))
+        except _NotCanonical:  # any other input: read whole, by the JSON reader alone
             handle.seek(0)
-            doc = load(handle.read())
-            checked = doc.dims, verify_document(doc)
-    dims, report = checked
+            doc = _json_document(handle.read())
+            dims, report = doc.dims, verify_document(doc)
     _print_report(report, dims)
     return EXIT_OK if report.magic and report.bijective else EXIT_FAIL
 

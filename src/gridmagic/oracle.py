@@ -46,6 +46,7 @@ unpruned so the ground truth inherits nothing from the thing it checks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ import numpy as np
 from .errors import BudgetExceeded, GridMagicError
 from .grid_core import GridSpec, cube_edges, cube_vertices, edge_rank, enumerate_cubes, vertex_rank
 from .labeling_nd import constructed_parts
-from .verifier import INT64_MAX, _parts, _report, _slab, part_sizes, verify_batch
+from .verifier import INT64_MAX, _report, _rows_slab, part_sizes, verify_batch
 
 MODES = ("vertex", "edge", "supermagic")
 # the verifier's name for each mode's labelings
@@ -150,7 +151,7 @@ def _cube_edge_ranks(spec: GridSpec) -> list[tuple[int, ...]]:
 
 def _disagreement(spec: GridSpec, mode: str, labels: np.ndarray, magic_sum: int) -> GridMagicError:
     """The error for a labeling the scan found magic but the batch check did not."""
-    report = _report(spec, _KIND[mode], [_slab(spec, *_parts(spec, _KIND[mode], labels))])
+    report = _report(spec, _KIND[mode], [_rows_slab(spec, _KIND[mode], labels)])
     return GridMagicError(
         f"oracle/verifier disagreement on a {mode} labeling: "
         f"scan sum {magic_sum}, verifier {report}"
@@ -195,16 +196,8 @@ def _label_pools(spec: GridSpec, mode: str) -> tuple[list[np.ndarray], np.ndarra
 @functools.lru_cache(maxsize=None)
 def _index_permutations(k: int) -> np.ndarray:
     """All k! permutations of range(k) in lexicographic order, one per column."""
-    table = np.zeros((1, 0), dtype=np.int64)
-    for m in range(1, k + 1):
-        # each leading index i, followed by every (m-1)-permutation of the rest
-        table = np.concatenate(
-            [
-                np.column_stack((np.full(len(table), i), np.delete(np.arange(m), i)[table]))
-                for i in range(m)
-            ]
-        )
-    columns = np.ascontiguousarray(table.T)
+    table = list(itertools.permutations(range(k)))
+    columns = np.array(table, dtype=np.int64).reshape(len(table), k).T.copy()
     columns.flags.writeable = False
     return columns
 

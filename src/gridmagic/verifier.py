@@ -13,21 +13,24 @@ edge array along the other d-1 axes sums the d * 2^(d-1) edges; adding
 the axis arrays as soon as their shapes agree lets later passes serve
 several axes, (d-1)(d+2)/2 passes in all.
 
-Every check runs through one core, `_scan`, which takes the labels a slab
-of leading rows at a time: the vertex rows and each axis's edge rows,
-either part left out for a kind that lacks it (`part_sizes` is the one
-table of each kind's parts and their lengths). A unit cube spans two
-consecutive leading rows, so the kernels sum the cubes inside each slab
-and, joined to the last row held back from the slab before, those on
-its seam. `verify_*` pass their whole arrays as one slab; `gridmagic
-verify` passes a document's lists as it parses them, and never holds
-them. The kernels pair over the trailing `spec.dim` axes only, so axes
-in front of the rows are a batch: a single labeling has none, and
-`verify_batch` checks m labelings, one per row, with one call per
-kernel. One min and one max per slab bound its cube sums (when max|label|
-times the labels per cube could pass 2^63 - 1, the kernels run unchanged
-on arrays of Python ints, so sums never wrap) and show whether every
-label lies in its part's range: [1, |V|] and [1, |E|], or
+Every check runs through one core, `_scan`, which takes the labels a
+slab of leading rows at a time: the vertex rows and each axis's edge
+rows, either part left out for a kind that lacks it (`part_sizes` is the
+one table of each kind's parts and their lengths). A unit cube spans two
+consecutive leading rows, so the kernels sum the m - 1 rows of cubes
+inside a slab of m rows and, joined to the last row held back from the
+slab before, those on its seam. `verify_*` pass their whole arrays as
+one slab, and `verify_batch` and the oracle pass their rows as one slab
+(`_rows_slab`). A document goes through the same slabs of leading rows
+whichever way it was read: `verify_document` cuts its arrays into them,
+and `gridmagic verify` takes them from the lists as it parses them, so
+it never holds them. The kernels pair over the trailing `spec.dim` axes
+only, so axes in front of the rows are a batch: a single labeling has
+none, and `verify_batch` checks m labelings, one per row, with one call
+per kernel. One min and one max per slab bound its cube sums (when
+max|label| times the labels per cube could pass 2^63 - 1, the kernels
+run unchanged on arrays of Python ints, so sums never wrap) and show
+whether every label lies in its part's range: [1, |V|] and [1, |E|], or
 [|V|+1, |V|+|E|] behind a vertex part. Labels outside it go to a spare
 slot, and one scatter per slab into a seen-mask of |V|+|E|+1 bytes per
 row decides bijectivity: a row is a bijection when all its other slots
@@ -184,21 +187,17 @@ def _mark(seen: np.ndarray, labels: np.ndarray, start: int, end: int, axis: int)
 def _cube_sums(spec: GridSpec, slab: Slab, axis: int, exact: bool) -> np.ndarray | None:
     """The sums of the cubes whose every label is in `slab`, None if there are none.
 
-    Leading rows run along `axis`. A cube on corner row r needs vertex
-    rows r and r+1, axis-1 edge row r and the other axes' edge rows r and
-    r+1. `exact` runs the kernels on Python ints.
+    Leading rows run along `axis`. A slab of m leading rows holds the m - 1
+    rows of cubes on its corner rows; the axis-1 edges of the last row of
+    a slab that is not the grid's last wait for the seam with the next.
+    `exact` runs the kernels on Python ints.
     """
     vertex, edges = slab
-    counts = [] if vertex is None else [vertex.shape[axis] - 1]
-    if edges is not None:
-        counts += [edges[0].shape[axis]] + [arr.shape[axis] - 1 for arr in edges[1:]]
-    cubes = min(counts)
+    cubes = (edges[1] if vertex is None else vertex).shape[axis] - 1
     if cubes <= 0:
         return None
-    head = (slice(None),) * axis
-    vertex = None if vertex is None else vertex[head + (slice(0, cubes + 1),)]
     if edges is not None:
-        edges = edges[0][head + (slice(0, cubes),)], *(arr[head + (slice(0, cubes + 1),)] for arr in edges[1:])
+        edges = edges[0][(slice(None),) * axis + (slice(0, cubes),)], *edges[1:]
     if exact:
         vertex, edges = _each(lambda arr: arr.astype(object), (vertex, edges))
     sums = None if vertex is None else cube_vertex_sums(vertex, spec)
@@ -253,15 +252,6 @@ def _scan(
     return bijective
 
 
-def _slab(spec: GridSpec, vertex: np.ndarray | None, edge: np.ndarray | None) -> Slab:
-    """Flat parts (..., |V|) and (..., |E|), or None, as one slab of every leading row."""
-    batch = (edge if vertex is None else vertex).shape[:-1]
-    return (
-        None if vertex is None else vertex.reshape(*batch, *spec.dims),
-        None if edge is None else split_edge_labels(spec, edge),
-    )
-
-
 def part_sizes(spec: GridSpec, kind: str) -> tuple[int, int]:
     """The lengths of the vertex and the edge part of a `kind` labeling, 0 for a part it lacks."""
     if kind not in KINDS:
@@ -271,12 +261,15 @@ def part_sizes(spec: GridSpec, kind: str) -> tuple[int, int]:
     return nv, ne
 
 
-def _parts(spec: GridSpec, kind: str, rows: np.ndarray) -> tuple[np.ndarray | None, ...]:
-    """The vertex and the edge part of (..., n) `rows` of `kind`, as views or None."""
+def _rows_slab(spec: GridSpec, kind: str, rows: np.ndarray) -> Slab:
+    """(..., n) `rows` of `kind` labels as one slab of every leading row, views of `rows`."""
     nv, ne = part_sizes(spec, kind)
     if rows.shape[-1:] != (nv + ne,):
         raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
-    return (rows[..., :nv] if nv else None), (rows[..., nv:] if ne else None)
+    return (
+        rows[..., :nv].reshape(*rows.shape[:-1], *spec.dims) if nv else None,
+        split_edge_labels(spec, rows[..., nv:]) if ne else None,
+    )
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -377,11 +370,11 @@ def verify_batch(
     each kernel the kind needs runs once for the whole batch.
     """
     rows = frozen_labels(rows)
-    vertex, edge = _parts(spec, kind, rows)
+    slab = _rows_slab(spec, kind, rows)
     if rows.ndim != 2:
         raise SpecMismatch(f"rows of shape {rows.shape} for {kind} labelings of {spec.dims}")
     found = []
-    bijective = _scan(spec, kind, [_slab(spec, vertex, edge)], found.append, rows.shape[:1])
+    bijective = _scan(spec, kind, [slab], found.append, rows.shape[:1])
     # numpy reduces short C-ordered rows slowly; column order is faster,
     # copy included
     sums = np.asfortranarray(found[0].reshape(len(rows), spec.cube_count))

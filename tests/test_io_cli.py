@@ -41,7 +41,9 @@ from gridmagic import (
     render,
     save,
     verify_document,
+    verify_edge_magic,
     verify_supermagic,
+    verify_vertex_magic,
 )
 from gridmagic import io_cli, verifier
 from gridmagic.io_cli import INT64_MAX, INT64_MIN, KINDS, _load_canonical, document_labeling
@@ -780,6 +782,10 @@ def slab_block(spec: GridSpec, rows: int) -> int:
     return rows * math.prod(spec.dims[1:])
 
 
+# the verifiers of whole labelings, which take every leading row as one slab
+WHOLE_VERIFIERS = {"vertex": verify_vertex_magic, "edge": verify_edge_magic, "total": verify_supermagic}
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_slab_reports_equal_whole_reports(monkeypatch, rows):
     from conftest import random_canonical_specs
@@ -789,8 +795,8 @@ def test_slab_reports_equal_whole_reports(monkeypatch, rows):
         kinds = KINDS if spec.dims in PINNED_SPECS else ("total",)
         for kind in kinds:
             doc = generate_document(spec.dims, kind)
-            whole = verify_document(doc)
-            assert verifier._report(spec, kind, io_cli._document_slabs(doc)) == whole
+            whole = WHOLE_VERIFIERS[kind](spec, document_labeling(doc))
+            assert verify_document(doc) == whole
             assert verifier._report(spec, kind, io_cli._constructed_slabs(spec, kind)) == whole
 
 
@@ -798,10 +804,15 @@ VERIFIED_FILES = sorted(Path("tests/fixtures").glob("*.json"))
 VERIFIED_DOCS = [((3, 5, 3), "total"), ((2, 3, 2, 4), "edge"), ((12, 10, 8, 7), "vertex"), ((7, 9), "total")]
 
 
+def refuse_canonical(handle):
+    raise io_cli._NotCanonical
+
+
 def verify_file(capsys, path, whole=False):
+    """`gridmagic verify` of `path`; with `whole`, the canonical reader refuses every file."""
     with pytest.MonkeyPatch.context() as patch:
         if whole:
-            patch.setattr(io_cli, "_verify_canonical", lambda handle: None)
+            patch.setattr(io_cli, "_canonical_lists", refuse_canonical)
         return run_cli(capsys, ["verify", str(path)])
 
 
@@ -818,6 +829,39 @@ def test_verify_files_match_load_and_verify_document(tmp_path, capsys, monkeypat
         monkeypatch.setattr(io_cli, "_WRITE_BLOCK", slab_block(spec, rows))
         with text_blocks(block):
             assert verify_file(capsys, path) == expected, path
+
+
+def reencodings(data: bytes) -> dict[str, bytes]:
+    """Valid JSON for the document in `data`, in two layouts other than `save`'s."""
+    payload = json.loads(data)
+    return {
+        "indented": json.dumps(payload, indent=1).encode(),
+        "keys reversed": json.dumps(dict(reversed(payload.items())), separators=(",", ":")).encode(),
+    }
+
+
+@pytest.mark.parametrize("dims", [(3, 5, 3), (2, 3, 2, 4)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_canonical_layouts_read_as_the_canonical_bytes(tmp_path, capsys, dims, kind):
+    doc = generate_document(dims, kind)
+    path = tmp_path / "doc.json"
+    path.write_bytes(save(doc))
+    expected = [run_cli(capsys, [*argv, str(path)]) for argv in (["verify"], ["render", "--style", "csv"])]
+    canonical_lists = io_cli._canonical_lists
+    for name, data in reencodings(save(doc)).items():
+        assert load(data) == doc, name
+        path.write_bytes(data)
+        reads = []
+
+        def counted(handle):
+            reads.append(handle)
+            return canonical_lists(handle)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_cli, "_canonical_lists", counted)
+            assert run_cli(capsys, ["verify", str(path)]) == expected[0], name
+        assert len(reads) == 1, name  # the fallback does not run the canonical reader again
+        assert run_cli(capsys, ["render", "--style", "csv", str(path)]) == expected[1], name
 
 
 def test_verify_reads_canonical_documents_without_loading_them(tmp_path, capsys, monkeypatch):

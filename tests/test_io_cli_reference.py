@@ -250,18 +250,23 @@ def test_one_byte_mutations_match_reference(text, data):
             assert outcome(load, mutated) == expected, block
 
 
+def _refuse_canonical(handle):
+    raise io_cli._NotCanonical
+
+
 
 def cli_verify(data: bytes, whole: bool = False) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of `gridmagic verify -` on `data`.
 
-    With `whole`, every input goes to `load` and `verify_document`, as it
-    did before canonical documents were read by list cursors.
+    With `whole`, the canonical reader refuses every input, so each is read
+    whole by json.loads and checked as `load` and `verify_document` do, as
+    it was before canonical documents were read by list cursors.
     """
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
         if whole:
-            patch.setattr(io_cli, "_verify_canonical", lambda handle: None)
+            patch.setattr(io_cli, "_canonical_lists", _refuse_canonical)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli(["verify", "-"])
     return code, out.getvalue(), err.getvalue()

@@ -197,6 +197,62 @@ def test_constructed_labelings_verify_and_match_predictions(dims):
     assert rv.matches_prediction and re_.matches_prediction and rt.matches_prediction
 
 
+def sweep(d: int) -> list[GridSpec]:
+    """Every grid of dimension d whose side k from the last runs over 4 values: 5..8, 9..12, ..."""
+    ranges = [range(4 * (d - k) + 1, 4 * (d - k) + 5) for k in range(d)]
+    return [GridSpec(dims) for dims in itertools.product(*ranges)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_closed_forms_are_certified_by_a_finite_sweep(d):
+    """The constructions attain `closed_form_sums` at every size of dimension d.
+
+    Write each side as n_k = 2m_k + r_k and each cube corner coordinate as
+    x_k = 2a_k + s_k. On a fixed residue class (r, s), every constructed
+    label is a polynomial of degree at most 1 in each m_k and each a_k:
+    the 2-d formulas are sums of products in which each variable occurs
+    once, and each lift adds s*t or s*(n-1-t) for a product s of earlier
+    sides. So every cube sum has the same degree bound, and so has
+    `closed_form_sums`, whose recurrence multiplies each side in once (the
+    second-difference test below pins that). Their difference, a
+    polynomial of degree at most 1 in each variable, vanishes everywhere
+    once it vanishes on a product of 2-point sets (Alon, "Combinatorial
+    Nullstellensatz", 1999, Lemma 2.1). The sweep gives each side two
+    values of each parity, and sides of at least 5 give each corner
+    coordinate 0..3, two values of each parity; so every magic sum the
+    sweep verifies holds at every size. Bijectivity is no polynomial
+    identity: it is checked here on the sweep only.
+    """
+    specs = sweep(d)
+    assert len(specs) == 4**d
+    for spec in specs:
+        predicted = closed_form_sums(spec)
+        f, g = build_labelings(spec)
+        reports = verify_vertex_magic(spec, f), verify_edge_magic(spec, g), verify_supermagic(
+            spec, combine_supermagic(f, g)
+        )
+        sums = predicted.c_vertex, predicted.c_edge, predicted.c_total
+        for report, want in zip(reports, sums):
+            assert (report.magic, report.bijective, report.magic_sum) == (True, True, want), (spec, report)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_closed_forms_have_degree_one_in_each_side_of_a_parity(d):
+    # from every base with each side's parity chosen, three sides n, n+2 and
+    # n+4 along one axis: a function of degree at most 1 in n_k // 2 has a
+    # zero second difference. Sides 8 apart keep the order canonical.
+    for residues in itertools.product((5, 6), repeat=d):
+        base = [8 * (d - 1 - k) + r for k, r in enumerate(residues)]
+        for k in range(d):
+            values = []
+            for step in (0, 2, 4):
+                dims = list(base)
+                dims[k] += step
+                sums = closed_form_sums(GridSpec(tuple(dims)))
+                values.append(np.array([sums.c_vertex, sums.c_edge, sums.c_total]))
+            assert (values[2] - 2 * values[1] + values[0] == 0).all(), (base, k)
+
+
 @pytest.mark.parametrize("dims", [(4, 3), (3, 3, 2)])
 def test_vectorized_sums_agree_with_plain_enumeration(dims):
     # the verifier sums by array slicing; re-derive per-cube sums one label
