@@ -11,9 +11,10 @@ checks a file's format version and stored permutation. Serialization is
 canonical (sorted keys, compact separators, newline-terminated), so
 identical documents are identical bytes and everything downstream can be
 diffed. One reader recognizes bytes in exactly `save`'s layout for
-`load`, `verify` and `render`, and its list cursors parse a block of text
-at a time; any other valid JSON goes to the general `json` parser. Both
-give the same document, or the same error, for the same input.
+`load`, `verify` and `render`, and parses each label list as runs, the
+text of one slab's values each; any other valid JSON goes to the general
+`json` parser. Both give the same document, or the same error, for the
+same input.
 
 Text is written by one numpy table writer a slab of leading rows at a
 time: `save`, the command line's `generate` and every render style put
@@ -27,8 +28,8 @@ The CLI ties it together: generate, verify, predict, search, render,
 cover. Neither `generate` nor `verify` holds a document's label arrays.
 `generate` builds its text from the closed forms a slab at a time
 (`labeling_rows`), so it holds the text alone; `verify` of a document in
-`save`'s layout parses the vertex list and each axis's block of the edge
-list with their own cursors, a slab at a time, so it holds a seen mask of
+`save`'s layout parses a slab's runs of the vertex list and of each axis's
+block of the edge list as it comes to them, so it holds a seen mask of
 one byte per label and a slab. `generate` and `render` write their output
 only once all of it is built, so a refused command leaves no partial
 file. Exit codes: 0 ok (and magic+bijective for verify), 1 verification
@@ -156,7 +157,7 @@ class LabelingDocument:
 # columns, and blocks of different widths join into the same text.
 
 _INT64_DIGITS = 19  # digits of 2**63, the largest int64 magnitude
-_PARSE_BLOCK = 2**18  # bytes of a label list parsed per pass, cut at the next comma
+_PARSE_BLOCK = 2**18  # bytes of a label list that `_list_extent` scans per pass
 # Table rows written per pass, and labels of each list per slab, in whole
 # steps of the leading axis. Every list of a ~3e4-label document still
 # fits in one; at 577x577 a slab is 28 rows, whose transient arrays add
@@ -378,12 +379,14 @@ def _constructed_slabs(spec: GridSpec, kind: str) -> Iterator[Slab]:
 
 
 def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray | None:
-    """The canonical values of non-empty `data[start:stop]`, parsed into the front of `out`.
+    """The canonical values of `data[start:stop]`, parsed into the front of `out`.
 
     Without `out` they go to a new array. None, with `out` in any state,
-    if the piece is not canonical.
+    if the piece is empty or not canonical.
     """
     text = np.frombuffer(data, np.uint8, stop - start, start)
+    if not text.size:
+        return None
     # digit values after 19 zeros, so a gather at ends - k never runs off the front
     padded = np.zeros(_INT64_DIGITS + text.size, np.uint8)
     digits = padded[_INT64_DIGITS:]
@@ -423,13 +426,14 @@ def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None
 # --- reading a document in save's layout ------------------------------
 #
 # One reader recognizes `save`'s layout, for `load`, `gridmagic verify` and
-# `gridmagic render`. One pass over the file counts the commas of both
-# label lists and finds where each axis's block of the edge list starts;
-# then list cursors parse the lists a piece at a time. `load` has them fill
-# the label arrays, and `verify` takes their values a slab of leading rows
-# at a time, so it never holds the arrays. Anything the reader refuses goes
-# to json.loads, so documents, reports, messages and exit codes do not
-# depend on the path.
+# `gridmagic render`. One pass over each label list counts its commas and
+# marks where every run ends: a run is the text of one slab's values (of
+# `_slab_ranges`) in one list, and the edge list holds each axis's block of
+# runs in turn. Each run is then parsed alone. `load` parses each list's
+# runs into its label array in text order, and `verify` parses a slab's
+# runs as it takes them, so it never holds the arrays. Anything the reader
+# refuses goes to json.loads, so documents, reports, messages and exit
+# codes do not depend on the path.
 
 _CANONICAL_HEAD = re.compile(
     rb'\{"axis_permutation":\[([-,0-9]*)\],"dims":\[([-,0-9]*)\],"edge_labels":\['
@@ -447,52 +451,6 @@ class _NotCanonical(Exception):
 def _read_at(handle: BinaryIO, start: int, size: int) -> bytes:
     handle.seek(start)
     return handle.read(size)
-
-
-class _ListCursor:
-    """The values of the canonical int list body in bytes [start, stop) of a file, in order.
-
-    The body is read a piece at a time, cut at the first comma at least
-    `_PARSE_BLOCK` bytes on.
-    """
-
-    def __init__(self, handle: BinaryIO, start: int, stop: int):
-        self.handle, self.pos, self.stop = handle, start, stop
-        self.held = np.empty(0, np.int64)  # parsed, not yet taken
-
-    def take(self, count: int) -> np.ndarray:
-        """The next `count` values."""
-        taken = []
-        while count > len(self.held):
-            taken.append(self.held)
-            count -= len(self.held)
-            self.held = self._piece()
-        taken.append(self.held[:count])
-        self.held = self.held[count:]
-        return taken[0] if len(taken) == 1 else np.concatenate(taken)
-
-    def fill(self, out: np.ndarray) -> None:
-        """Parse the rest of the list into the 1-d `out`, which holds exactly that many values."""
-        done = 0
-        while done < len(out):
-            done += len(self._piece(out[done:]))
-
-    def _piece(self, out: np.ndarray | None = None) -> np.ndarray:
-        if self.pos >= self.stop:
-            raise _NotCanonical
-        # a canonical value and its comma take at most _INT64_DIGITS + 2 bytes
-        data = _read_at(self.handle, self.pos, min(_PARSE_BLOCK + _INT64_DIGITS + 2, self.stop - self.pos))
-        cut = data.find(b",", min(_PARSE_BLOCK, len(data)))
-        if cut < 0 and self.pos + len(data) < self.stop:
-            raise _NotCanonical
-        cut = len(data) if cut < 0 else cut
-        values = _int64_list_piece(data, 0, cut, out)
-        if values is None:
-            raise _NotCanonical
-        self.pos += cut + 1
-        if self.pos == self.stop:  # a comma at the very end leaves an empty last value
-            raise _NotCanonical
-        return values
 
 
 def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[int, int, list[int]]:
@@ -524,24 +482,53 @@ def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[in
         pos += len(data)
 
 
+# a run: the byte span [start, stop) of one slab's values in one list, and their shape
+_Run = tuple[int, int, tuple[int, ...]]
+
+
+def _list_runs(handle: BinaryIO, start: int, shapes: Sequence[tuple[int, ...]]) -> tuple[int, int, list[_Run]]:
+    """Where the list body from byte `start` ends (its `]`), its value count, and its runs.
+
+    The list holds the values of each of `shapes` in turn, one run each, so
+    a mark comma ends every run but the last. A run of no values lies
+    between two marks on one comma: its stop is its start - 1. A list too
+    short for `shapes` gives fewer runs.
+    """
+    ends = list(itertools.accumulate(map(math.prod, shapes)))
+    stop, count, commas = _list_extent(handle, start, ends[:-1])
+    return stop, count, list(zip([start, *(c + 1 for c in commas)], [*commas, stop], shapes))
+
+
+def _run_values(handle: BinaryIO, run: _Run, out: np.ndarray | None = None) -> np.ndarray:
+    """The values of `run` in its shape, parsed into the front of the 1-d `out` if one is given."""
+    start, stop, shape = run
+    if stop < start:  # no values, and read(-1) would read to the end of the file
+        return np.empty(shape, np.int64)
+    values = _int64_list_piece(_read_at(handle, start, stop - start), 0, stop - start, out)
+    if values is None:
+        raise _NotCanonical
+    return values.reshape(shape)
+
+
 def _canonical_lists(
     handle: BinaryIO,
-) -> tuple[tuple[int, ...], GridSpec, str, _ListCursor | None, list[_ListCursor]]:
-    """The caller dims, spec and kind of a document in exactly `save`'s layout, and its list cursors.
+) -> tuple[tuple[int, ...], GridSpec, str, list[_Run], list[list[_Run]]]:
+    """The caller dims, spec and kind of a document in exactly `save`'s layout, and its runs.
 
-    The cursors are one on the vertex list (None if it is empty) and one on
-    each axis's block of the edge list (none if it is empty). Raises
-    `_NotCanonical` for anything else, and so does a cursor that meets a
-    value `save` would not write. Each check `load` makes passes here or
-    sends the document back, and every list length is checked before a
-    caller allocates for it.
+    The runs are those of the vertex list, one per slab of `_slab_ranges`,
+    and per axis those of its block of the edge list, one per slab; none
+    for a list the kind leaves empty. Raises `_NotCanonical` for anything
+    else, and so does `_run_values` on a run that holds a value `save`
+    would not write. Each check `load` makes passes here or sends the
+    document back, and every list length is checked before a caller
+    allocates for it.
     """
     # the head of any grid GridSpec admits, at most 62 axes, fits in 4 KiB
     head = _CANONICAL_HEAD.match(_read_at(handle, 0, 4096))
     if head is None:
         raise _NotCanonical
-    # an empty list is no piece; `LabelingDocument` refuses empty dims
-    perm, dims = (_int64_list_piece(head.string, *head.span(k)) if head[k] else None for k in (1, 2))
+    # `LabelingDocument` refuses empty dims, and `_int64_list_piece` an empty list
+    perm, dims = (_int64_list_piece(head.string, *head.span(k)) for k in (1, 2))
     if perm is None or dims is None:
         raise _NotCanonical
     dims = tuple(dims.tolist())
@@ -551,36 +538,35 @@ def _canonical_lists(
         raise _NotCanonical from None
     if tuple(perm.tolist()) != want:
         raise _NotCanonical
-    sizes = [math.prod(shape) for shape in spec.edge_shapes]
-    edge_stop, ne, splits = _list_extent(handle, head.end(), list(itertools.accumulate(sizes[:-1])))
+    slabs = list(_slab_ranges(spec))
+    axes = list(zip(*(edge_row_shapes(spec, rows) for rows in slabs)))  # per axis, its shape in each slab
+    edge_stop, ne, edges = _list_runs(handle, head.end(), list(itertools.chain(*axes)))
     middle = _CANONICAL_MIDDLE.match(_read_at(handle, edge_stop, 64))  # 54 to 56 bytes
     if middle is None:
         raise _NotCanonical
     kind = middle[1].decode()
     vertex_start = edge_stop + middle.end()
-    vertex_stop, nv, _ = _list_extent(handle, vertex_start, ())
+    vertex_stop, nv, vertex = _list_runs(handle, vertex_start, [(len(rows), *spec.dims[1:]) for rows in slabs])
     if _read_at(handle, vertex_stop, 4) not in (b"]}", b"]}\n") or (nv, ne) != part_sizes(spec, kind):
         raise _NotCanonical
-    vertex = _ListCursor(handle, vertex_start, vertex_stop) if nv else None
-    bounds = zip([head.end(), *(p + 1 for p in splits)], [*splits, edge_stop])
-    edges = [_ListCursor(handle, start, stop) for start, stop in bounds] if ne else []
-    return dims, spec, kind, vertex, edges
+    per_axis = [edges[k : k + len(slabs)] for k in range(0, len(edges), len(slabs))] if ne else []
+    return dims, spec, kind, vertex if nv else [], per_axis
 
 
 def _load_canonical(handle: BinaryIO) -> LabelingDocument | None:
     """The document in exactly `save`'s layout in `handle`, else None.
 
-    A cursor parses each list straight into the document's label array.
-    The axis blocks of the edge list follow one another in the text as in
-    the array, so one cursor spans them all.
+    Each list's runs are parsed in text order straight into its label
+    array, each after the run before it; the edge list holds each axis's
+    block in turn, as the array does.
     """
     try:
         dims, spec, kind, vertex, edges = _canonical_lists(handle)
         vertex_labels, edge_labels = (np.empty(n, np.int64) for n in part_sizes(spec, kind))
-        if vertex is not None:
-            vertex.fill(vertex_labels)
-        if edges:
-            _ListCursor(handle, edges[0].pos, edges[-1].stop).fill(edge_labels)
+        for runs, labels in ((vertex, vertex_labels), (itertools.chain(*edges), edge_labels)):
+            done = 0
+            for run in runs:
+                done += _run_values(handle, run, labels[done:]).size
     except _NotCanonical:
         return None
     return LabelingDocument(dims, kind, vertex_labels, edge_labels)
@@ -626,12 +612,13 @@ def _int64_array(raw: object, key: str) -> np.ndarray:
 def load(data: bytes | str) -> LabelingDocument:
     """Parse a document produced by `save`.
 
-    Bytes in exactly `save`'s layout are read by the list cursors that
-    `gridmagic verify` uses, each parsing blocks of about `_PARSE_BLOCK`
-    bytes into its slice of the label arrays, so memory stays near the size
-    of the labels; any other input goes to `_json_document`. The cursors
-    refuse whatever json.loads would read differently or `load` would
-    refuse, so the result, or the error, does not depend on the path.
+    Bytes in exactly `save`'s layout are read as the runs that `gridmagic
+    verify` reads, the text of one slab's values each, and each run is
+    parsed straight into its slice of the label arrays, so memory stays
+    near the size of the labels; any other input goes to `_json_document`.
+    The runs are refused for whatever json.loads would read differently or
+    `load` would refuse, so the result, or the error, does not depend on
+    the path.
     """
     doc = _load_canonical(io.BytesIO(data)) if isinstance(data, bytes) else None
     return _json_document(data) if doc is None else doc
@@ -692,19 +679,6 @@ def _document_file(path: str) -> Iterator[BinaryIO]:
         return
     with open(path, "rb") as handle:
         yield handle if handle.seekable() else io.BytesIO(handle.read())
-
-
-def _cursor_slabs(spec: GridSpec, vertex: _ListCursor | None, edges: list[_ListCursor]) -> Iterator[Slab]:
-    """The slabs of `_slab_ranges` from the list cursors."""
-    for rows in _slab_ranges(spec):
-        shape = (len(rows), *spec.dims[1:])
-        yield (
-            None if vertex is None else vertex.take(math.prod(shape)).reshape(shape),
-            None if not edges else tuple(
-                cursor.take(math.prod(shape)).reshape(shape)
-                for cursor, shape in zip(edges, edge_row_shapes(spec, rows))
-            ),
-        )
 
 
 def _to_canonical_coord(doc: LabelingDocument, coord: Sequence[int]) -> tuple[int, ...]:
@@ -933,7 +907,13 @@ def _cmd_verify(args) -> int:
     with _document_file(args.file) as handle:
         try:
             dims, spec, kind, vertex, edges = _canonical_lists(handle)
-            report = _report(spec, kind, _cursor_slabs(spec, vertex, edges))
+            parse = functools.partial(_run_values, handle)
+            # slab k: the k-th vertex run and the k-th run of each axis's edge block
+            slabs = (
+                (parse(vertex[k]) if vertex else None, tuple(parse(axis[k]) for axis in edges) if edges else None)
+                for k in range(len(vertex or edges[0]))
+            )
+            report = _report(spec, kind, slabs)
         except _NotCanonical:  # any other input: read whole, by the JSON reader alone
             handle.seek(0)
             doc = _json_document(handle.read())

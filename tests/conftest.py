@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,11 @@ def text_blocks(size: int | None):
             patch.setattr(io_cli, "_PARSE_BLOCK", size)
             patch.setattr(io_cli, "_WRITE_BLOCK", size)
         yield
+
+
+def slab_block(spec: GridSpec, rows: int) -> int:
+    """The `_WRITE_BLOCK` that makes slabs of `rows` leading rows of `spec`."""
+    return rows * math.prod(spec.dims[1:])
 
 
 def random_canonical_specs(

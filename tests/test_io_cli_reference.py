@@ -14,9 +14,10 @@ of several faults is reported first is not part of the format.
 
 The array codec parses and writes in blocks, so each comparison also runs
 with block sizes small enough to put block boundaries between list items.
-`gridmagic verify` reads canonical documents through list cursors, and
-must print and exit exactly as `load` followed by `verify_document` does,
-on every document and every one-byte mutation of one. `reference_list_extent`
+`gridmagic verify` reads canonical documents as runs, the text of one
+slab's values in one list each, and must print and exit exactly as `load`
+followed by `verify_document` does, on every document and every one-byte
+mutation of one, and on a bad value at either edge of any run. `reference_list_extent`
 is the list extent as it was before the mark search looked only in the
 4 KiB block that holds each mark.
 """
@@ -27,11 +28,12 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
-from conftest import PINNED_SPECS, TEXT_BLOCKS, text_blocks
+from conftest import PINNED_SPECS, TEXT_BLOCKS, slab_block, text_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,7 +262,7 @@ def cli_verify(data: bytes, whole: bool = False) -> tuple[int, str, str]:
 
     With `whole`, the canonical reader refuses every input, so each is read
     whole by json.loads and checked as `load` and `verify_document` do, as
-    it was before canonical documents were read by list cursors.
+    it was before canonical documents were read as runs.
     """
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
@@ -289,6 +291,50 @@ def test_verify_matches_load_and_verify_document(text):
     for block in TEXT_BLOCKS:
         with text_blocks(block):
             assert cli_verify(text) == expected, block
+
+
+# A value that save never writes, in place of a value `v` of the text.
+BAD_VALUES = {
+    "empty": lambda v: b"",
+    "-0": lambda v: b"-0",
+    "leading zero": lambda v: b"0" + v,
+    "trailing comma": lambda v: v + b",",  # before `]` at the end of a list
+}
+
+
+@pytest.mark.parametrize("dims", [(5, 3, 3), (4, 2)])
+def test_bad_values_at_run_edges_match_reference(monkeypatch, dims):
+    # every leading row a slab of its own: a (5, 3, 3) list's runs hold 9
+    # vertex labels each, 9 axis-1 edge labels (none in the last row) and 6
+    # of either other axis; a (4, 2) axis-2 run holds one label, so an empty
+    # value there is an empty run
+    doc = generate_document(dims, "total")
+    spec = doc.spec
+    monkeypatch.setattr(io_cli, "_WRITE_BLOCK", slab_block(spec, 1))
+    data = save(doc)
+    assert _load_canonical(io.BytesIO(data)) == doc  # the run of no values is read as none
+    # per list, the value count of each run in text order: the edges axis by axis
+    runs = {
+        b'"vertex_labels":[': [math.prod(spec.dims[1:])] * spec.dims[0],
+        b'"edge_labels":[': [
+            math.prod(shape[1:]) * (row < shape[0]) for shape in spec.edge_shapes for row in range(spec.dims[0])
+        ],
+    }
+    for key, counts in runs.items():
+        start = data.index(key) + len(key)
+        values = data[start : data.index(b"]", start)].split(b",")
+        offsets = list(itertools.accumulate([start] + [len(v) + 1 for v in values]))
+        assert sum(counts) == len(values)
+        first = 0
+        for count in counts:
+            for i in sorted({first, first + count - 1}) if count else ():
+                for name, bad in BAD_VALUES.items():
+                    mutated = data[: offsets[i]] + bad(values[i]) + data[offsets[i] + len(values[i]) :]
+                    where = (key, i, name)
+                    assert _load_canonical(io.BytesIO(mutated)) is None, where
+                    assert outcome(load, mutated) == outcome(reference_load, mutated), where
+                    assert cli_verify(mutated) == cli_verify(mutated, whole=True), where
+            first += count
 
 
 @pytest.mark.parametrize("dims", PINNED_SPECS)

@@ -212,7 +212,7 @@ def test_closed_forms_are_certified_by_a_finite_sweep(d):
     label is a polynomial of degree at most 1 in each m_k and each a_k:
     the 2-d formulas are sums of products in which each variable occurs
     once, and each lift adds s*t or s*(n-1-t) for a product s of earlier
-    sides. So every cube sum has the same degree bound, and so has
+    sides (the label degree test below pins that). So every cube sum has the same degree bound, and so has
     `closed_form_sums`, whose recurrence multiplies each side in once (the
     second-difference test below pins that). Their difference, a
     polynomial of degree at most 1 in each variable, vanishes everywhere
@@ -251,6 +251,39 @@ def test_closed_forms_have_degree_one_in_each_side_of_a_parity(d):
                 sums = closed_form_sums(GridSpec(tuple(dims)))
                 values.append(np.array([sums.c_vertex, sums.c_edge, sums.c_total]))
             assert (values[2] - 2 * values[1] + values[0] == 0).all(), (base, k)
+
+
+# Bases whose sides lie at least 4 apart, so that any side may grow by 4
+# and the dims stay canonical; each axis meets sides of both parities.
+DEGREE_BASES = [(30, 12), (29, 17), (26, 15, 9), (33, 20, 11), (36, 24, 14, 8), (41, 29, 19, 9)]
+
+
+def constructed_label_arrays(dims: tuple[int, ...], rows: range | None = None) -> list[np.ndarray]:
+    """The constructed vertex labels and each axis's edge labels of `dims`, of leading rows `rows`."""
+    spec = GridSpec(dims)
+    f, g = labeling_rows(spec, range(dims[0]) if rows is None else rows)
+    return [f.grid, *g.per_axis]
+
+
+@pytest.mark.parametrize("base", DEGREE_BASES)
+def test_constructed_labels_have_degree_one_in_each_half_side_and_coordinate(base):
+    # the bound the sweep's certificate rests on: on a residue class of
+    # sides and coordinates, every vertex and edge label is of degree at
+    # most 1 in each half-coordinate a_k and each half-side m_k, so its
+    # step-2 second difference is zero along every coordinate, from either
+    # parity, and along every side n_k, n_k + 2, n_k + 4 on the corner box
+    for arr in constructed_label_arrays(base):
+        for k in range(arr.ndim):
+            x = np.moveaxis(arr, k, 0)
+            assert not (x[4:] - 2 * x[2:-2] + x[:-4]).any(), (base, arr.shape, k)
+    corner = (slice(0, 5),) * len(base)
+    for k in range(len(base)):
+        grown = []
+        for step in (0, 2, 4):
+            dims = base[:k] + (base[k] + step,) + base[k + 1 :]
+            grown.append([arr[corner] for arr in constructed_label_arrays(dims, range(5))])
+        for at_n, at_n2, at_n4 in zip(*grown):
+            assert not (at_n4 - 2 * at_n2 + at_n).any(), (base, k)
 
 
 @pytest.mark.parametrize("dims", [(4, 3), (3, 3, 2)])
