@@ -11,10 +11,12 @@ checks a file's format version and stored permutation. Serialization is
 canonical (sorted keys, compact separators, newline-terminated), so
 identical documents are identical bytes and everything downstream can be
 diffed. One reader recognizes bytes in exactly `save`'s layout for
-`load`, `verify` and `render`, and parses each label list as runs, the
-text of one slab's values each; any other valid JSON goes to the general
-`json` parser. Both give the same document, or the same error, for the
-same input.
+`load`, `verify` and `render`, and gives each slab's runs, the text of
+its values in each label list, in the shape of a slab of labels; `load`
+parses them into that slab's views of its label arrays, and `verify`
+into the slab it scans. Any other valid JSON goes to the general `json`
+parser. Both give the same document, or the same error, for the same
+input.
 
 Text is written by one numpy table writer a slab of leading rows at a
 time: `save`, the command line's `generate` and every render style put
@@ -86,7 +88,7 @@ from .labeling_2d import (
 )
 from .labeling_nd import TotalLabeling, constructed_parts, labeling_rows, total_labeling_from_flats
 from .oracle import DEFAULT_MAX_ASSIGNMENTS, MODES, SearchBudget, exhaustive_search
-from .verifier import KINDS, MagicReport, Slab, _report, closed_form_sums, part_sizes
+from .verifier import KINDS, MagicReport, Slab, _each, _report, closed_form_sums, part_sizes
 
 FORMAT_VERSION = "1"
 STYLES = ("tikz2d", "tikz3d", "dot", "csv")
@@ -349,16 +351,18 @@ def _csv_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray
     return items
 
 
+def _slabs(spec: GridSpec, kind: str, vertex: np.ndarray, edge: np.ndarray) -> Iterator[Slab]:
+    """The `kind` labels of the flat `vertex` and `edge` arrays as slabs of `_slab_ranges`, views of them."""
+    whole = (
+        None if kind == "edge" else vertex.reshape(spec.dims),
+        None if kind == "vertex" else split_edge_labels(spec, edge),
+    )
+    return (_each(lambda arr: arr[rows.start : rows.stop], whole) for rows in _slab_ranges(spec))
+
+
 def _document_slabs(doc: LabelingDocument) -> Iterator[Slab]:
     """The document's labels as slabs of `_slab_ranges`, views of its arrays."""
-    spec = doc.spec
-    vertex = None if doc.kind == "edge" else doc.vertex_labels.reshape(spec.dims)
-    edges = None if doc.kind == "vertex" else split_edge_labels(spec, doc.edge_labels)
-    for rows in _slab_ranges(spec):
-        yield (
-            None if vertex is None else vertex[rows.start : rows.stop],
-            None if edges is None else tuple(arr[rows.start : rows.stop] for arr in edges),
-        )
+    return _slabs(doc.spec, doc.kind, doc.vertex_labels, doc.edge_labels)
 
 
 def _document_extremes(doc: LabelingDocument) -> tuple[np.ndarray, np.ndarray]:
@@ -378,13 +382,13 @@ def _constructed_slabs(spec: GridSpec, kind: str) -> Iterator[Slab]:
         yield (None if kind == "edge" else f.grid), (None if kind == "vertex" else edges)
 
 
-def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray | None:
-    """The canonical values of `data[start:stop]`, parsed into the front of `out`.
+def _int64_list_piece(data: bytes, out: np.ndarray | None = None) -> np.ndarray | None:
+    """The canonical values of the comma-separated `data`, parsed into the front of the 1-d `out`.
 
     Without `out` they go to a new array. None, with `out` in any state,
     if the piece is empty or not canonical.
     """
-    text = np.frombuffer(data, np.uint8, stop - start, start)
+    text = np.frombuffer(data, np.uint8)
     if not text.size:
         return None
     # digit values after 19 zeros, so a gather at ends - k never runs off the front
@@ -429,11 +433,11 @@ def _int64_list_piece(data: bytes, start: int, stop: int, out: np.ndarray | None
 # `gridmagic render`. One pass over each label list counts its commas and
 # marks where every run ends: a run is the text of one slab's values (of
 # `_slab_ranges`) in one list, and the edge list holds each axis's block of
-# runs in turn. Each run is then parsed alone. `load` parses each list's
-# runs into its label array in text order, and `verify` parses a slab's
-# runs as it takes them, so it never holds the arrays. Anything the reader
-# refuses goes to json.loads, so documents, reports, messages and exit
-# codes do not depend on the path.
+# runs in turn. The runs go out a slab at a time, shaped as a `Slab`, and
+# each is parsed alone: `load` into the slab's views of its label arrays,
+# `verify` as it takes the slab, so it never holds the arrays. Anything the
+# reader refuses goes to json.loads, so documents, reports, messages and
+# exit codes do not depend on the path.
 
 _CANONICAL_HEAD = re.compile(
     rb'\{"axis_permutation":\[([-,0-9]*)\],"dims":\[([-,0-9]*)\],"edge_labels":\['
@@ -467,7 +471,7 @@ def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[in
         end = data.find(b"]")
         comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
         count = np.count_nonzero(comma)
-        here = [m - commas for m in marks[len(found) :] if m - commas <= count]
+        here = [m - commas for m in marks[len(found) : bisect.bisect_right(marks, commas + count, len(found))]]
         if here:  # each mark found among the commas of the 4 KiB block that holds it
             full = comma[: len(comma) // 4096 * 4096].reshape(-1, 4096)
             reached = [0, *np.cumsum(full.sum(axis=1, dtype=np.uint16)).tolist()]
@@ -500,11 +504,11 @@ def _list_runs(handle: BinaryIO, start: int, shapes: Sequence[tuple[int, ...]]) 
 
 
 def _run_values(handle: BinaryIO, run: _Run, out: np.ndarray | None = None) -> np.ndarray:
-    """The values of `run` in its shape, parsed into the front of the 1-d `out` if one is given."""
+    """The values of `run` in its shape, parsed into the contiguous `out` of that shape if one is given."""
     start, stop, shape = run
     if stop < start:  # no values, and read(-1) would read to the end of the file
         return np.empty(shape, np.int64)
-    values = _int64_list_piece(_read_at(handle, start, stop - start), 0, stop - start, out)
+    values = _int64_list_piece(_read_at(handle, start, stop - start), None if out is None else out.reshape(-1))
     if values is None:
         raise _NotCanonical
     return values.reshape(shape)
@@ -512,23 +516,23 @@ def _run_values(handle: BinaryIO, run: _Run, out: np.ndarray | None = None) -> n
 
 def _canonical_lists(
     handle: BinaryIO,
-) -> tuple[tuple[int, ...], GridSpec, str, list[_Run], list[list[_Run]]]:
+) -> tuple[tuple[int, ...], GridSpec, str, list[tuple[_Run | None, tuple[_Run, ...] | None]]]:
     """The caller dims, spec and kind of a document in exactly `save`'s layout, and its runs.
 
-    The runs are those of the vertex list, one per slab of `_slab_ranges`,
-    and per axis those of its block of the edge list, one per slab; none
-    for a list the kind leaves empty. Raises `_NotCanonical` for anything
-    else, and so does `_run_values` on a run that holds a value `save`
-    would not write. Each check `load` makes passes here or sends the
-    document back, and every list length is checked before a caller
-    allocates for it.
+    The runs come one entry per slab of `_slab_ranges`, shaped as a `Slab`:
+    the slab's run of the vertex list, then its run in each axis's block of
+    the edge list, None for a list the kind leaves empty. Raises
+    `_NotCanonical` for anything else, and so does `_run_values` on a run
+    that holds a value `save` would not write. Each check `load` makes
+    passes here or sends the document back, and every list length is
+    checked before a caller allocates for it.
     """
     # the head of any grid GridSpec admits, at most 62 axes, fits in 4 KiB
     head = _CANONICAL_HEAD.match(_read_at(handle, 0, 4096))
     if head is None:
         raise _NotCanonical
     # `LabelingDocument` refuses empty dims, and `_int64_list_piece` an empty list
-    perm, dims = (_int64_list_piece(head.string, *head.span(k)) for k in (1, 2))
+    perm, dims = (_int64_list_piece(head[k]) for k in (1, 2))
     if perm is None or dims is None:
         raise _NotCanonical
     dims = tuple(dims.tolist())
@@ -549,27 +553,24 @@ def _canonical_lists(
     vertex_stop, nv, vertex = _list_runs(handle, vertex_start, [(len(rows), *spec.dims[1:]) for rows in slabs])
     if _read_at(handle, vertex_stop, 4) not in (b"]}", b"]}\n") or (nv, ne) != part_sizes(spec, kind):
         raise _NotCanonical
-    per_axis = [edges[k : k + len(slabs)] for k in range(0, len(edges), len(slabs))] if ne else []
-    return dims, spec, kind, vertex if nv else [], per_axis
+    n = len(slabs)
+    return dims, spec, kind, [(vertex[k] if nv else None, tuple(edges[k::n]) if ne else None) for k in range(n)]
 
 
 def _load_canonical(handle: BinaryIO) -> LabelingDocument | None:
     """The document in exactly `save`'s layout in `handle`, else None.
 
-    Each list's runs are parsed in text order straight into its label
-    array, each after the run before it; the edge list holds each axis's
-    block in turn, as the array does.
+    Each slab's runs are parsed straight into that slab's views of the
+    label arrays (`_slabs`), the cut `verify_document` scans.
     """
     try:
-        dims, spec, kind, vertex, edges = _canonical_lists(handle)
-        vertex_labels, edge_labels = (np.empty(n, np.int64) for n in part_sizes(spec, kind))
-        for runs, labels in ((vertex, vertex_labels), (itertools.chain(*edges), edge_labels)):
-            done = 0
-            for run in runs:
-                done += _run_values(handle, run, labels[done:]).size
+        dims, spec, kind, runs = _canonical_lists(handle)
+        vertex, edge = (np.empty(n, np.int64) for n in part_sizes(spec, kind))
+        for slab, views in zip(runs, _slabs(spec, kind, vertex, edge)):
+            _each(functools.partial(_run_values, handle), slab, views)
     except _NotCanonical:
         return None
-    return LabelingDocument(dims, kind, vertex_labels, edge_labels)
+    return LabelingDocument(dims, kind, vertex, edge)
 
 
 def _json_payload(data: bytes | str) -> object:
@@ -613,8 +614,8 @@ def load(data: bytes | str) -> LabelingDocument:
     """Parse a document produced by `save`.
 
     Bytes in exactly `save`'s layout are read as the runs that `gridmagic
-    verify` reads, the text of one slab's values each, and each run is
-    parsed straight into its slice of the label arrays, so memory stays
+    verify` reads, a slab's values of one list each, and each slab's runs
+    are parsed straight into its views of the label arrays, so memory stays
     near the size of the labels; any other input goes to `_json_document`.
     The runs are refused for whatever json.loads would read differently or
     `load` would refuse, so the result, or the error, does not depend on
@@ -634,12 +635,14 @@ def _json_document(data: bytes | str) -> LabelingDocument:
         missing = expected - set(payload)
         extra = set(payload) - expected
         raise ParseError(f"bad document keys: missing {sorted(missing)}, unknown {sorted(extra)}")
-    keys = ("dims", "axis_permutation", "vertex_labels", "edge_labels")
-    dims, perm, vertex, edge = (_int64_array(payload[key], key) for key in keys)
+    keys = ("dims", "vertex_labels", "edge_labels")
+    dims, vertex, edge = (_int64_array(payload[key], key) for key in keys)
     version, kind = payload["format_version"], payload["kind"]
     if version != FORMAT_VERSION:  # a JSON value equals the str only if it is that str
         raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
     doc = LabelingDocument(tuple(dims.tolist()), kind, vertex, edge)
+    # the permutation last, its type too: a wrong length is the error reported first
+    perm = _int64_array(payload["axis_permutation"], "axis_permutation")
     if tuple(perm.tolist()) != doc.axis_permutation:
         raise ParseError(f"axis_permutation inconsistent with dims, want {list(doc.axis_permutation)}")
     return doc
@@ -906,14 +909,9 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     with _document_file(args.file) as handle:
         try:
-            dims, spec, kind, vertex, edges = _canonical_lists(handle)
+            dims, spec, kind, runs = _canonical_lists(handle)
             parse = functools.partial(_run_values, handle)
-            # slab k: the k-th vertex run and the k-th run of each axis's edge block
-            slabs = (
-                (parse(vertex[k]) if vertex else None, tuple(parse(axis[k]) for axis in edges) if edges else None)
-                for k in range(len(vertex or edges[0]))
-            )
-            report = _report(spec, kind, slabs)
+            report = _report(spec, kind, (_each(parse, slab) for slab in runs))
         except _NotCanonical:  # any other input: read whole, by the JSON reader alone
             handle.seek(0)
             doc = _json_document(handle.read())

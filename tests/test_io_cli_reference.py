@@ -386,15 +386,18 @@ MARK_OFFSETS = {
     "last byte before the bracket": [CHUNK + 9999],
     "all of them": [0, 4096, 3 * 4096, 5 * 4096 - 1, 7 * 4096 + 10, 7 * 4096 + 11, CHUNK - 1,
                     CHUNK, CHUNK + 4095, CHUNK + 9999],
+    "in each of four chunks": [10, 4096, CHUNK - 1, CHUNK + 4096, 2 * CHUNK, 2 * CHUNK + 9000,
+                               3 * CHUNK + 1, 3 * CHUNK + 9999],
 }
 
 
 @pytest.mark.parametrize("offsets", MARK_OFFSETS.values(), ids=MARK_OFFSETS)
 @pytest.mark.parametrize("spacing", [3, 4096])
 def test_mark_commas_at_block_edges_match_reference(offsets, spacing):
-    # a body of CHUNK + 10000 digits after a 6-byte head, with a comma at
-    # every `spacing`-th byte (from byte 1) and at each mark offset
-    body = np.full(CHUNK + 10000, ord("7"), np.uint8)
+    # a body of CHUNK + 10000 digits after a 6-byte head, or up to the last
+    # mark past that, with a comma at every `spacing`-th byte (from byte 1)
+    # and at each mark offset
+    body = np.full(max(CHUNK + 10000, offsets[-1] + 1), ord("7"), np.uint8)
     body[1::spacing] = ord(",")
     body[offsets] = ord(",")
     text = b'{"a":[' + body.tobytes() + b"]}"

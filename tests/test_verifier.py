@@ -39,7 +39,7 @@ from gridmagic.labeling_nd import labeling_rows
 from gridmagic.verifier import (
     INT64_MAX,
     MAX_REPORTED_SUMS,
-    _SumRange,
+    _report,
     cube_edge_sums,
     cube_vertex_sums,
     verify_batch,
@@ -646,9 +646,13 @@ def test_verify_batch_refuses_rows_that_are_not_int64_integers():
 
 @pytest.mark.parametrize("first", [2**63 + 8, -(2**63) - 8])
 def test_distinct_sums_of_slabs_stay_exact_past_int64(first):
-    # a first slab of one sum past int64, then int64 sums: float64 would
-    # round the first to +-2**63
-    sums = _SumRange()
-    sums.add(np.array([first, first], dtype=object))
-    sums.add(np.array([9, -9], dtype=np.int64))
-    assert [int(v) for v in sums.values()] == sorted([first, -9, 9])
+    # a (4,2) vertex grid as two 2-row slabs: the first slab's one cube sums
+    # to `first`, past int64, and the seam's and the second slab's to 9 and
+    # -9; float64 would round the first to +-2**63
+    sign = 1 if first > 0 else -1
+    low = 9 - 8 * sign  # row 2's label sum, so that the seam's cube sums to 9
+    grid = np.array([[sign * 2**62] * 2, [sign * 4] * 2, [low, 0], [-9 - low, 0]], dtype=np.int64)
+    spec = GridSpec((4, 2))
+    report = _report(spec, "vertex", [(grid[:2], None), (grid[2:], None)])
+    assert report.cube_sum_values == tuple(sorted([first, -9, 9]))
+    assert (report.distinct_count, report.magic, report.magic_sum) == (3, False, None)
