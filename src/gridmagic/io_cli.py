@@ -22,9 +22,11 @@ Text is written by one numpy table writer a slab of leading rows at a
 time: `save`, the command line's `generate` and every render style put
 each table's rows (the vertex rows, and each axis's edge rows) into a
 buffer of its own, every buffer allocated up front from the label counts
-and widths. Renderers emit TikZ pictures mimicking the usual grid
-figures (2d plain, 3d oblique), Graphviz dot, or a flat CSV with one row
-per element.
+and widths. An item list holds the text's layout alone, fixed bytes and
+a `_Table` per label list; the labels come to the writer beside it, as
+slabs, with their least and greatest values. Renderers emit TikZ
+pictures mimicking the usual grid figures (2d plain, 3d oblique),
+Graphviz dot, or a flat CSV with one row per element.
 
 The CLI ties it together: generate, verify, predict, search, render,
 cover. Neither `generate` nor `verify` holds a document's label arrays.
@@ -32,7 +34,9 @@ cover. Neither `generate` nor `verify` holds a document's label arrays.
 (`labeling_rows`), so it holds the text alone; `verify` of a document in
 `save`'s layout parses a slab's runs of the vertex list and of each axis's
 block of the edge list as it comes to them, so it holds a seen mask of
-one byte per label and a slab. `generate` and `render` write their output
+one byte per label and a slab. A document on stdin, or in a file that
+cannot seek, is copied to an unnamed temporary file first, so `verify -`
+holds no more than `verify FILE`. `generate` and `render` write their output
 only once all of it is built, so a refused command leaves no partial
 file. Exit codes: 0 ok (and magic+bijective for verify), 1 verification
 or search refusal, 2 I/O or parse failure, 64 usage.
@@ -49,7 +53,9 @@ import itertools
 import json
 import math
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -101,6 +107,18 @@ EXIT_USAGE = 64
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
+def _checked_grid(dims: Sequence[int], kind: str) -> tuple[GridSpec, tuple[int, ...]]:
+    """The canonical spec and permutation of caller `dims`, once dims and `kind` pass a document's checks."""
+    try:
+        spec, perm = canonicalize(dims)
+    except GridMagicError as e:  # a non-sequence is shown as it is: list() could raise
+        dims = list(dims) if isinstance(dims, (list, tuple)) else dims
+        raise ParseError(f"bad dims {dims}: {e}") from e
+    if kind not in KINDS:
+        raise ParseError(f"kind must be one of {KINDS}, got {kind!r}")
+    return spec, perm
+
+
 @dataclass(frozen=True, eq=False)
 class LabelingDocument:
     """A labeling in the caller's axis order: dims, kind and canonical arrays.
@@ -118,16 +136,10 @@ class LabelingDocument:
     axis_permutation: tuple[int, ...] = field(init=False)  # caller axis i sits at canonical slot perm[i-1]
 
     def __post_init__(self):
-        try:
-            spec, perm = canonicalize(self.dims)
-        except GridMagicError as e:  # a non-sequence is shown as it is: list() could raise
-            dims = list(self.dims) if isinstance(self.dims, (list, tuple)) else self.dims
-            raise ParseError(f"bad dims {dims}: {e}") from e
+        spec, perm = _checked_grid(self.dims, self.kind)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "dims", tuple(spec.dims[p - 1] for p in perm))
         object.__setattr__(self, "axis_permutation", perm)
-        if self.kind not in KINDS:
-            raise ParseError(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name, want in zip(("vertex_labels", "edge_labels"), part_sizes(spec, self.kind)):
             labels = frozen_labels(getattr(self, name))
             if labels.ndim != 1:
@@ -240,39 +252,39 @@ def _slab_ranges(spec: GridSpec) -> Iterator[range]:
 
 @dataclass(frozen=True)
 class _Table:
-    """One list of a document's text, a row per label of `shape`, written slab by slab.
+    """The layout of one list of a document's text, a row per label of `shape`.
 
     `part` picks the labels from a slab: 0 its vertex rows, a its axis-a
     edge rows. `fields(labels, rows)` gives the `_cell_table` fields of
     the table's leading rows `rows` and their labels, None for a part the
-    document's kind lacks. `extremes` holds the least and the greatest
-    label, so that `bound` caps the text before it is made. `trim` drops
-    the separator after the list's last value.
+    document's kind lacks. `trim` drops the separator after the list's
+    last value. A table holds no labels: `_slab_text` takes them, and
+    their extremes, beside the items.
     """
 
     part: int
     shape: tuple[int, ...]
-    extremes: np.ndarray
     fields: Callable[[np.ndarray, range], tuple]
     trim: bool = False
 
-    @property
-    def bound(self) -> int:
-        widths = _field_widths(self.fields(self.extremes, range(self.shape[0])))
-        return math.prod(self.shape) * sum(width for width, _ in widths)
 
-
-def _slab_text(items: Sequence[bytes | _Table], slabs: Iterable[Slab]) -> list[bytes | np.ndarray]:
+def _slab_text(
+    items: Sequence[bytes | _Table], slabs: Iterable[Slab], extremes: tuple[np.ndarray, np.ndarray]
+) -> list[bytes | np.ndarray]:
     """The ASCII text of `items` as parts: bytes as they are, tables filled slab by slab.
 
-    Each table's text goes to a uint8 buffer of its bound, every buffer
-    allocated before the first slab is made, and each slab's rows of a
-    table fill its buffer on from the rows before. A table's rows in a
-    slab come from its own shape, so a figure draws the vertices or edges
-    of a document that has no labels for them.
+    `extremes` holds the least and the greatest vertex label, then edge
+    label, the widest any label can be: each table's text goes to a uint8
+    buffer sized from them, every buffer allocated before the first slab
+    is made, and each slab's rows of a table fill its buffer on from the
+    rows before. A table's rows in a slab come from its own shape, so a
+    figure draws the vertices or edges of a document that has no labels.
     """
     tables = [item for item in items if isinstance(item, _Table)]
-    texts = [np.empty(table.bound, np.uint8) for table in tables]
+    texts = []
+    for table in tables:
+        widths = _field_widths(table.fields(extremes[table.part > 0], range(table.shape[0])))
+        texts.append(np.empty(math.prod(table.shape) * sum(width for width, _ in widths), np.uint8))
     ends = [0] * len(tables)
     first = 0  # the slab's first leading row
     for vertex, edges in slabs:
@@ -289,10 +301,8 @@ def _slab_text(items: Sequence[bytes | _Table], slabs: Iterable[Slab]) -> list[b
     return [item if isinstance(item, bytes) else next(filled) for item in items]
 
 
-def _json_items(
-    dims: tuple[int, ...], kind: str, extremes: tuple[np.ndarray, np.ndarray]
-) -> list[bytes | _Table]:
-    """The items of a document's JSON text for `_slab_text`; `extremes` are the vertex and edge labels'."""
+def _json_items(dims: tuple[int, ...], kind: str) -> list[bytes | _Table]:
+    """The items of a document's JSON text for `_slab_text`."""
 
     def dumps(value: object) -> bytes:
         return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
@@ -304,10 +314,10 @@ def _json_items(
     items = [b'{"axis_permutation":' + dumps(list(perm)), b',"dims":' + dumps(list(dims)), b',"edge_labels":[']
     if kind != "vertex":
         for a, shape in enumerate(spec.edge_shapes, start=1):
-            items.append(_Table(a, shape, extremes[1], listed, trim=a == spec.dim))
+            items.append(_Table(a, shape, listed, trim=a == spec.dim))
     items += [b'],"format_version":' + dumps(FORMAT_VERSION), b',"kind":' + dumps(kind), b',"vertex_labels":[']
     if kind != "edge":
-        items.append(_Table(0, spec.dims, extremes[0], listed, trim=True))
+        items.append(_Table(0, spec.dims, listed, trim=True))
     items.append(b"]}\n")
     return items
 
@@ -325,7 +335,7 @@ def _name_cells(shape: tuple[int, ...], sep: bytes) -> np.ndarray:
     return _cell_table(shape, *fields[1:])
 
 
-def _csv_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray]) -> list[bytes | _Table]:
+def _csv_items(spec: GridSpec, kind: str) -> list[bytes | _Table]:
     """The items of the CSV text for `_slab_text`: a header, then a row per vertex and per edge.
 
     A row names its element by the cells of its leading coordinate, cut
@@ -347,7 +357,7 @@ def _csv_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray
             # an edge axis's names are the vertex names cut to its shape
             return head, first, b",", names[tuple(map(slice, shape[1:]))], tail, labels, b"\n"
 
-        items.append(_Table(a, shape, extremes[a > 0], row))
+        items.append(_Table(a, shape, row))
     return items
 
 
@@ -463,13 +473,17 @@ def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[in
     The k-th mark comma is the byte position of comma number `marks[k]`
     (1-based); `marks` ascend.
     """
+    data = bytearray(_PARSE_BLOCK)  # one buffer for every chunk, and one mask
+    text, is_comma = np.frombuffer(data, np.uint8), np.empty(len(data), bool)
+    handle.seek(start)
     pos, commas, found = start, 0, []
     while True:
-        data = _read_at(handle, pos, _PARSE_BLOCK)
-        if not data:
+        size = handle.readinto(data)
+        if not size:
             raise _NotCanonical
-        end = data.find(b"]")
-        comma = np.frombuffer(data, np.uint8, len(data) if end < 0 else end) == ord(",")
+        end = data.find(b"]", 0, size)
+        n = size if end < 0 else end
+        comma = np.equal(text[:n], ord(","), out=is_comma[:n])
         count = np.count_nonzero(comma)
         here = [m - commas for m in marks[len(found) : bisect.bisect_right(marks, commas + count, len(found))]]
         if here:  # each mark found among the commas of the 4 KiB block that holds it
@@ -483,7 +497,7 @@ def _list_extent(handle: BinaryIO, start: int, marks: Sequence[int]) -> tuple[in
         if end >= 0:
             stop = pos + end
             return stop, commas + 1 if stop > start else 0, found
-        pos += len(data)
+        pos += size
 
 
 # a run: the byte span [start, stop) of one slab's values in one list, and their shape
@@ -594,8 +608,8 @@ def save(doc: LabelingDocument) -> bytes:
     leading rows at a time; `gridmagic generate` writes the same text from
     the constructed slabs.
     """
-    items = _json_items(doc.dims, doc.kind, _document_extremes(doc))
-    return b"".join(_slab_text(items, _document_slabs(doc)))
+    items = _json_items(doc.dims, doc.kind)
+    return b"".join(_slab_text(items, _document_slabs(doc), _document_extremes(doc)))
 
 
 def _int64_array(raw: object, key: str) -> np.ndarray:
@@ -626,7 +640,12 @@ def load(data: bytes | str) -> LabelingDocument:
 
 
 def _json_document(data: bytes | str) -> LabelingDocument:
-    """Any JSON document, read whole; it checks version and permutation, `LabelingDocument` the rest."""
+    """Any JSON document, read whole.
+
+    A document with several faults is refused for the first of: its
+    version, dims, kind, the label lists' types, their lengths (checked by
+    `LabelingDocument`), and its permutation.
+    """
     payload = _json_payload(data)
     if not isinstance(payload, dict):
         raise ParseError("document root must be an object")
@@ -635,12 +654,13 @@ def _json_document(data: bytes | str) -> LabelingDocument:
         missing = expected - set(payload)
         extra = set(payload) - expected
         raise ParseError(f"bad document keys: missing {sorted(missing)}, unknown {sorted(extra)}")
-    keys = ("dims", "vertex_labels", "edge_labels")
-    dims, vertex, edge = (_int64_array(payload[key], key) for key in keys)
     version, kind = payload["format_version"], payload["kind"]
     if version != FORMAT_VERSION:  # a JSON value equals the str only if it is that str
         raise VersionMismatch(f"format_version {version!r}, supported {FORMAT_VERSION!r}")
-    doc = LabelingDocument(tuple(dims.tolist()), kind, vertex, edge)
+    dims = tuple(_int64_array(payload["dims"], "dims").tolist())
+    _checked_grid(dims, kind)  # dims and kind are refused before the label lists' types
+    vertex, edge = (_int64_array(payload[key], key) for key in ("vertex_labels", "edge_labels"))
+    doc = LabelingDocument(dims, kind, vertex, edge)
     # the permutation last, its type too: a wrong length is the error reported first
     perm = _int64_array(payload["axis_permutation"], "axis_permutation")
     if tuple(perm.tolist()) != doc.axis_permutation:
@@ -676,12 +696,20 @@ def verify_document(doc: LabelingDocument) -> MagicReport:
 
 @contextlib.contextmanager
 def _document_file(path: str) -> Iterator[BinaryIO]:
-    """The document at `path` (stdin for `-`) as a seekable binary file."""
-    if path == "-":
-        yield io.BytesIO(sys.stdin.buffer.read())
-        return
-    with open(path, "rb") as handle:
-        yield handle if handle.seekable() else io.BytesIO(handle.read())
+    """The document at `path` (stdin for `-`) as a seekable binary file.
+
+    A seekable file is read in place. Stdin, and a file that cannot seek,
+    is copied from where it stands to an unnamed temporary file, so its
+    bytes are never held in memory whole.
+    """
+    with contextlib.ExitStack() as stack:
+        handle = sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
+        if path == "-" or not handle.seekable():
+            spool = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(handle, spool)
+            spool.seek(0)
+            handle = spool
+        yield handle
 
 
 def _to_canonical_coord(doc: LabelingDocument, coord: Sequence[int]) -> tuple[int, ...]:
@@ -735,7 +763,7 @@ def _endpoints(names: np.ndarray, a: int, rows: range) -> tuple[np.ndarray, ...]
     return tuple(names[before + (cut,)][rows.start : rows.stop] for cut in (slice(-1), slice(1, None)))
 
 
-def _dot_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray]) -> list[bytes | _Table]:
+def _dot_items(spec: GridSpec, kind: str) -> list[bytes | _Table]:
     """The items of the dot text for `_slab_text`: a header, a row per vertex and per edge, a footer."""
     names = _name_cells(spec.dims, b",")
 
@@ -745,18 +773,18 @@ def _dot_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray
     def vertex(labels: np.ndarray | None, rows: range) -> tuple:
         return b'  "', names[rows.start : rows.stop], *tail(labels, kind == "edge")
 
-    items = [b"graph gridmagic {\n  node [shape=circle];\n", _Table(0, spec.dims, extremes[0], vertex)]
+    items = [b"graph gridmagic {\n  node [shape=circle];\n", _Table(0, spec.dims, vertex)]
     for a, shape in enumerate(spec.edge_shapes, start=1):
 
         def edge(labels: np.ndarray | None, rows: range, a=a) -> tuple:
             lower, upper = _endpoints(names, a, rows)
             return b'  "', lower, b'" -- "', upper, *tail(labels, kind == "vertex")
 
-        items.append(_Table(a, shape, extremes[1], edge))
+        items.append(_Table(a, shape, edge))
     return items + [b"}\n"]
 
 
-def _tikz_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarray]) -> list[bytes | _Table]:
+def _tikz_items(spec: GridSpec, kind: str) -> list[bytes | _Table]:
     """The items of a TikZ picture for `_slab_text`: a header, a row per vertex and per edge, a footer.
 
     The node coordinates are computed for each slab's rows.
@@ -779,7 +807,7 @@ def _tikz_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarra
 
     items = [
         b"\\begin{tikzpicture}[every node/.style={draw,shape=circle,inner sep=1pt,minimum size=.6cm}]\n",
-        _Table(0, spec.dims, extremes[0], vertex),
+        _Table(0, spec.dims, vertex),
     ]
     for a, shape in enumerate(spec.edge_shapes, start=1):
         placement = b"midway,right" if a == spec.dim else b"midway,above,sloped"
@@ -789,7 +817,7 @@ def _tikz_items(spec: GridSpec, kind: str, extremes: tuple[np.ndarray, np.ndarra
             tail = (b");\n",) if kind == "vertex" else (b") node[draw=none,%s] {" % placement, labels, b"};\n")
             return b"  \\draw (v", lower, b") -- (v", upper, *tail
 
-        items.append(_Table(a, shape, extremes[1], edge))
+        items.append(_Table(a, shape, edge))
     return items + [b"\\end{tikzpicture}\n"]
 
 
@@ -800,7 +828,7 @@ def _render_parts(doc: LabelingDocument, style: str) -> list[bytes | np.ndarray]
     if style.startswith("tikz") and doc.spec.dim != int(style[4]):
         raise UnsupportedDimension(f"{style} needs a {style[4]}-dimensional grid, got {doc.spec.dim}")
     style_items = {"csv": _csv_items, "dot": _dot_items, "tikz2d": _tikz_items, "tikz3d": _tikz_items}[style]
-    return _slab_text(style_items(doc.spec, doc.kind, _document_extremes(doc)), _document_slabs(doc))
+    return _slab_text(style_items(doc.spec, doc.kind), _document_slabs(doc), _document_extremes(doc))
 
 
 def render(doc: LabelingDocument, style: str) -> str:
@@ -893,16 +921,13 @@ def _write_parts(path: str, parts: list[bytes | np.ndarray]) -> None:
 
 
 def _cmd_generate(args) -> int:
-    spec, perm = canonicalize(_parse_dims(args.dims))
-    dims = tuple(spec.dims[p - 1] for p in perm)
+    dims = _parse_dims(args.dims)
+    spec, _ = canonicalize(dims)
     nv, ne = part_sizes(spec, args.kind)
+    items = _json_items(dims, args.kind) if args.format == "json" else _csv_items(spec, args.kind)
     # a constructed part is a bijection onto its range
     extremes = np.array([1, nv], np.int64), np.array([nv + 1, nv + ne], np.int64)
-    if args.format == "json":
-        items = _json_items(dims, args.kind, extremes)
-    else:
-        items = _csv_items(spec, args.kind, extremes)
-    _write_parts(args.out, _slab_text(items, _constructed_slabs(spec, args.kind)))
+    _write_parts(args.out, _slab_text(items, _constructed_slabs(spec, args.kind), extremes))
     return EXIT_OK
 
 

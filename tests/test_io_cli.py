@@ -605,12 +605,16 @@ def test_cli_search_budget_refusal(capsys):
     assert "refused" in err
 
 
-def run_fresh(argv, interpreter=("-c", "import sys, gridmagic; sys.exit(gridmagic.cli(sys.argv[1:]))")):
-    """Run the CLI in a fresh interpreter, so a hang fails the test instead of stalling the suite."""
+def run_fresh(argv, interpreter=("-c", "import sys, gridmagic; sys.exit(gridmagic.cli(sys.argv[1:]))"), input=None):
+    """Run the CLI in a fresh interpreter, so a hang fails the test instead of stalling the suite.
+
+    `input`, if given, is written to the CLI's stdin through a pipe.
+    """
     src = str(Path(gridmagic.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *interpreter, *argv],
+        input=input,
         capture_output=True,
         text=True,
         timeout=20,
@@ -754,6 +758,22 @@ def test_cli_cover_answers_huge_grids_promptly():
     # 1999**3 cubes: enumerating them would not finish
     run = run_fresh(["cover", "--dims", "2000,2000,2000"])
     assert (run.returncode, run.stdout, run.stderr) == (0, "COVERED\n", "")
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["canonical", "indented"])
+def test_cli_reads_a_piped_document_as_it_reads_a_path(tmp_path, indent):
+    # a pipe cannot seek: the canonical reader, the JSON reader and render
+    # each read the document from the start all the same
+    text = save(generate_document((5, 3, 3), "total")).decode()
+    if indent is not None:
+        text = json.dumps(json.loads(text), indent=indent)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for command, *options in (["verify"], ["render", "--style", "csv"]):
+        by_path = run_fresh([command, str(path), *options])
+        piped = run_fresh([command, "-", *options], input=text)
+        assert by_path.returncode == 0 and by_path.stdout
+        assert (piped.returncode, piped.stdout) == (by_path.returncode, by_path.stdout)
 
 
 def test_cli_parser_keeps_no_state_between_calls(capsys):

@@ -9,8 +9,10 @@ and integers longer than Python's int-string limit (a `ValueError` from
 json.loads), raise `ParseError` instead of the `UnicodeDecodeError` or
 `ValueError` that escaped the command line with a traceback. Its check
 of the stored `axis_permutation` comes after the length checks, where
-`load` makes it once the document has derived its own permutation; which
-of several faults is reported first is not part of the format.
+`load` makes it once the document has derived its own permutation. `load`
+checks in the same order (the version, dims, kind, the label lists'
+types and lengths, then the permutation), so a document with several
+faults is refused for the same one.
 
 The array codec parses and writes in blocks, so each comparison also runs
 with block sizes small enough to put block boundaries between list items.
@@ -178,6 +180,27 @@ def test_save_and_load_match_reference(data):
             assert outcome(load, data.decode()) == outcome(reference_load, data.decode())
             if isinstance(expected, LabelingDocument):
                 assert save(expected) == data == reference_save(expected)
+
+
+# Documents with two faults, each refused for the one the reference meets first.
+TWO_FAULTS = {
+    "float dims and version 2": {"dims": [1.5], "format_version": "2"},
+    "bad dims and a float label": {"dims": [2, 1], "vertex_labels": [1.5]},
+    "bad kind and a float label": {"kind": "bogus", "vertex_labels": [1.5]},
+}
+
+
+@pytest.mark.parametrize("faults", TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_two_faults_match_reference(faults):
+    _, perm = canonicalize((2, 2))
+    data = reference_encode({
+        "format_version": FORMAT_VERSION, "dims": [2, 2], "axis_permutation": list(perm),
+        "kind": "vertex", "vertex_labels": [1, 2, 3, 4], "edge_labels": [], **faults,
+    })
+    expected = outcome(reference_load, data)
+    assert isinstance(expected, tuple)
+    assert outcome(load, data) == expected
+    assert outcome(load, data.decode()) == expected
 
 
 # Values around each change of digit count and around 2**32, where the
