@@ -31,15 +31,16 @@ Graphviz dot, or a flat CSV with one row per element.
 The CLI ties it together: generate, verify, predict, search, render,
 cover. Neither `generate` nor `verify` holds a document's label arrays.
 `generate` builds its text from the closed forms a slab at a time
-(`labeling_rows`), so it holds the text alone; `verify` of a document in
-`save`'s layout parses a slab's runs of the vertex list and of each axis's
-block of the edge list as it comes to them, so it holds a seen mask of
-one byte per label and a slab. A document on stdin, or in a file that
-cannot seek, is copied to an unnamed temporary file first, so `verify -`
-holds no more than `verify FILE`. `generate` and `render` write their output
-only once all of it is built, so a refused command leaves no partial
-file. Exit codes: 0 ok (and magic+bijective for verify), 1 verification
-or search refusal, 2 I/O or parse failure, 64 usage.
+(`constructed_parts` of the slab's rows), so it holds the text alone;
+`verify` of a document in `save`'s layout parses a slab's runs of the
+vertex list and of each axis's block of the edge list as it comes to
+them, so it holds a seen mask of one byte per label and a slab. A
+document on stdin, or in a file that cannot seek, is copied to an
+unnamed temporary file first, so `verify -` holds no more than `verify
+FILE`. `generate` and `render` write their output only once all of it is
+built, so a refused command leaves no partial file. Exit codes: 0 ok
+(and magic+bijective for verify), 1 verification or search refusal, 2
+I/O or parse failure, 64 usage.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from .labeling_2d import (
     frozen_labels,
     vertex_labeling_from_flat,
 )
-from .labeling_nd import TotalLabeling, constructed_parts, labeling_rows, total_labeling_from_flats
+from .labeling_nd import TotalLabeling, constructed_parts, total_labeling_from_flats
 from .oracle import DEFAULT_MAX_ASSIGNMENTS, MODES, SearchBudget, exhaustive_search
 from .verifier import KINDS, MagicReport, Slab, _each, _report, closed_form_sums, part_sizes
 
@@ -384,12 +385,12 @@ def _document_extremes(doc: LabelingDocument) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _constructed_slabs(spec: GridSpec, kind: str) -> Iterator[Slab]:
-    """The constructed `kind` labeling as slabs of `_slab_ranges`, from `labeling_rows`."""
-    nv, _ = part_sizes(spec, kind)
+    """The constructed `kind` labeling as slabs of `_slab_ranges`, each from `constructed_parts`."""
+    nv, ne = part_sizes(spec, kind)
     for rows in _slab_ranges(spec):
-        f, g = labeling_rows(spec, rows)
-        edges = split_edge_labels(spec, g.flat + nv, rows) if kind == "total" else g.per_axis
-        yield (None if kind == "edge" else f.grid), (None if kind == "vertex" else edges)
+        vertex, edge = constructed_parts(spec, kind, rows)
+        vertex = vertex.reshape(len(rows), *spec.dims[1:]) if nv else None
+        yield vertex, split_edge_labels(spec, edge, rows) if ne else None
 
 
 def _int64_list_piece(data: bytes, out: np.ndarray | None = None) -> np.ndarray | None:

@@ -20,7 +20,9 @@ total labeling whose vertex labels are exactly [1, |V|]. A lift keeps
 the leading rows its base holds and lifts them alone, so `labeling_rows`
 builds any range of leading rows from the closed forms, and
 `build_labelings` is that range over every row. A total labeling's two
-parts hold the same rows.
+parts hold the same rows. `constructed_parts` gives any leading rows of
+each kind's constructed labels, the one source of them for documents,
+the command line and the oracle.
 """
 
 from __future__ import annotations
@@ -143,11 +145,7 @@ def extend_edge_labeling(base_f: VertexLabeling, base_g: EdgeLabeling, nd: int) 
     above nd * layer_edges. The two bases hold the same leading rows, and
     so does the lift.
     """
-    if (base_f.spec, base_f.rows) != (base_g.spec, base_g.rows):
-        raise SpecMismatch(
-            f"vertex labeling of rows {base_f.rows} over {base_f.spec.dims} "
-            f"but edge labeling of rows {base_g.rows} over {base_g.spec.dims}"
-        )
+    TotalLabeling(base_f, base_g)  # refuses bases of differing grids or rows
     spec = GridSpec(base_f.spec.dims + (nd,))  # checks nd as extend_vertex_labeling does
     nd = spec.dims[-1]
     d = spec.dim
@@ -207,16 +205,16 @@ def combine_supermagic(f: VertexLabeling, g: EdgeLabeling) -> TotalLabeling:
     return TotalLabeling(f, EdgeLabeling(g.spec, g.flat + f.spec.vertex_count, g.rows))
 
 
-def constructed_parts(spec: GridSpec, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex and edge labels of the constructed `kind` labeling; a lacking part is empty.
+def constructed_parts(spec: GridSpec, kind: str, rows: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex and edge labels of leading rows `rows` (every row for None) of the `kind` labeling.
 
-    `kind` is "vertex", "edge" or "total" (`combine_supermagic` of the two).
+    `kind` is "vertex", "edge" or "total" (edge labels shifted above |V|, as
+    `combine_supermagic` shifts them); a lacking part is empty.
     """
-    f, g = build_labelings(spec)
+    f, g = build_labelings(spec) if rows is None else labeling_rows(spec, rows)
     empty = np.empty(0, dtype=np.int64)
     if kind == "vertex":
         return f.flat, empty
     if kind == "edge":
         return empty, g.flat
-    total = combine_supermagic(f, g)
-    return total.vertex.flat, total.edge.flat
+    return f.flat, g.flat + spec.vertex_count

@@ -115,6 +115,9 @@ def test_vertex_rank_out_of_range():
         vertex_rank(spec, (1, 0))
     with pytest.raises(CoordOutOfRange):
         vertex_unrank(spec, 15)
+    for wrong_arity in ((1,), (1, 1, 1)):
+        with pytest.raises(CoordOutOfRange, match=r"not a vertex of the \(5, 3\) grid"):
+            vertex_rank(spec, wrong_arity)
 
 
 def _lookups(spec: GridSpec) -> dict:

@@ -108,6 +108,19 @@ def test_load_rejects_unknown_or_missing_keys():
         load(json.dumps(payload))
 
 
+def test_documents_are_unequal_to_other_types():
+    doc = generate_document([3, 2], "vertex")
+    assert doc.__eq__("x") is NotImplemented
+    assert doc != "x"
+
+
+def test_library_refuses_a_bad_kind_or_style():
+    with pytest.raises(UsageError, match="kind must be one of"):
+        generate_document([3, 2], "bogus")
+    with pytest.raises(UsageError, match="style must be one of"):
+        render(generate_document([3, 2], "vertex"), "svg")
+
+
 def test_load_rejects_inconsistent_axis_permutation():
     payload = json.loads(save(generate_document([3, 5, 3], "vertex")))
     payload["axis_permutation"] = [1, 2, 3]
@@ -462,6 +475,7 @@ def test_load_rejects_non_integer_list_elements(capsys, monkeypatch, key, value)
 
 MALFORMED = {
     "not utf-8": b"\xff\xfe",
+    "a root that is not an object": b"[]",
     "nested lists": b"[" * 100_000 + b"]" * 100_000,
     "nested in an object": b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
     "number past the int-string limit": b'{"edge_labels":[' + b"1" * 5000 + b"]}",
@@ -702,15 +716,21 @@ def test_render_memory_stays_near_the_text(style):
 
 
 @pytest.mark.parametrize("block", TEXT_BLOCKS)
-def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, block):
-    dims, path = "7,5,3", tmp_path / "doc.json"
-    doc = generate_document([7, 5, 3], "total")
-    data, renders = save(doc), {style: render(doc, style) for style in ("csv", "dot", "tikz3d")}
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims", [(7, 5, 3), (2, 3, 2, 4)], ids=["7,5,3", "2,3,2,4"])
+def test_cli_writes_blocks_as_save_and_render_join_them(tmp_path, capsys, dims, kind, block):
+    # generate builds its slabs from the closed forms, the library from whole
+    # labelings: the two give the same text for every kind and caller order
+    path = tmp_path / "doc.json"
+    doc = generate_document(dims, kind)
+    styles = ("csv", "dot", "tikz3d") if len(dims) == 3 else ("csv", "dot")
+    data, renders = save(doc), {style: render(doc, style) for style in styles}
+    generate = ["generate", "--dims", ",".join(map(str, dims)), "--kind", kind]
     with text_blocks(block):
-        assert run_cli(capsys, ["generate", "--dims", dims, "--out", str(path)]) == (0, "", "")
+        assert run_cli(capsys, [*generate, "--out", str(path)]) == (0, "", "")
         assert path.read_bytes() == data
-        assert run_cli(capsys, ["generate", "--dims", dims]) == (0, data.decode(), "")
-        assert run_cli(capsys, ["generate", "--dims", dims, "--format", "csv"]) == (0, renders["csv"], "")
+        assert run_cli(capsys, generate) == (0, data.decode(), "")
+        assert run_cli(capsys, [*generate, "--format", "csv"]) == (0, renders["csv"], "")
         for style, text in renders.items():
             assert run_cli(capsys, ["render", str(path), "--style", style]) == (0, text, "")
 

@@ -203,6 +203,28 @@ def test_two_faults_match_reference(faults):
     assert outcome(load, data.decode()) == expected
 
 
+# Heads in save's layout with an empty permutation or dims list, which the
+# canonical reader sends to the JSON reader.
+EMPTY_HEADS = {
+    "empty permutation": {"axis_permutation": []},
+    "empty dims": {"dims": []},
+    "both empty": {"axis_permutation": [], "dims": []},
+}
+
+
+@pytest.mark.parametrize("head", EMPTY_HEADS.values(), ids=EMPTY_HEADS)
+def test_empty_head_lists_match_reference(head):
+    _, perm = canonicalize((2, 2))
+    data = reference_encode({
+        "format_version": FORMAT_VERSION, "dims": [2, 2], "axis_permutation": list(perm),
+        "kind": "vertex", "vertex_labels": [1, 2, 3, 4], "edge_labels": [], **head,
+    })
+    assert _load_canonical(io.BytesIO(data)) is None
+    expected = outcome(reference_load, data)
+    assert isinstance(expected, tuple)
+    assert outcome(load, data) == expected
+
+
 # Values around each change of digit count and around 2**32, where the
 # encoder switches from uint32 to uint64 digit passes.
 BOUNDARIES = sorted({10**k + d for k in range(19) for d in (-1, 0)} | {2**31, 2**32 - 1, 2**32, 2**32 + 1, INT64_MAX})

@@ -152,6 +152,13 @@ def test_edge_labeling_is_one_read_only_view_of_the_callers_buffer():
             EdgeLabeling(spec, np.arange(1, count + 1))
 
 
+def test_vertex_labeling_from_flat_refuses_the_wrong_size():
+    spec = GridSpec((4, 3))
+    for count in (spec.vertex_count - 1, spec.vertex_count + 1):
+        with pytest.raises(SpecMismatch, match=f"^{count} vertex labels for a grid with 12$"):
+            vertex_labeling_from_flat(spec, np.arange(1, count + 1))
+
+
 # Label inputs that used to be truncated, wrapped or cast instead of refused,
 # each with the dtype the refusal names.
 NON_INT64_LABELS = [

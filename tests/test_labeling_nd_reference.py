@@ -202,5 +202,10 @@ def test_lifts_refuse_rows_that_differ():
     spec = GridSpec((6, 5, 3))
     f, _ = labeling_rows(spec, range(0, 2))
     _, g = labeling_rows(spec, range(1, 3))
-    with pytest.raises(SpecMismatch):
+    # the message `TotalLabeling` gives for the two bases
+    message = (
+        r"^vertex labeling of rows range\(0, 2\) over \(6, 5, 3\) "
+        r"but edge labeling of rows range\(1, 3\) over \(6, 5, 3\)$"
+    )
+    with pytest.raises(SpecMismatch, match=message):
         extend_edge_labeling(f, g, 2)

@@ -38,10 +38,14 @@ from gridmagic import (
 from gridmagic.labeling_nd import labeling_rows
 from gridmagic.verifier import (
     INT64_MAX,
+    KINDS,
     MAX_REPORTED_SUMS,
+    _each,
     _report,
+    _rows_slab,
     cube_edge_sums,
     cube_vertex_sums,
+    part_sizes,
     verify_batch,
 )
 
@@ -343,6 +347,8 @@ def test_spec_mismatch_is_rejected():
         verify_edge_magic(GridSpec((4, 2)), g)
     with pytest.raises(SpecMismatch):
         VertexLabeling(GridSpec((4, 2)), f.grid)
+    with pytest.raises(SpecMismatch, match=r"labeling over \(3, 2\), expected \(4, 2\)$"):
+        verify_supermagic(GridSpec((4, 2)), combine_supermagic(f, g))
 
 
 _PARTS_6_5 = (build_labelings(GridSpec((6, 5))), labeling_rows(GridSpec((6, 5)), range(0, 3)))
@@ -656,3 +662,29 @@ def test_distinct_sums_of_slabs_stay_exact_past_int64(first):
     report = _report(spec, "vertex", [(grid[:2], None), (grid[2:], None)])
     assert report.cube_sum_values == tuple(sorted([first, -9, 9]))
     assert (report.distinct_count, report.magic, report.magic_sum) == (3, False, None)
+
+
+def random_slabs(spec: GridSpec, kind: str, *bounds: int) -> list:
+    """Random distinct `kind` labels of `spec`, as slabs of the leading rows between consecutive `bounds`."""
+    nv, ne = part_sizes(spec, kind)
+    whole = _rows_slab(spec, kind, np.random.default_rng(7).permutation(np.arange(1, nv + ne + 1)))
+    return [_each(lambda arr: arr[a:b], whole) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_empty_slab_between_two_others_leaves_the_report_as_it_is(kind):
+    # random labels give the cubes on the seam of rows 2 and 3 sums of their
+    # own, so the report holds them only if the rows held from the first
+    # slab pass over the empty one to meet the last
+    spec = GridSpec((6, 5))
+    report = _report(spec, kind, random_slabs(spec, kind, 0, 6))
+    assert not report.magic
+    assert _report(spec, kind, random_slabs(spec, kind, 0, 3, 3, 6)) == report
+    assert _report(spec, kind, random_slabs(spec, kind, 0, 3, 6)) == report
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_slabs_of_fewer_rows_than_the_grid_are_refused(kind):
+    spec = GridSpec((6, 5))
+    with pytest.raises(SpecMismatch, match=r"^slabs of 5 leading rows for the \(6, 5\) grid$"):
+        _report(spec, kind, random_slabs(spec, kind, 0, 3, 5))
